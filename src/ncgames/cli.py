@@ -181,6 +181,12 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+_CONFIG_KEYS = frozenset(
+    ("graph", "strategies", "budgets", "name", "trials", "reset_cost", "base_seed",
+     "denominator", "spread")
+)
+
+
 def _parse_config_file(path: str) -> dict[str, str]:
     """Flat key=value config text; `#` starts a comment line."""
     out: dict[str, str] = {}
@@ -191,7 +197,10 @@ def _parse_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ParseError("expected `key=value`", lineno)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ParseError(f"unknown config key `{key}`", lineno)
+        out[key] = value.strip()
     return out
 
 

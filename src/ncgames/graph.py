@@ -123,7 +123,7 @@ def parse_game_graph(text: str) -> GameGraph:
             if owner_name not in _OWNER_BY_NAME:
                 raise ParseError(f"unknown owner `{owner_name}`", lineno)
             gain_text = tokens[3][len("gain="):]
-            if not gain_text.isdigit():
+            if not (gain_text.isascii() and gain_text.isdigit()):
                 raise ParseError(f"gain must be a nonnegative integer, got `{gain_text}`", lineno)
             nodes[name] = NodeInfo(_OWNER_BY_NAME[owner_name], int(gain_text))
         elif kind == "edge":

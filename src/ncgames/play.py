@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Hashable, Iterator, Mapping
 
+from .arena import _Arena
 from .errors import CapacityError, StrategyError, ValidationError
 from .graph import SUT, TESTER, GameGraph, ensure_valid
 
@@ -171,88 +172,50 @@ def best_response_gain(
     """Maximum coverage gain any tester behavior can achieve from r against
     the fixed finite-state SUT strategy.
 
-    Exhaustive search on the arena of (node, covered set, SUT state)
-    triples.  Covered sets only grow, so the arena is layered by covered
-    set; within a layer the value is the least fixed point of the one-step
-    maximization initialized at the stay-forever payoff (the gain of the
-    layer's covered set), which resolves cycles.
+    The arena's positions are the reachable (node, SUT state) pairs, and
+    an SUT position's only successor is the strategy's choice, so the
+    tester is left alone in the game.  Its value under the layered
+    least-fixed-point kernel (``ncgames.arena``) is the best response.
+    ``state_cap`` bounds the number of (node, covered set, SUT state)
+    product states.
     """
     ensure_valid(g, strict=True)
     if r not in g.nodes:
         raise ValueError(f"unknown node `{r}`")
 
-    ids = g.node_ids()
-    index = {v: i for i, v in enumerate(ids)}
-    succ = [tuple(index[w] for w in g.edges[v]) for v in ids]
-    owner_is_tester = [g.owner(v) == TESTER for v in ids]
-    gains = [g.gain(v) for v in ids]
-
-    s0 = sut.transition(sut.initial_state(), r)
-    root = (index[r], 1 << index[r], s0)
-    mask_gain = {1 << index[r]: gains[index[r]]}
-
-    # forward exploration of all (node, covered, sut-state) triples
-    seen = {root}
-    layers: dict[int, list[tuple[int, Hashable]]] = {}
-    stack = [root]
-    while stack:
-        v, mask, s = stack.pop()
-        layers.setdefault(mask, []).append((v, s))
-        if owner_is_tester[v]:
-            choices = succ[v]
+    root = (r, sut.transition(sut.initial_state(), r))
+    ids = [root]
+    index = {root: 0}
+    succ = []
+    for v, s in ids:  # ids grows while it is walked
+        if g.owner(v) == TESTER:
+            choices = g.edges[v]
         else:
-            chosen = sut.choose(s, ids[v])
-            if chosen not in g.edges[ids[v]]:
-                raise StrategyError(
-                    f"SUT strategy chose `{chosen}`, not a successor of `{ids[v]}`"
-                )
-            choices = (index[chosen],)
+            chosen = sut.choose(s, v)
+            if chosen not in g.edges[v]:
+                raise StrategyError(f"SUT strategy chose `{chosen}`, not a successor of `{v}`")
+            choices = (chosen,)
+        row = []
         for u in choices:
-            bit = 1 << u
-            m2 = mask | bit
-            if m2 not in mask_gain:
-                mask_gain[m2] = mask_gain[mask] + gains[u]
-            s2 = sut.transition(s, ids[u])
-            nxt = (u, m2, s2)
-            if nxt not in seen:
-                if len(seen) >= state_cap:
+            pos = (u, sut.transition(s, u))
+            if pos not in index:
+                # each position is at least one product state
+                if len(ids) >= state_cap:
                     raise CapacityError(f"search state space exceeds cap {state_cap}")
-                seen.add(nxt)
-                stack.append(nxt)
+                index[pos] = len(ids)
+                ids.append(pos)
+            row.append(index[pos])
+        succ.append(tuple(row))
 
-    values: dict[tuple[int, int, Hashable], int] = {}
-    for mask in sorted(layers, key=lambda m: -bin(m).count("1")):
-        members = layers[mask]
-        base = mask_gain[mask]
-        # split each member's options into in-layer refs and settled exits
-        exits: dict[tuple[int, Hashable], list[int]] = {}
-        inside: dict[tuple[int, Hashable], list[tuple[int, Hashable]]] = {}
-        for v, s in members:
-            if owner_is_tester[v]:
-                choices = succ[v]
-            else:
-                choices = (index[sut.choose(s, ids[v])],)
-            ex, ins = [], []
-            for u in choices:
-                s2 = sut.transition(s, ids[u])
-                if mask & (1 << u):
-                    ins.append((u, s2))
-                else:
-                    ex.append(values[(u, mask | (1 << u), s2)])
-            exits[(v, s)] = ex
-            inside[(v, s)] = ins
-        w = {m: base for m in members}
-        changed = True
-        while changed:
-            changed = False
-            prev = dict(w)
-            for m in members:
-                best = max(exits[m], default=base)
-                for u in inside[m]:
-                    best = max(best, prev[u])
-                if best != prev[m]:
-                    w[m] = best
-                    changed = True
-        for (v, s), val in w.items():
-            values[(v, mask, s)] = val
-    return values[root]
+    nodes = g.node_ids()
+    bit = {v: i for i, v in enumerate(nodes)}
+    arena = _Arena(
+        ids=ids,
+        index=index,
+        succ=succ,
+        cover=[bit[v] for v, _ in ids],
+        is_tester=[g.owner(v) == TESTER for v, _ in ids],
+        gains=[g.gain(v) for v in nodes],
+        root=0,
+    )
+    return arena.solve(state_cap=state_cap)[0]

@@ -34,8 +34,10 @@ class Cnf:
 def parse_dimacs(text: str) -> Cnf:
     """Parse DIMACS CNF (``p cnf n m`` header, 0-terminated clauses).
 
-    Comment lines start with ``c``.  Empty clauses are rejected: they have
-    no game-node counterpart and make the formula trivially unsatisfiable.
+    Comment lines start with ``c``.  A line starting with ``%`` ends the
+    input, so the SATLIB trailer (``%`` then ``0``) is ignored.  Empty
+    clauses are rejected: they have no game-node counterpart and make the
+    formula trivially unsatisfiable.
     Duplicate literals within a clause collapse.
     """
     header: tuple[int, int] | None = None
@@ -43,7 +45,9 @@ def parse_dimacs(text: str) -> Cnf:
     current: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if header is not None:

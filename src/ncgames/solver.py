@@ -1,22 +1,13 @@
 """Exact solving of node coverage games.
 
-The solver evaluates the max-min coverage value on the product arena whose
-states pair a graph node with the set of nodes covered so far.  A move from
-(v, C) follows a graph edge (v, v') and lands in (v', C ∪ {v'}); an
-infinite play whose covered set stops growing at C pays ν(C).
-
-Covered sets only grow, so the arena decomposes into layers (one per
-covered set), processed in decreasing-superset order.  Within a layer,
-moves that leave the layer have already-settled values, every option is
-worth at least the stay-forever payoff ν(C), and the layer's max-min value
-is the least fixed point of the one-step operator initialized at ν(C)
-everywhere.  Synchronous iteration reaches it in at most |C| rounds.
-
-Tester policy extraction must avoid value-preserving cycles inside a
-layer, so the recorded tester choice at each state is the option that
-certified the state's final value in the round it was reached (evaluated
-against the previous round's table).  SUT choices are the plain argmin at
-the fixed point, which is always safe for the minimizer.
+The nodes reachable from the root become the positions of an arena
+(``ncgames.arena``), and its layered least-fixed-point kernel evaluates
+the max-min coverage value on the product of nodes and covered sets: a
+move along an edge (v, v') adds v' to the covered set, and an infinite
+play whose covered set stops growing at C pays ν(C).  ``solve_mcg`` also
+records the optimal policies; ``solve_mcg_restart`` runs the same kernel
+with the tester's restart move.  ``oracle_mcg`` shares only the indexing
+and searches the game tree independently.
 
 Solving one instance is single-threaded; distinct instances share no
 mutable state and may be solved concurrently.
@@ -26,66 +17,32 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .arena import _Arena
 from .errors import CapacityError, StrategyError
 from .graph import TESTER, GameGraph, ensure_valid, reachable
 from .play import StateMachineStrategy
 
-_NODE_BITS = 6  # product-state packing: (mask << _NODE_BITS) | node_index
+_MAX_NODES = 64  # 2^n covered sets: wider games are refused whatever the cap
 
 
-class _Arena:
-    """Indexed view of the subgraph reachable from the root node."""
-
-    def __init__(self, g: GameGraph, r: str, cap: int):
-        if r not in g.nodes:
-            raise ValueError(f"unknown node `{r}`")
-        reach = sorted(reachable(g, r))
-        if len(reach) > min(cap, 1 << _NODE_BITS):  # packing holds 2^_NODE_BITS nodes
-            raise CapacityError(
-                f"{len(reach)} reachable nodes exceed the solver cap "
-                f"{min(cap, 1 << _NODE_BITS)}"
-            )
-        self.ids = reach
-        self.index = {v: i for i, v in enumerate(reach)}
-        self.succ = [tuple(self.index[w] for w in g.edges[v]) for v in reach]
-        self.is_tester = [g.owner(v) == TESTER for v in reach]
-        self.gains = [g.gain(v) for v in reach]
-        self.root_idx = self.index[r]
-
-    def explore(self, restart: bool = False):
-        """Reachable product states, layered by covered-set mask.
-
-        Returns (layers, mask_gain) where layers maps a mask to the list
-        of node indices present in that layer.  With ``restart`` every
-        state also reaches (root, same mask), and sinks contribute only
-        that restart move.
-        """
-        root_bit = 1 << self.root_idx
-        mask_gain = {root_bit: self.gains[self.root_idx]}
-        start = (root_bit << _NODE_BITS) | self.root_idx
-        seen = {start}
-        layers: dict[int, list[int]] = {}
-        stack = [start]
-        while stack:
-            packed = stack.pop()
-            v = packed & ((1 << _NODE_BITS) - 1)
-            mask = packed >> _NODE_BITS
-            layers.setdefault(mask, []).append(v)
-            targets = list(self.succ[v])
-            if restart:
-                targets.append(self.root_idx)
-            for u in targets:
-                bit = 1 << u
-                m2 = mask | bit
-                if m2 not in mask_gain:
-                    mask_gain[m2] = mask_gain[mask] + self.gains[u]
-                nxt = (m2 << _NODE_BITS) | u
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        for members in layers.values():
-            members.sort()
-        return layers, mask_gain
+def _node_arena(g: GameGraph, r: str, cap: int) -> _Arena:
+    """Arena whose positions are the nodes reachable from r, in id order."""
+    if r not in g.nodes:
+        raise ValueError(f"unknown node `{r}`")
+    ids = sorted(reachable(g, r))
+    limit = min(cap, _MAX_NODES)
+    if len(ids) > limit:
+        raise CapacityError(f"{len(ids)} reachable nodes exceed the solver cap {limit}")
+    index = {v: i for i, v in enumerate(ids)}
+    return _Arena(
+        ids=ids,
+        index=index,
+        succ=[tuple(index[w] for w in g.edges[v]) for v in ids],
+        cover=range(len(ids)),
+        is_tester=[g.owner(v) == TESTER for v in ids],
+        gains=[g.gain(v) for v in ids],
+        root=index[r],
+    )
 
 
 @dataclass
@@ -111,7 +68,7 @@ class SolveResult:
         mask = 0
         for v in covered:
             mask |= 1 << idx[v]
-        return (mask << _NODE_BITS) | idx[node]
+        return (mask << self._arena.shift) | idx[node]
 
     def tester_move(self, node: str, covered: Iterable[str]) -> str:
         return self._arena.ids[self._tester[self._pack(node, covered)]]
@@ -120,11 +77,11 @@ class SolveResult:
         return self._arena.ids[self._sut[self._pack(node, covered)]]
 
     def _unpack_policy(self, table: dict[int, int]) -> dict[tuple[str, frozenset[str]], str]:
-        ids = self._arena.ids
+        ids, shift = self._arena.ids, self._arena.shift
         out = {}
         for packed, u in table.items():
-            v = ids[packed & ((1 << _NODE_BITS) - 1)]
-            mask = packed >> _NODE_BITS
+            v = ids[packed & ((1 << shift) - 1)]
+            mask = packed >> shift
             covered = frozenset(ids[i] for i in range(len(ids)) if mask & (1 << i))
             out[(v, covered)] = ids[u]
         return out
@@ -144,76 +101,15 @@ def solve_mcg(g: GameGraph, r: str, cap: int = 20) -> SolveResult:
     sinks) and at most `cap` nodes reachable from r.
     """
     ensure_valid(g, strict=True)
-    arena = _Arena(g, r, cap)
-    layers, mask_gain = arena.explore(restart=False)
-
-    values: dict[int, int] = {}
-    tester_tbl: dict[int, int] = {}
-    sut_tbl: dict[int, int] = {}
-    states = 0
-
-    for mask in sorted(layers, key=lambda m: (-bin(m).count("1"), m)):
-        members = layers[mask]
-        states += len(members)
-        base = mask_gain[mask]
-        # per member: options in ascending successor order; exits are settled
-        opts: dict[int, list[tuple[int, bool, int]]] = {}  # (succ, is_exit, exit_val)
-        for v in members:
-            row = []
-            for u in arena.succ[v]:
-                if mask & (1 << u):
-                    row.append((u, False, 0))
-                else:
-                    row.append((u, True, values[((mask | (1 << u)) << _NODE_BITS) | u]))
-            opts[v] = row
-        w = {v: base for v in members}
-        changed = True
-        while changed:
-            changed = False
-            prev = dict(w)
-            for v in members:
-                row = opts[v]
-                if arena.is_tester[v]:
-                    best, pick = None, None
-                    for u, is_exit, ev in row:
-                        val = ev if is_exit else prev[u]
-                        if best is None or val > best:
-                            best, pick = val, u
-                    if best > prev[v]:
-                        w[v] = best
-                        tester_tbl[(mask << _NODE_BITS) | v] = pick
-                        changed = True
-                else:
-                    best = None
-                    for u, is_exit, ev in row:
-                        val = ev if is_exit else prev[u]
-                        if best is None or val < best:
-                            best = val
-                    if best > prev[v]:
-                        w[v] = best
-                        changed = True
-        for v in members:
-            packed = (mask << _NODE_BITS) | v
-            values[packed] = w[v]
-            if arena.is_tester[v]:
-                if packed not in tester_tbl:  # never rose above ν(C): any move is safe
-                    tester_tbl[packed] = arena.succ[v][0]
-            else:
-                best, pick = None, None
-                for u, is_exit, ev in opts[v]:
-                    val = ev if is_exit else w[u]
-                    if best is None or val < best:
-                        best, pick = val, u
-                sut_tbl[packed] = pick
-
-    root_packed = ((1 << arena.root_idx) << _NODE_BITS) | arena.root_idx
+    arena = _node_arena(g, r, cap)
+    value, states, tester, sut = arena.solve(record=True)
     return SolveResult(
-        value=values[root_packed],
+        value=value,
         states_explored=states,
         root=r,
         _arena=arena,
-        _tester=tester_tbl,
-        _sut=sut_tbl,
+        _tester=tester,
+        _sut=sut,
     )
 
 
@@ -227,45 +123,7 @@ def solve_mcg_restart(g: GameGraph, r: str, cap: int = 20) -> int:
     option never leaves the current layer.
     """
     ensure_valid(g, strict=False)
-    arena = _Arena(g, r, cap)
-    layers, mask_gain = arena.explore(restart=True)
-    root_idx = arena.root_idx
-
-    values: dict[int, int] = {}
-    for mask in sorted(layers, key=lambda m: (-bin(m).count("1"), m)):
-        members = layers[mask]
-        base = mask_gain[mask]
-        opts: dict[int, list[tuple[int, bool, int]]] = {}
-        for v in members:
-            row = []
-            for u in arena.succ[v]:
-                if mask & (1 << u):
-                    row.append((u, False, 0))
-                else:
-                    row.append((u, True, values[((mask | (1 << u)) << _NODE_BITS) | u]))
-            opts[v] = row
-        w = {v: base for v in members}
-        changed = True
-        while changed:
-            changed = False
-            prev = dict(w)
-            restart_val = prev[root_idx]
-            for v in members:
-                row = opts[v]
-                if not row:
-                    inner = base  # sink: stay (and pay ν(C)) or restart
-                elif arena.is_tester[v]:
-                    inner = max(ev if is_exit else prev[u] for u, is_exit, ev in row)
-                else:
-                    inner = min(ev if is_exit else prev[u] for u, is_exit, ev in row)
-                best = max(restart_val, inner)
-                if best > prev[v]:
-                    w[v] = best
-                    changed = True
-        for v in members:
-            values[(mask << _NODE_BITS) | v] = w[v]
-
-    return values[((1 << root_idx) << _NODE_BITS) | root_idx]
+    return _node_arena(g, r, cap).solve(restart=True)[0]
 
 
 class OptimalSutStrategy(StateMachineStrategy):
@@ -313,7 +171,7 @@ def oracle_mcg(g: GameGraph, r: str, cap: int = 1_000_000) -> int:
     number of expanded tree nodes.
     """
     ensure_valid(g, strict=True)
-    arena = _Arena(g, r, cap=64)
+    arena = _node_arena(g, r, _MAX_NODES)
     gains = arena.gains
     succ = arena.succ
     is_tester = arena.is_tester
@@ -348,11 +206,11 @@ def oracle_mcg(g: GameGraph, r: str, cap: int = 1_000_000) -> int:
         return max(options) if is_tester[v] else min(options)
 
     def entry_val(v: int, mask: int) -> int:
-        packed = (mask << _NODE_BITS) | v
+        packed = (mask << arena.shift) | v
         cached = memo.get(packed)
         if cached is None:
             cached = layer_val(v, mask, {v})
             memo[packed] = cached
         return cached
 
-    return entry_val(arena.root_idx, 1 << arena.root_idx)
+    return entry_val(arena.root, 1 << arena.root)

@@ -288,7 +288,7 @@ def parse_witness(text: str) -> Witness:
         if not tokens[2].startswith("c=") or not tokens[3].startswith("P="):
             raise ParseError("expected `c=<uint> P=<id>[,<id>]*`", lineno)
         bound_text = tokens[2][2:]
-        if not bound_text.isdigit():
+        if not (bound_text.isascii() and bound_text.isdigit()):
             raise ParseError(f"bound must be a nonnegative integer, got `{bound_text}`", lineno)
         members = tokens[3][2:].split(",")
         if not members or any(not _ID_RE.match(m) for m in members):

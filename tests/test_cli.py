@@ -92,6 +92,12 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert run_cli(["validate", "--graph", "/nonexistent.ncgame"]) == 2
 
+    def test_non_ascii_digit_gain_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "sup.ncgame"
+        path.write_text("ncgame 1\nnode a owner=tester gain=\u00b2\nedge a a\ninit a\n")
+        assert run_cli(["validate", "--graph", str(path)]) == 2
+        assert "line 2: gain must be a nonnegative integer" in capsys.readouterr().err
+
 
 class TestWitnessCommands:
     def test_check_accepts_good_witness(self, mirror_file, tmp_path, capsys):
@@ -105,6 +111,12 @@ class TestWitnessCommands:
         wpath.write_text(MIRROR_WITNESS_TEXT.replace("entry v0 c=3", "entry v0 c=2"))
         assert run_cli(["witness-check", "--graph", mirror_file, "--witness", str(wpath)]) == 3
         assert "violation:" in capsys.readouterr().out
+
+    def test_non_ascii_digit_bound_is_a_parse_error(self, mirror_file, tmp_path, capsys):
+        wpath = tmp_path / "sup.ncwitness"
+        wpath.write_text(MIRROR_WITNESS_TEXT.replace("entry v0 c=3", "entry v0 c=\u00b2"))
+        assert run_cli(["witness-check", "--graph", mirror_file, "--witness", str(wpath)]) == 2
+        assert "line 2: bound must be a nonnegative integer" in capsys.readouterr().err
 
     def test_extract_writes_consistent_witness(self, mirror_file, tmp_path, capsys):
         out = tmp_path / "w.ncwitness"
@@ -228,6 +240,14 @@ class TestSimulateAndExperiment:
         assert ",s2,20,4," in first.splitlines()[1]
         assert run_cli(["experiment", "--config", str(cfg), "--trials", "6"]) == 0
         assert ",s2,20,6," in capsys.readouterr().out.splitlines()[1]
+
+    def test_experiment_config_rejects_unknown_key(self, mirror_file, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(f"graph={mirror_file}\nbudgets=20\ntrial=3\n")
+        assert run_cli(["experiment", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "line 3: unknown config key `trial`" in captured.err
+        assert captured.out == ""
 
     def test_experiment_requires_budgets(self, mirror_file, capsys):
         assert run_cli(["experiment", "--graph", mirror_file]) == 3

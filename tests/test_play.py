@@ -7,7 +7,7 @@ import pytest
 
 from conftest import graph_of
 from ncgames.errors import CapacityError, StrategyError
-from ncgames.graph import SUT, TESTER, coverage_gain, covered_nodes, generate_random, reachable
+from ncgames.graph import SUT, TESTER, GameGraph, coverage_gain, covered_nodes, generate_random, reachable
 from ncgames.play import (
     PositionalStrategy,
     StateMachineStrategy,
@@ -17,6 +17,7 @@ from ncgames.play import (
     positional_bound,
     simulate_play,
 )
+from ncgames.solver import oracle_mcg
 
 
 class TestSimulatePlay:
@@ -130,6 +131,8 @@ class TestBestResponseGain:
             gain = best_response_gain(g, g.init, sut)
             assert coverage_gain(g, {g.init}) <= gain
             assert gain <= coverage_gain(g, reachable(g, g.init))
+            cut = GameGraph(dict(g.nodes), {**g.edges, **{v: (u,) for v, u in sut.moves.items()}}, g.init)
+            assert gain == oracle_mcg(cut, cut.init)
 
     def test_state_machine_interface(self, mirror):
         class FlipFlop(StateMachineStrategy):

@@ -16,7 +16,7 @@ from ncgames.reductions import (
     restart_double,
     sat_to_ncgame,
 )
-from ncgames.solver import solve_mcg, solve_mcg_restart
+from ncgames.solver import oracle_mcg, solve_mcg, solve_mcg_restart
 from ncgames.graph import generate_random
 
 
@@ -53,6 +53,10 @@ class TestParseDimacs:
     def test_missing_header(self):
         with pytest.raises(ParseError, match="header"):
             parse_dimacs("1 0\n")
+
+    def test_satlib_trailer_ends_input(self):
+        text = "p cnf 3 2\n1 2 3 0\n-1 -2 0\n"
+        assert parse_dimacs(text + "%\n0\n") == parse_dimacs(text)
 
     def test_unterminated_clause(self):
         with pytest.raises(ParseError, match="unterminated"):
@@ -181,6 +185,7 @@ class TestRestartDouble:
             g = generate_random(n, 0.5, 1, min(3, n), seed=1800 + i)
             doubled = restart_double(g)
             assert solve_mcg(doubled, doubled.init).value == 2 * solve_mcg_restart(g, g.init)
+            assert oracle_mcg(doubled, doubled.init) == 2 * solve_mcg_restart(g, g.init)
 
     def test_name_collisions_avoided(self):
         g = graph_of(
