@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 from . import experiments, graph, reductions, solver, testplan, witness
 from .errors import (
@@ -43,6 +42,9 @@ def _write_atomic(path: str, text: str) -> None:
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name)
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open() would give, not 0600
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, target)
@@ -148,35 +150,26 @@ def _cmd_gen_suite(args) -> int:
 
 def _cmd_simulate(args) -> int:
     g = _load_graph(args.graph)
-    graph.ensure_valid(g, strict=True)
+    suite = None
     if args.suite is not None:
+        graph.ensure_valid(g, strict=True)  # a broken graph is reported before its suite
         suite = testplan.parse_suite(Path(args.suite).read_text(encoding="utf-8"))
         problems = testplan.validate_suite(g, suite)
         if problems:
             raise ValidationError("; ".join(problems))
-    else:
-        suite = testplan.generate_static_suite(g)
-    pcts, resets, execs = [], [], []
-    denom = len(g.nodes)
-    for trial in range(args.trials):
-        res = experiments.run_one(
-            g,
-            suite,
-            args.strategy,
-            args.budget,
-            args.reset_cost,
-            experiments.derive_seed(args.seed, args.strategy, args.budget, trial, "sut"),
-            experiments.derive_seed(args.seed, args.strategy, args.budget, trial, "pick"),
-        )
-        pcts.append(100.0 * len(res.covered) / denom)
-        resets.append(res.resets)
-        execs.append(res.executions)
-    mean = float(np.mean(pcts))
-    stderr = float(np.std(pcts, ddof=1) / len(pcts) ** 0.5) if len(pcts) > 1 else 0.0
+    cfg = experiments.ExperimentConfig(
+        graph_name=Path(args.graph).stem,
+        budgets=(args.budget,),
+        strategies=(args.strategy,),
+        trials=args.trials,
+        reset_cost=args.reset_cost,
+        base_seed=args.seed,
+    )
+    (cell,) = experiments.run_experiment(g, cfg, suite).cells
     print(
-        f"mean_pct={mean:.2f} stderr_pct={stderr:.2f} "
-        f"mean_resets={float(np.mean(resets)):.2f} "
-        f"mean_executions={float(np.mean(execs)):.2f}"
+        f"mean_pct={cell.mean_pct:.2f} stderr_pct={cell.spread_pct:.2f} "
+        f"mean_resets={cell.mean_resets:.2f} "
+        f"mean_executions={cell.mean_executions:.2f}"
     )
     return EXIT_OK
 
@@ -187,9 +180,12 @@ _CONFIG_KEYS = frozenset(
 )
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    """Flat key=value config text; `#` starts a comment line."""
-    out: dict[str, str] = {}
+def _parse_config_file(path: str) -> dict[str, tuple[str, int]]:
+    """Flat key=value config text; `#` starts a comment line.
+
+    Maps each key to its value and the line it came from.
+    """
+    out: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -200,37 +196,54 @@ def _parse_config_file(path: str) -> dict[str, str]:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown config key `{key}`", lineno)
-        out[key] = value.strip()
+        out[key] = (value.strip(), lineno)
     return out
 
 
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _to_int(value: int | str, key: str, line: int | None) -> int:
+    """An integer setting; ASCII digits only, else a ParseError naming the key."""
+    if isinstance(value, int):
+        return value
+    text = value.strip()
+    if not _INT_RE.fullmatch(text):
+        raise ParseError(f"`{key}` must be an integer, got `{text}`", line)
+    return int(text)
+
+
 def _cmd_experiment(args) -> int:
-    settings: dict[str, str] = {}
-    if args.config is not None:
-        settings = _parse_config_file(args.config)
-    graph_path = args.graph or settings.get("graph")
+    settings = _parse_config_file(args.config) if args.config is not None else {}
+
+    def pick(key: str, fallback):
+        """(value, config line): the flag wins, then the config file, then the fallback."""
+        flag_value = getattr(args, key)
+        if flag_value is not None:
+            return flag_value, None
+        return settings.get(key, (fallback, None))
+
+    def pick_int(key: str, fallback: int) -> int:
+        value, line = pick(key, fallback)
+        return _to_int(value, key, line)
+
+    graph_path = args.graph or settings.get("graph", (None, None))[0]
     if graph_path is None:
         raise ValidationError("no graph given (flag --graph or config key `graph`)")
     g = _load_graph(graph_path)
-
-    def pick(flag_value, key: str, fallback):
-        if flag_value is not None:
-            return flag_value
-        return settings.get(key, fallback)
-
-    strategies = pick(args.strategies, "strategies", ",".join(experiments.ALL_STRATEGIES))
-    budgets = pick(args.budgets, "budgets", None)
+    strategies, _ = pick("strategies", ",".join(experiments.ALL_STRATEGIES))
+    budgets, budgets_line = pick("budgets", None)
     if budgets is None:
         raise ValidationError("no budgets given (flag --budgets or config key `budgets`)")
     cfg = experiments.ExperimentConfig(
-        graph_name=str(pick(args.name, "name", Path(graph_path).stem)),
-        budgets=tuple(int(b) for b in str(budgets).split(",")),
-        strategies=tuple(str(strategies).split(",")),
-        trials=int(pick(args.trials, "trials", 100)),
-        reset_cost=int(pick(args.reset_cost, "reset_cost", 10)),
-        base_seed=int(pick(args.base_seed, "base_seed", 0)),
-        denominator=str(pick(args.denominator, "denominator", "total")),
-        spread=str(pick(args.spread, "spread", "stderr")),
+        graph_name=pick("name", Path(graph_path).stem)[0],
+        budgets=tuple(_to_int(b, "budgets", budgets_line) for b in budgets.split(",")),
+        strategies=tuple(strategies.split(",")),
+        trials=pick_int("trials", 100),
+        reset_cost=pick_int("reset_cost", 10),
+        base_seed=pick_int("base_seed", 0),
+        denominator=pick("denominator", "total")[0],
+        spread=pick("spread", "stderr")[0],
     )
     res = experiments.run_experiment(g, cfg)
     _emit(experiments.emit_csv(res), args.out)

@@ -87,7 +87,7 @@ def run_one(
     sut = SutResponder(sut_seed)
     rng = random.Random(pick_seed)
     if strategy == "rdm":
-        return random_walk(g, budget, reset_cost, sut, rng)
+        return random_walk(g, budget, sut, rng)
     if strategy == "GMU-static":
         return static_once(g, suite, budget, reset_cost, sut)
     if strategy in PGAIN_STRATEGIES:
@@ -95,8 +95,13 @@ def run_one(
     raise ValueError(f"unknown strategy `{strategy}`")
 
 
-def run_experiment(g: GameGraph, cfg: ExperimentConfig) -> ExperimentResult:
-    """Full campaign over the configured (strategy, budget) grid."""
+def run_experiment(
+    g: GameGraph, cfg: ExperimentConfig, suite: TestSuite | None = None
+) -> ExperimentResult:
+    """Full campaign over the configured (strategy, budget) grid.
+
+    The suite is the generated static suite of `g` unless one is given.
+    """
     ensure_valid(g, strict=True)
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
@@ -110,7 +115,8 @@ def run_experiment(g: GameGraph, cfg: ExperimentConfig) -> ExperimentResult:
     if unknown:
         raise ValueError(f"unknown strategy `{unknown[0]}`")
 
-    suite = generate_static_suite(g)
+    if suite is None:
+        suite = generate_static_suite(g)
     denom = len(g.nodes) if cfg.denominator == "total" else len(reachable(g, g.init))
 
     cells = []

@@ -9,7 +9,11 @@ fee on top.
 
 ``nt_plan`` repeatedly picks the case with the greatest selection score
 (``pgain``) until the budget cannot fund another start or everything the
-suite prescribes has been covered.  Four scores are provided:
+suite prescribes has been covered.  Scores are computed from counts that
+``nt_plan`` maintains incrementally: each case's node set and SUT-position
+count are computed once per run, and after each execution only the newly
+covered nodes are walked to decrement the uncovered counts of the cases
+holding them, so a score costs O(1).  Four scores are provided:
 
 * ``s1.5`` - round-robin passes: 1 for cases not yet run in the current
   pass, else 0 (passes restart, so leftover budget keeps buying
@@ -179,34 +183,33 @@ def _distances_to(g: GameGraph, target: str, universe: frozenset[str]) -> dict[s
 
 def alpha(tc: TestCase, g: GameGraph) -> int:
     """Number of SUT-owned positions in the case's path (positions, not nodes)."""
-    return sum(1 for v in tc.path if g.owner(v) == SUT)
+    nodes = g.nodes
+    return [nodes[v].owner for v in tc.path].count(SUT)
 
 
 def pgain(
     strategy: str,
-    g: GameGraph,
-    tc: TestCase,
-    covered: frozenset[str] | set[str],
-    suite: TestSuite,
+    uncovered: int,
+    sut_positions: int,
+    ran: bool,
     rng: random.Random,
-    executed_ids: frozenset[str] | set[str] = frozenset(),
 ) -> float:
     """Selection score of a test case under one of the four strategies.
 
-    `executed_ids` carries the ids already run in the current pass; only
-    ``s1.5`` reads it.  `suite` is part of the score's signature even
-    though none of the four strategies ranks cases against each other.
+    The score reads only counts that ``nt_plan`` maintains incrementally:
+    `uncovered` is the number of the case's distinct prescribed nodes not
+    yet covered, `sut_positions` its ``alpha`` and `ran` whether it already
+    ran in the current pass (read by ``s1.5`` only).  ``s3`` and ``s4``
+    draw from `rng` only when the case can still add coverage.
     """
     if strategy == "s1.5":
-        return 0.0 if tc.id in executed_ids else 1.0
+        return 0.0 if ran else 1.0
     if strategy == "s2":
-        return 0.0 if tc.node_set() <= covered else 1.0
+        return 1.0 if uncovered else 0.0
     if strategy == "s3":
-        u = len(tc.node_set() - covered)
-        return rng.uniform(0.0, u) if u else 0.0
+        return rng.uniform(0.0, uncovered) if uncovered else 0.0
     if strategy == "s4":
-        u = len(tc.node_set() - covered)
-        bound = u / max(1, alpha(tc, g))
+        bound = uncovered / max(1, sut_positions)
         return rng.uniform(0.0, bound) if bound else 0.0
     raise ValueError(f"unknown strategy `{strategy}`")
 
@@ -223,24 +226,18 @@ def execute_case(
     """
     if budget < 1:
         return (), False, 0
-    realized = [tc.path[0]]
-    left = budget - 1
-    pos = 0
+    nodes, path = g.nodes, tc.path
+    realized = [path[0]]
     diverged = False
-    while pos < len(tc.path) - 1 and left > 0:
-        cur = tc.path[pos]
-        prescribed = tc.path[pos + 1]
-        if g.owner(cur) == SUT:
+    for cur, prescribed in zip(path, path[1:budget]):  # the budget pays budget-1 more visits
+        if nodes[cur].owner == SUT:
             actual = sut.choose(g, cur)
             realized.append(actual)
-            left -= 1
             if actual != prescribed:
                 diverged = True
                 break
         else:
             realized.append(prescribed)
-            left -= 1
-        pos += 1
     return tuple(realized), diverged, len(realized)
 
 
@@ -270,25 +267,35 @@ def nt_plan(
     if strategy not in PGAIN_STRATEGIES:
         raise ValueError(f"unknown strategy `{strategy}`")
 
-    target = suite.node_union()
-    all_ids = {tc.id for tc in suite.cases}
+    cases = suite.cases
+    ids = [tc.id for tc in cases]
+    sut_positions = [alpha(tc, g) for tc in cases]
+    uncovered: list[int] = []  # per case: distinct prescribed nodes not yet covered
+    holders: dict[str, list[int]] = {}  # node -> indices of the cases prescribing it
+    for i, tc in enumerate(cases):
+        nodes = tc.node_set()
+        uncovered.append(len(nodes))
+        for v in nodes:
+            holders.setdefault(v, []).append(i)
+    target_left = len(holders)  # prescribed nodes not yet covered
+    pass_size = len(set(ids))
     covered: set[str] = set()
-    executed_ids: set[str] = set()
+    executed_ids: set[str] = set()  # s1.5: ids run in the current pass
     log: list[ExecutionRecord] = []
     spent = resets = executions = 0
-    while not target <= covered:
+    while target_left:
         first = executions == 0 and not charge_first_start
         start_cost = 0 if first else reset_cost
         if spent + start_cost + 1 > budget:
             break
-        if strategy == "s1.5" and all_ids <= executed_ids:
+        if len(executed_ids) == pass_size:
             executed_ids.clear()  # new pass, run everything again
         scores = [
-            pgain(strategy, g, tc, covered, suite, rng, executed_ids)
-            for tc in suite.cases
+            pgain(strategy, u, a, case_id in executed_ids, rng)
+            for u, a, case_id in zip(uncovered, sut_positions, ids)
         ]
         top = max(scores)
-        ties = [tc for tc, s in zip(suite.cases, scores) if s == top]
+        ties = [tc for tc, s in zip(cases, scores) if s == top]
         tc = ties[rng.randrange(len(ties))]
         spent += start_cost
         if not first:
@@ -296,8 +303,15 @@ def nt_plan(
         realized, diverged, cost = execute_case(g, tc, budget - spent, sut)
         spent += cost
         executions += 1
-        covered.update(realized)
-        executed_ids.add(tc.id)
+        for v in realized:
+            if v not in covered:
+                covered.add(v)
+                if v in holders:
+                    target_left -= 1
+                    for i in holders[v]:
+                        uncovered[i] -= 1
+        if strategy == "s1.5":
+            executed_ids.add(tc.id)
         log.append(ExecutionRecord(tc.id, realized, diverged))
     return RunResult(frozenset(covered), spent, resets, executions, tuple(log))
 
@@ -341,29 +355,26 @@ def static_once(
 def random_walk(
     g: GameGraph,
     budget: int,
-    reset_cost: int,
     sut: SutResponder,
     rng: random.Random,
 ) -> RunResult:
     """Single continuous random walk from the initial node until the budget
     runs out.  Tester choices are uniform; SUT choices come from the
-    responder.  Never resets on strict graphs (`reset_cost` is accepted
-    for interface symmetry with the other runners)."""
+    responder.  Never resets on strict graphs, so no reset fee applies."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    realized = [g.init]
-    left = budget - 1
-    while left > 0:
-        v = realized[-1]
-        succs = g.edges[v]
+    nodes, edges = g.nodes, g.edges
+    v = g.init
+    realized = [v]
+    for _ in range(budget - 1):
+        succs = edges[v]
         if not succs:
             raise ValidationError(f"sink: {v}")
-        if g.owner(v) == SUT:
-            nxt = sut.choose(g, v)
+        if nodes[v].owner == SUT:
+            v = sut.choose(g, v)
         else:
-            nxt = succs[rng.randrange(len(succs))]
-        realized.append(nxt)
-        left -= 1
+            v = succs[rng.randrange(len(succs))]
+        realized.append(v)
     record = ExecutionRecord("walk", tuple(realized), False)
     return RunResult(frozenset(realized), len(realized), 0, 1, (record,))
 

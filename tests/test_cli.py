@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and file handling."""
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import MIRROR_TEXT, MIRROR_WITNESS_TEXT
 from ncgames.cli import run_cli
-from ncgames.graph import parse_game_graph, validate
+from ncgames.graph import generate_random, parse_game_graph, serialize_game_graph, validate
 from ncgames.testplan import parse_suite
 from ncgames.witness import parse_witness
 
@@ -178,6 +179,15 @@ class TestTransformAndGen:
         g = parse_game_graph(a.read_text())
         assert len(g.nodes) == 9 and validate(g, strict=True) == []
 
+    def test_out_file_honours_umask(self, mirror_file, tmp_path):
+        out = tmp_path / "mirror.ncsuite"
+        old = os.umask(0o022)
+        try:
+            assert run_cli(["gen-suite", "--graph", mirror_file, "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o644
+
     def test_gen_suite(self, mirror_file, tmp_path):
         out = tmp_path / "mirror.ncsuite"
         assert run_cli(["gen-suite", "--graph", mirror_file, "--out", str(out)]) == 0
@@ -290,3 +300,59 @@ class TestSimulateAndExperiment:
             ]
         )
         assert code == 3
+
+    # simulate stdout captured before simulate ran as a one-cell campaign:
+    # generate_random(14, 0.5, 1, 2, 3), budget 70, 25 trials, seed 5, reset cost 4
+    SIMULATE_LINES = {
+        "GMU-static": "mean_pct=61.43 stderr_pct=2.92 mean_resets=5.00 mean_executions=6.00\n",
+        "rdm": "mean_pct=72.29 stderr_pct=3.26 mean_resets=0.00 mean_executions=1.00\n",
+        "s1.5": "mean_pct=74.29 stderr_pct=2.37 mean_resets=9.20 mean_executions=10.20\n",
+        "s2": "mean_pct=79.14 stderr_pct=2.70 mean_resets=9.36 mean_executions=10.36\n",
+        "s3": "mean_pct=84.29 stderr_pct=2.64 mean_resets=9.16 mean_executions=10.16\n",
+        "s4": "mean_pct=82.57 stderr_pct=1.85 mean_resets=9.20 mean_executions=10.20\n",
+    }
+
+    @pytest.fixture
+    def random14_file(self, tmp_path):
+        path = tmp_path / "rg14.ncgame"
+        path.write_text(serialize_game_graph(generate_random(14, 0.5, 1, 2, 3)))
+        return str(path)
+
+    @pytest.mark.parametrize("strategy", sorted(SIMULATE_LINES))
+    def test_simulate_output_is_pinned(self, random14_file, strategy, capsys):
+        argv = ["simulate", "--graph", random14_file, "--strategy", strategy, "--budget", "70",
+                "--trials", "25", "--seed", "5", "--reset-cost", "4"]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == self.SIMULATE_LINES[strategy]
+
+    def test_simulate_single_trial_with_suite_file_is_pinned(self, random14_file, tmp_path, capsys):
+        suite_path = tmp_path / "rg14.ncsuite"
+        assert run_cli(["gen-suite", "--graph", random14_file, "--out", str(suite_path)]) == 0
+        argv = ["simulate", "--graph", random14_file, "--suite", str(suite_path),
+                "--strategy", "s3", "--budget", "40", "--trials", "1"]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == (
+            "mean_pct=42.86 stderr_pct=0.00 mean_resets=3.00 mean_executions=4.00\n"
+        )
+
+    def test_simulate_zero_trials_is_invalid(self, mirror_file, capsys):
+        argv = ["simulate", "--graph", mirror_file, "--strategy", "s2", "--budget", "40",
+                "--trials", "0"]
+        assert run_cli(argv) == 3
+        captured = capsys.readouterr()
+        assert "trials must be >= 1" in captured.err
+        assert captured.out == ""
+
+    def test_experiment_non_integer_config_value_is_a_parse_error(
+        self, mirror_file, tmp_path, capsys
+    ):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"graph={mirror_file}\nbudgets=20\ntrials=x\n")
+        assert run_cli(["experiment", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "line 3: `trials` must be an integer, got `x`" in captured.err
+        assert captured.out == ""
+
+    def test_experiment_non_integer_budget_flag_is_a_parse_error(self, mirror_file, capsys):
+        assert run_cli(["experiment", "--graph", mirror_file, "--budgets", "5,y"]) == 2
+        assert "`budgets` must be an integer, got `y`" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Campaign runner: determinism, statistics shape, CSV output."""
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from conftest import graph_of
@@ -44,6 +46,17 @@ class TestSeeding:
 
 
 class TestRunExperiment:
+    def test_golden_trend_csv(self):
+        # the rg19 trend campaign (all six strategies), pinned by the sha256
+        # of its CSV so that the seeded streams stay byte-identical
+        cfg = ExperimentConfig(
+            graph_name="rg19", budgets=(57, 152, 304), trials=100, reset_cost=10, base_seed=42
+        )
+        csv = emit_csv(run_experiment(generate_random(19, 0.3, 1, 2, 7), cfg))
+        assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == (
+            "d285fb661dd53eee2c056755f0abcaa249f6b746050cacfca977d5a20d439e91"
+        )
+
     def test_deterministic_graph_hits_100_percent(self):
         cfg = ExperimentConfig(
             graph_name="cycle", budgets=(30,), strategies=ALL_STRATEGIES, trials=10
