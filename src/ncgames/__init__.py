@@ -28,7 +28,6 @@ from .graph import (
     GameGraph,
     NodeInfo,
     coverage_gain,
-    covered_nodes,
     generate_random,
     is_trap,
     parse_game_graph,

@@ -3,7 +3,8 @@
 Exit codes are stable for scripting:
 
 * 0 - success
-* 2 - parse error in an input file (or bad command line)
+* 2 - parse error in an input file, an input that cannot be read as UTF-8
+  text, an output that cannot be written (or bad command line)
 * 3 - validation failure or inconsistent witness
 * 4 - a capacity cap was exceeded
 * 5 - internal invariant violation (e.g. witness extraction failure)
@@ -61,8 +62,13 @@ def _emit(text: str, out: str | None) -> None:
         _write_atomic(out, text)
 
 
+def _read_text(path: str) -> str:
+    """UTF-8 file text with line ends untranslated, so the format readers see every byte."""
+    return Path(path).read_bytes().decode("utf-8")
+
+
 def _load_graph(path: str) -> graph.GameGraph:
-    return graph.parse_game_graph(Path(path).read_text(encoding="utf-8"))
+    return graph.parse_game_graph(_read_text(path))
 
 
 def _cmd_validate(args) -> int:
@@ -114,7 +120,7 @@ def _cmd_witness_extract(args) -> int:
 
 def _cmd_witness_check(args) -> int:
     g = _load_graph(args.graph)
-    w = witness.parse_witness(Path(args.witness).read_text(encoding="utf-8"))
+    w = witness.parse_witness(_read_text(args.witness))
     violations = witness.check_witness(g, w)
     for violation in violations:
         print(f"violation: {violation}")
@@ -125,7 +131,7 @@ def _cmd_witness_check(args) -> int:
 
 
 def _cmd_reduce_sat(args) -> int:
-    f = reductions.parse_dimacs(Path(args.cnf).read_text(encoding="utf-8"))
+    f = reductions.parse_dimacs(_read_text(args.cnf))
     g, threshold = reductions.sat_to_ncgame(f)
     text = graph.serialize_game_graph(g)
     if args.out is None:
@@ -153,7 +159,7 @@ def _cmd_simulate(args) -> int:
     suite = None
     if args.suite is not None:
         graph.ensure_valid(g, strict=True)  # a broken graph is reported before its suite
-        suite = testplan.parse_suite(Path(args.suite).read_text(encoding="utf-8"))
+        suite = testplan.parse_suite(_read_text(args.suite))
         problems = testplan.validate_suite(g, suite)
         if problems:
             raise ValidationError("; ".join(problems))
@@ -180,22 +186,18 @@ _CONFIG_KEYS = frozenset(
 )
 
 
-def _parse_config_file(path: str) -> dict[str, tuple[str, int]]:
-    """Flat key=value config text; `#` starts a comment line.
-
-    Maps each key to its value and the line it came from.
-    """
+def _parse_config(text: str) -> dict[str, tuple[str, int]]:
+    """Flat key=value config text; maps each key to its value and its line."""
     out: dict[str, tuple[str, int]] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in graph.read_lines(text, None):
         key, sep, value = line.partition("=")
         if not sep:
             raise ParseError("expected `key=value`", lineno)
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown config key `{key}`", lineno)
+        if key in out:
+            raise ParseError(f"duplicate config key `{key}`", lineno)
         out[key] = (value.strip(), lineno)
     return out
 
@@ -214,7 +216,7 @@ def _to_int(value: int | str, key: str, line: int | None) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    settings = _parse_config_file(args.config) if args.config is not None else {}
+    settings = _parse_config(_read_text(args.config)) if args.config is not None else {}
 
     def pick(key: str, fallback):
         """(value, config line): the flag wins, then the config file, then the fallback."""
@@ -352,7 +354,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (StrategyError, ExtractionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # ahead of ValueError, which covers decoding
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, NcgameError) as exc:

@@ -5,16 +5,16 @@ players: the tester (player 1, maximizer) and the SUT (player 2, minimizer).
 Every node carries a nonnegative integer gain; the payoff of an infinite
 play is the summed gain of the distinct nodes it visits.
 
-Graphs are written in the line-based ``ncgame 1`` text format (UTF-8, ``#``
-starts a comment line)::
+Graphs are written in the ``ncgame 1`` text format::
 
     ncgame 1
     node <id> owner=<tester|sut> gain=<uint>
     edge <src> <dst>
     init <id>
 
-Node ids are nonempty tokens over ``[A-Za-z0-9_]``.  ``init`` appears
-exactly once.  Duplicate ``node`` or ``edge`` lines are errors.
+``init`` appears exactly once.  Duplicate ``node`` or ``edge`` lines are
+errors.  ``read_lines`` holds the rules that this format shares with the
+witness, suite and config formats.
 
 ``GameGraph`` is immutable after construction and safe to share across
 threads.  Node iteration order is lexicographic everywhere so that every
@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import ParseError, ValidationError
 
@@ -34,7 +34,37 @@ SUT = 2
 
 OWNER_NAMES = {TESTER: "tester", SUT: "sut"}
 _OWNER_BY_NAME = {"tester": TESTER, "sut": SUT}
-_ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
+ID_RE = re.compile(r"[A-Za-z0-9_]+")
+
+
+def read_lines(text: str, header: str | None) -> Iterator[tuple[int, str]]:
+    r"""Yield ``(line number, stripped line)`` for each record of a line format.
+
+    Lines end at ``\n`` only (a trailing ``\r`` is stripped with the other
+    surrounding whitespace) and are numbered from 1; blank lines and lines
+    starting with ``#`` are skipped.  When ``header`` is given, the first
+    remaining line must equal it and is not yielded.  Raises ParseError only.
+    """
+    header_seen = header is None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            if line != header:
+                raise ParseError(f"expected `{header}` header", lineno)
+            header_seen = True
+            continue
+        yield lineno, line
+    if not header_seen:
+        raise ParseError(f"empty input: expected `{header}` header", None)
+
+
+def read_uint(text: str, what: str, lineno: int) -> int:
+    """A nonnegative integer of ASCII digits, else a ParseError naming `what`."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"{what} must be a nonnegative integer, got `{text}`", lineno)
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -96,24 +126,15 @@ def parse_game_graph(text: str) -> GameGraph:
     edge_seen: set[tuple[str, str]] = set()
     init: str | None = None
     init_line: int | None = None
-    header_seen = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != "ncgame 1":
-                raise ParseError("expected `ncgame 1` header", lineno)
-            header_seen = True
-            continue
+    for lineno, line in read_lines(text, "ncgame 1"):
         tokens = line.split()
         kind = tokens[0]
         if kind == "node":
             if len(tokens) != 4:
                 raise ParseError("expected `node <id> owner=<tester|sut> gain=<uint>`", lineno)
             name = tokens[1]
-            if not _ID_RE.match(name):
+            if not ID_RE.fullmatch(name):
                 raise ParseError(f"invalid node id `{name}`", lineno)
             if name in nodes:
                 raise ParseError(f"duplicate node `{name}`", lineno)
@@ -122,10 +143,8 @@ def parse_game_graph(text: str) -> GameGraph:
             owner_name = tokens[2][len("owner="):]
             if owner_name not in _OWNER_BY_NAME:
                 raise ParseError(f"unknown owner `{owner_name}`", lineno)
-            gain_text = tokens[3][len("gain="):]
-            if not (gain_text.isascii() and gain_text.isdigit()):
-                raise ParseError(f"gain must be a nonnegative integer, got `{gain_text}`", lineno)
-            nodes[name] = NodeInfo(_OWNER_BY_NAME[owner_name], int(gain_text))
+            gain = read_uint(tokens[3][len("gain="):], "gain", lineno)
+            nodes[name] = NodeInfo(_OWNER_BY_NAME[owner_name], gain)
         elif kind == "edge":
             if len(tokens) != 3:
                 raise ParseError("expected `edge <src> <dst>`", lineno)
@@ -144,8 +163,6 @@ def parse_game_graph(text: str) -> GameGraph:
         else:
             raise ParseError(f"unknown directive `{kind}`", lineno)
 
-    if not header_seen:
-        raise ParseError("empty input: expected `ncgame 1` header", None)
     edges: dict[str, list[str]] = {v: [] for v in nodes}
     for src, dst, lineno in edge_list:
         if src not in nodes:
@@ -221,11 +238,6 @@ def coverage_gain(g: GameGraph, node_set: Iterable[str]) -> int:
             raise ValueError(f"unknown node `{v}`")
         total += g.nodes[v].gain
     return total
-
-
-def covered_nodes(prefix: Iterable[str]) -> frozenset[str]:
-    """The set of distinct nodes occurring in a play prefix."""
-    return frozenset(prefix)
 
 
 def is_trap(g: GameGraph, player: int, node_set: Iterable[str]) -> bool:

@@ -37,14 +37,11 @@ concurrently without coordination.
 from __future__ import annotations
 
 import random
-import re
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
-from .graph import SUT, GameGraph, ensure_valid, reachable
-
-_ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
+from .graph import ID_RE, SUT, GameGraph, ensure_valid, reachable, read_lines
 
 PGAIN_STRATEGIES = ("s1.5", "s2", "s3", "s4")
 
@@ -383,31 +380,20 @@ def parse_suite(text: str) -> TestSuite:
     """Parse ``ncsuite 1`` text."""
     cases: list[TestCase] = []
     seen: set[str] = set()
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != "ncsuite 1":
-                raise ParseError("expected `ncsuite 1` header", lineno)
-            header_seen = True
-            continue
+    for lineno, line in read_lines(text, "ncsuite 1"):
         if not line.startswith("case "):
             raise ParseError("expected `case <id>: <node> <node> ...`", lineno)
         head, _, tail = line[len("case "):].partition(":")
         case_id = head.strip()
-        if not _ID_RE.match(case_id):
+        if not ID_RE.fullmatch(case_id):
             raise ParseError(f"invalid case id `{case_id}`", lineno)
         if case_id in seen:
             raise ParseError(f"duplicate case id `{case_id}`", lineno)
         seen.add(case_id)
         path = tuple(tail.split())
-        if not path or any(not _ID_RE.match(v) for v in path):
+        if not path or any(not ID_RE.fullmatch(v) for v in path):
             raise ParseError("case path must list node ids", lineno)
         cases.append(TestCase(case_id, path))
-    if not header_seen:
-        raise ParseError("empty input: expected `ncsuite 1` header", None)
     return TestSuite(tuple(cases))
 
 

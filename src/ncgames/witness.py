@@ -24,16 +24,23 @@ Witness files use the ``ncwitness 1`` text format::
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ExtractionError, ParseError, StrategyError, ValidationError
-from .graph import SUT, GameGraph, coverage_gain, ensure_valid, reachable, serialize_game_graph
+from .graph import (
+    ID_RE,
+    SUT,
+    GameGraph,
+    coverage_gain,
+    ensure_valid,
+    reachable,
+    read_lines,
+    read_uint,
+    serialize_game_graph,
+)
 from .play import StateMachineStrategy
 from .solver import solve_mcg
-
-_ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 
 @dataclass(frozen=True)
@@ -267,35 +274,22 @@ def normalize_gains(g: GameGraph) -> GameGraph:
 def parse_witness(text: str) -> Witness:
     """Parse ``ncwitness 1`` text."""
     entries: dict[str, WitnessEntry] = {}
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != "ncwitness 1":
-                raise ParseError("expected `ncwitness 1` header", lineno)
-            header_seen = True
-            continue
+    for lineno, line in read_lines(text, "ncwitness 1"):
         tokens = line.split()
         if len(tokens) != 4 or tokens[0] != "entry":
             raise ParseError("expected `entry <node> c=<uint> P=<id>[,<id>]*`", lineno)
         name = tokens[1]
-        if not _ID_RE.match(name):
+        if not ID_RE.fullmatch(name):
             raise ParseError(f"invalid node id `{name}`", lineno)
         if name in entries:
             raise ParseError(f"duplicate entry for `{name}`", lineno)
         if not tokens[2].startswith("c=") or not tokens[3].startswith("P="):
             raise ParseError("expected `c=<uint> P=<id>[,<id>]*`", lineno)
-        bound_text = tokens[2][2:]
-        if not (bound_text.isascii() and bound_text.isdigit()):
-            raise ParseError(f"bound must be a nonnegative integer, got `{bound_text}`", lineno)
+        bound = read_uint(tokens[2][2:], "bound", lineno)
         members = tokens[3][2:].split(",")
-        if not members or any(not _ID_RE.match(m) for m in members):
+        if any(not ID_RE.fullmatch(m) for m in members):
             raise ParseError("containment set must list node ids separated by commas", lineno)
-        entries[name] = WitnessEntry(int(bound_text), frozenset(members))
-    if not header_seen:
-        raise ParseError("empty input: expected `ncwitness 1` header", None)
+        entries[name] = WitnessEntry(bound, frozenset(members))
     return Witness(entries)
 
 

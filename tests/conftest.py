@@ -1,4 +1,4 @@
-"""Shared fixtures: the 4-node mirror graph and small helpers.
+"""Shared fixtures: the 4-node mirror graph, small helpers, and the hypothesis profile.
 
 The mirror graph is the smallest game where the SUT needs memory: from
 the hub it must return to whichever branch the tester already took, or
@@ -9,6 +9,15 @@ from __future__ import annotations
 import pytest
 
 from ncgames.graph import GameGraph, NodeInfo, SUT, TESTER
+
+try:
+    from hypothesis import settings
+except ImportError:  # the fuzz tests skip themselves without hypothesis
+    pass
+else:
+    # Same examples on every run and machine, no example database, no timing flakes.
+    settings.register_profile("ncgames", deadline=None, derandomize=True, database=None)
+    settings.load_profile("ncgames")
 
 MIRROR_TEXT = """\
 ncgame 1
@@ -56,3 +65,17 @@ def graph_of(layout: dict[str, tuple[int, int, tuple[str, ...]]], init: str) -> 
     nodes = {v: NodeInfo(owner, gain) for v, (owner, gain, _) in layout.items()}
     edges = {v: succs for v, (_, _, succs) in layout.items()}
     return GameGraph(nodes, edges, init)
+
+
+def input_argv(kind: str, path: str, graph_path: str) -> list[str]:
+    """A command line that reads `path` as its `kind` input and any other input from
+    `graph_path`; flags keep `simulate` and `experiment` runs small."""
+    return {
+        "graph": ["validate", "--graph", path],
+        "witness": ["witness-check", "--graph", graph_path, "--witness", path],
+        "suite": ["simulate", "--graph", graph_path, "--suite", path, "--strategy", "s2",
+                  "--budget", "8", "--trials", "1"],
+        "config": ["experiment", "--config", path, "--graph", graph_path, "--budgets", "5",
+                   "--trials", "1"],
+        "cnf": ["reduce-sat", "--cnf", path],
+    }[kind]

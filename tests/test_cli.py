@@ -4,10 +4,11 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import MIRROR_TEXT, MIRROR_WITNESS_TEXT
+from conftest import MIRROR_TEXT, MIRROR_WITNESS_TEXT, input_argv
 from ncgames.cli import run_cli
 from ncgames.graph import generate_random, parse_game_graph, serialize_game_graph, validate
 from ncgames.testplan import parse_suite
@@ -356,3 +357,52 @@ class TestSimulateAndExperiment:
     def test_experiment_non_integer_budget_flag_is_a_parse_error(self, mirror_file, capsys):
         assert run_cli(["experiment", "--graph", mirror_file, "--budgets", "5,y"]) == 2
         assert "`budgets` must be an integer, got `y`" in capsys.readouterr().err
+
+
+INPUT_KINDS = ("graph", "witness", "suite", "config", "cnf")
+
+
+class TestReadFailures:
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_non_utf8_input_is_a_parse_error(self, kind, mirror_file, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("ncgame 1\n# café\n".encode("latin-1"))
+        assert run_cli(input_argv(kind, str(path), mirror_file)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_directory_input_is_a_parse_error(self, kind, mirror_file, tmp_path, capsys):
+        assert run_cli(input_argv(kind, str(tmp_path), mirror_file)) == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_unreadable_input_is_a_parse_error(
+        self, kind, mirror_file, tmp_path, monkeypatch, capsys
+    ):
+        locked = tmp_path / "locked.txt"
+        locked.write_text("")
+        real_open = Path.open
+
+        def open_(self, *args, **kwargs):
+            if self == locked:  # chmod cannot lock a file away from root, so deny it here
+                raise PermissionError(13, "Permission denied", str(self))
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_)
+        assert run_cli(input_argv(kind, str(locked), mirror_file)) == 2
+        assert "Permission denied" in capsys.readouterr().err
+
+    def test_out_naming_a_directory_is_a_parse_error(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.mkdir()
+        assert run_cli(["gen-random", "--nodes", "3", "--out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]  # no temp file left
+
+    def test_experiment_duplicate_config_key_is_a_parse_error(self, mirror_file, tmp_path, capsys):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text(f"graph={mirror_file}\ntrials=2\nbudgets=20\ntrials=3\n")
+        assert run_cli(["experiment", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "line 4: duplicate config key `trials`" in captured.err
+        assert captured.out == ""

@@ -13,7 +13,6 @@ from ncgames.graph import (
     GameGraph,
     NodeInfo,
     coverage_gain,
-    covered_nodes,
     generate_random,
     is_trap,
     parse_game_graph,
@@ -120,17 +119,6 @@ class TestCoverageGain:
             t = {v for v in ids if rng.random() < 0.4} - s
             assert coverage_gain(g, s | t) == coverage_gain(g, s) + coverage_gain(g, t)
             assert coverage_gain(g, s) <= coverage_gain(g, s | t)
-
-
-class TestCoveredNodes:
-    def test_duplicates_collapse(self):
-        assert covered_nodes(("v0", "v1", "v3", "v1", "v3")) == {"v0", "v1", "v3"}
-
-    def test_singleton(self):
-        assert covered_nodes(("v0",)) == {"v0"}
-
-    def test_all_distinct(self):
-        assert covered_nodes(("v0", "v1", "v3", "v2")) == {"v0", "v1", "v2", "v3"}
 
 
 class TestTraps:
