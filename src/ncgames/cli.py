@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 import tempfile
 from pathlib import Path
@@ -63,8 +62,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_text(path: str) -> str:
-    """UTF-8 file text with line ends untranslated, so the format readers see every byte."""
-    return Path(path).read_bytes().decode("utf-8")
+    """UTF-8 file text with line ends untranslated, so the format readers see every byte.
+
+    A file that cannot be read or decoded is a ParseError naming the path.
+    """
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read `{path}`: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"`{path}` is not UTF-8 text: {exc}") from None
 
 
 def _load_graph(path: str) -> graph.GameGraph:
@@ -202,15 +209,12 @@ def _parse_config(text: str) -> dict[str, tuple[str, int]]:
     return out
 
 
-_INT_RE = re.compile(r"-?[0-9]+")
-
-
 def _to_int(value: int | str, key: str, line: int | None) -> int:
     """An integer setting; ASCII digits only, else a ParseError naming the key."""
     if isinstance(value, int):
         return value
     text = value.strip()
-    if not _INT_RE.fullmatch(text):
+    if not graph.INT_RE.fullmatch(text):
         raise ParseError(f"`{key}` must be an integer, got `{text}`", line)
     return int(text)
 
@@ -354,7 +358,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (StrategyError, ExtractionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (OSError, UnicodeDecodeError) as exc:  # ahead of ValueError, which covers decoding
+    except OSError as exc:  # an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, NcgameError) as exc:

@@ -33,5 +33,7 @@ class StrategyError(NcgameError):
 
 
 class ExtractionError(NcgameError):
-    """Certificate extraction failed on an instance where it must succeed;
-    indicates a solver or extraction defect, with the instance attached."""
+    """Certificate extraction found no containment set for a node among the
+    candidates its `subset_cap` allows, with the instance attached.  The cap
+    limits work: a consistent set may lie beyond it, so this alone does not
+    mean a solver or extraction defect."""

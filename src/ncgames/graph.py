@@ -35,6 +35,7 @@ SUT = 2
 OWNER_NAMES = {TESTER: "tester", SUT: "sut"}
 _OWNER_BY_NAME = {"tester": TESTER, "sut": SUT}
 ID_RE = re.compile(r"[A-Za-z0-9_]+")
+INT_RE = re.compile(r"-?[0-9]+")  # ASCII digits only, unlike int()
 
 
 def read_lines(text: str, header: str | None) -> Iterator[tuple[int, str]]:

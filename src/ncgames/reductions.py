@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, ParseError
-from .graph import SUT, TESTER, GameGraph, NodeInfo, ensure_valid
+from .graph import INT_RE, SUT, TESTER, GameGraph, NodeInfo, ensure_valid
 
 
 @dataclass(frozen=True)
@@ -34,16 +34,17 @@ class Cnf:
 def parse_dimacs(text: str) -> Cnf:
     """Parse DIMACS CNF (``p cnf n m`` header, 0-terminated clauses).
 
-    Comment lines start with ``c``.  A line starting with ``%`` ends the
-    input, so the SATLIB trailer (``%`` then ``0``) is ignored.  Empty
-    clauses are rejected: they have no game-node counterpart and make the
-    formula trivially unsatisfiable.
+    Lines end at ``\n`` only, and comment lines start with ``c``.  A line
+    starting with ``%`` ends the input, so the SATLIB trailer (``%`` then
+    ``0``) is ignored.  Counts and literals are ASCII digits, literals with
+    an optional leading ``-``.  Empty clauses are rejected: they have no
+    game-node counterpart and make the formula trivially unsatisfiable.
     Duplicate literals within a clause collapse.
     """
     header: tuple[int, int] | None = None
     clauses: list[frozenset[int]] = []
     current: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line.startswith("%"):
             break
@@ -55,20 +56,18 @@ def parse_dimacs(text: str) -> Cnf:
             tokens = line.split()
             if len(tokens) != 4 or tokens[1] != "cnf":
                 raise ParseError("expected `p cnf <vars> <clauses>`", lineno)
-            try:
-                header = (int(tokens[2]), int(tokens[3]))
-            except ValueError:
-                raise ParseError("header counts must be integers", lineno) from None
+            if not all(INT_RE.fullmatch(t) for t in tokens[2:]):
+                raise ParseError("header counts must be integers", lineno)
+            header = (int(tokens[2]), int(tokens[3]))
             if header[0] < 0 or header[1] < 0:
                 raise ParseError("header counts must be nonnegative", lineno)
             continue
         if header is None:
             raise ParseError("clause data before `p cnf` header", lineno)
         for token in line.split():
-            try:
-                lit = int(token)
-            except ValueError:
-                raise ParseError(f"bad literal `{token}`", lineno) from None
+            if not INT_RE.fullmatch(token):
+                raise ParseError(f"bad literal `{token}`", lineno)
+            lit = int(token)
             if lit == 0:
                 if not current:
                     raise ParseError("empty clause", lineno)

@@ -25,7 +25,9 @@ Witness files use the ``ncwitness 1`` text format::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate
+from math import comb
+from operator import or_
 
 from .errors import ExtractionError, ParseError, StrategyError, ValidationError
 from .graph import (
@@ -203,9 +205,11 @@ def extract_witness(
     containment set is the first subset of reachable(v) (ascending
     cardinality, lexicographic order) that contains v and satisfies both
     the structural rule and its case equation for the fixed bounds.
-    Gains must all be >= 1.  Failure to find a set within `subset_cap`
-    candidates indicates a solver/extraction defect and raises
-    ExtractionError with the instance attached.
+    Gains must all be >= 1.  At most `subset_cap` candidates are tested
+    per node, counted in that order, and ExtractionError (with the
+    instance attached) is raised when none of them is consistent.  The
+    cap limits work: exhausting it does not by itself mean a defect, as a
+    consistent set may lie beyond it.
     """
     ensure_valid(g, strict=True)
     if any(info.gain < 1 for info in g.nodes.values()):
@@ -216,49 +220,95 @@ def extract_witness(
     bounds = {v: solve_mcg(g, v, cap=cap).value for v in sorted(reachable(g, r))}
     entries: dict[str, WitnessEntry] = {}
     for v in sorted(bounds):
-        others = [u for u in sorted(reachable(g, v)) if u != v]
-        found = None
-        tried = 0
-        for size in range(0, len(others) + 1):
-            for extra in combinations(others, size):
-                tried += 1
-                if tried > subset_cap:
-                    break
-                p = frozenset((v,) + extra)
-                if _candidate_consistent(g, v, p, bounds):
-                    found = p
-                    break
-            if found is not None or tried > subset_cap:
-                break
+        found = _first_containment_set(g, v, bounds, subset_cap)
         if found is None:
             raise ExtractionError(
-                f"no containment set found for `{v}` (bound {bounds[v]}); "
+                f"no containment set found for `{v}` (bound {bounds[v]}) among the "
+                f"first {subset_cap} candidates (subset_cap); "
                 f"instance:\n{serialize_game_graph(g)}"
             )
         entries[v] = WitnessEntry(bounds[v], found)
     return Witness(entries)
 
 
-def _candidate_consistent(
-    g: GameGraph, v: str, p: frozenset[str], bounds: dict[str, int]
-) -> bool:
-    """Structural rule plus case equation for one candidate containment set."""
-    singleton_sut = p == frozenset([v]) and g.owner(v) == SUT
-    if not singleton_sut:
-        for u in p:
-            if g.owner(u) == SUT and not any(x in p for x in g.edges[u]):
-                return False
-    if _singleton_case(g, v, p):
-        return bounds[v] == g.gain(v) + min(bounds[u] for u in g.edges[v])
-    exit_bounds = [
-        bounds[x]
-        for u in p
-        if g.owner(u) != SUT
-        for x in g.edges[u]
-        if x not in p
+def _first_containment_set(
+    g: GameGraph, v: str, bounds: dict[str, int], subset_cap: int
+) -> frozenset[str] | None:
+    """The first consistent containment set for v among `subset_cap` candidates.
+
+    Candidates are {v} plus each subset of the other nodes of reachable(v),
+    by ascending size and then in lexicographic node-id order.  Sets are
+    bitmasks whose bits follow ascending (bound, id), so the largest bound
+    among a set's exits is the bound of the exit mask's highest bit.  Blocks
+    of candidates whose gain plus a certain exit already exceeds v's bound
+    are ruled out untested but still counted against the cap.
+    """
+    order =sorted(reachable(g, v), key=lambda u: (bounds[u], u))
+    bit = {u: 1 << i for i, u in enumerate(order)}
+    top_bound = [0] + [bounds[u] for u in order]  # indexed by an exit mask's bit_length()
+    succ = {u: sum(bit[x] for x in g.edges[u]) for u in order}
+    target = bounds[v]
+    if subset_cap < 1:
+        return None
+    # A tester's successors are exits unless inside; an SUT node needs one inside.
+    exits_from, sut_succs = (0, (succ[v],)) if g.owner(v) == SUT else (succ[v], ())
+    if _singleton_case(g, v, frozenset([v])):
+        expected = g.gain(v) + min(bounds[u] for u in g.edges[v])
+    else:  # an SUT node here has a self-loop, so {v} meets the structural rule
+        expected = g.gain(v) + top_bound[(exits_from & ~bit[v]).bit_length()]
+    if expected == target:
+        return frozenset([v])
+
+    # the other nodes in id order: (bit, gain, successors as exits, successors needed)
+    items = [
+        (bit[u], g.gain(u), 0, succ[u]) if g.owner(u) == SUT else (bit[u], g.gain(u), succ[u], 0)
+        for u in sorted(order)
+        if u != v
     ]
-    expected = coverage_gain(g, p) + (max(exit_bounds) if exit_bounds else 0)
-    return bounds[v] == expected
+    m = len(items)
+    decided = list(accumulate((item[0] for item in items), or_))  # bits of items[:i + 1]
+    left = subset_cap - 1
+
+    def search(start, size, mask, gain, exits_from, sut_succs):
+        """First consistent set of mask plus `size` of items[start:]; spends `left`."""
+        nonlocal left
+        if size == 1:
+            stop = min(m, start + left)
+            left -= stop - start
+            need = target - gain
+            for b, gn, t, s in items[start:stop]:
+                p = mask | b
+                if (
+                    gn + top_bound[((exits_from | t) & ~p).bit_length()] == need
+                    and (not s or s & p)
+                    and all(x & p for x in sut_succs)
+                ):
+                    return p
+            return None
+        for i in range(start, m - size + 1):
+            b, gn, t, s = items[i]
+            p = mask | b
+            ex = exits_from | t
+            # gains are >= 1, and an exit to a node of items[:i + 1] left out stays one
+            if gain + gn + size - 1 + top_bound[(ex & decided[i] & ~p).bit_length()] > target:
+                left -= comb(m - i - 1, size - 1)
+            else:
+                found = search(
+                    i + 1, size - 1, p, gain + gn, ex, sut_succs + (s,) if s else sut_succs
+                )
+                if found is not None:
+                    return found
+            if left <= 0:
+                return None
+        return None
+
+    for size in range(1, m + 1):
+        if left <= 0:
+            return None
+        found = search(0, size, bit[v], g.gain(v), exits_from, sut_succs)
+        if found is not None:
+            return frozenset(u for u in order if bit[u] & found)
+    return None
 
 
 def normalize_gains(g: GameGraph) -> GameGraph:

@@ -6,9 +6,12 @@ the tester collects all four nodes instead of three.
 """
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
-from ncgames.graph import GameGraph, NodeInfo, SUT, TESTER
+from ncgames.graph import GameGraph, NodeInfo, SUT, TESTER, reachable
+from ncgames.witness import Witness, WitnessEntry, check_witness
 
 try:
     from hypothesis import settings
@@ -79,3 +82,17 @@ def input_argv(kind: str, path: str, graph_path: str) -> list[str]:
                    "--trials", "1"],
         "cnf": ["reduce-sat", "--cnf", path],
     }[kind]
+
+
+def first_consistent(g: GameGraph, w: Witness, v: str) -> tuple[int, frozenset[str]] | None:
+    """(candidate number, set) of the first containment set for v, in the order
+    extraction searches, that check_witness accepts in place of v's entry in w."""
+    others = sorted(reachable(g, v) - {v})
+    number = 0
+    for size in range(len(others) + 1):
+        for extra in combinations(others, size):
+            number += 1
+            p = frozenset((v,) + extra)
+            if not check_witness(g, Witness({**w.entries, v: WitnessEntry(w.entries[v].bound, p)})):
+                return number, p
+    return None

@@ -392,6 +392,26 @@ class TestReadFailures:
         assert run_cli(input_argv(kind, str(locked), mirror_file)) == 2
         assert "Permission denied" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_read_errors_name_the_file(self, kind, mirror_file, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("ncgame 1\n# café\n".encode("latin-1"))
+        assert run_cli(input_argv(kind, str(bad), mirror_file)) == 2
+        assert f"error: `{bad}` is not UTF-8 text" in capsys.readouterr().err
+
+        locked = tmp_path / "locked.txt"
+        locked.write_text("")
+        real_open = Path.open
+
+        def open_(self, *args, **kwargs):
+            if self == locked:  # an OSError that does not carry the file name itself
+                raise PermissionError(13, "Permission denied")
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_)
+        assert run_cli(input_argv(kind, str(locked), mirror_file)) == 2
+        assert f"error: cannot read `{locked}`: Permission denied" in capsys.readouterr().err
+
     def test_out_naming_a_directory_is_a_parse_error(self, tmp_path, capsys):
         target = tmp_path / "taken"
         target.mkdir()

@@ -22,6 +22,7 @@ from ncgames.graph import (  # noqa: E402
     parse_game_graph,
     serialize_game_graph,
 )
+from ncgames.reductions import Cnf, parse_dimacs  # noqa: E402
 from ncgames.testplan import TestCase as Case, TestSuite as Suite  # noqa: E402
 from ncgames.testplan import parse_suite, serialize_suite  # noqa: E402
 from ncgames.witness import Witness, WitnessEntry, parse_witness, serialize_witness  # noqa: E402
@@ -86,6 +87,32 @@ texts = st.one_of(
     ),
 )
 
+# DIMACS has its own reader (`c` comments, a `p cnf` header with arguments, `%` ends input).
+CNF_TOKENS = [
+    "p cnf", "p", "cnf", "c", "%", "0", "1", "2", "3", "-1", "-2", "-0", "+1", "1_0",
+    "\u0663", "\u00b2", "x", "#", "\r", "\t", "\f", "\v", "\u2028", "\x85",
+]
+cnf_texts = st.one_of(
+    st.text(max_size=80),
+    st.lists(st.lists(st.sampled_from(CNF_TOKENS), max_size=5).map(" ".join), max_size=8).flatmap(
+        lambda lines: st.sampled_from(["\n", "\r\n"]).map(lambda end: end.join(lines))
+    ),
+).flatmap(lambda t: st.sampled_from([t, "p cnf 3 2\n" + t]))
+clause_lists = st.lists(
+    st.frozensets(st.sampled_from([1, 2, 3, -1, -2, -3]), min_size=1), min_size=1, max_size=4
+)
+
+
+@st.composite
+def dimacs(draw, clauses: list[frozenset[int]]) -> str:
+    """`clauses` over 3 variables as DIMACS text with `c` comments mixed in."""
+    comment = st.text(st.characters(blacklist_characters="\n"), max_size=12).map(lambda t: "c" + t)
+    lines = draw(st.lists(comment, max_size=2)) + [f"p cnf 3 {len(clauses)}"]
+    for clause in clauses:
+        lines.extend(draw(st.lists(comment, max_size=1)))
+        lines.append(" ".join(map(str, sorted(clause))) + " 0")
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "\n%\n0\n"]))
+
 
 class TestSharedRules:
     @pytest.mark.parametrize("brk", OTHER_BREAKS)
@@ -139,6 +166,12 @@ class TestRoundTrips:
         assert parse_suite(serialize_suite(suite)) == suite
         assert parse_suite(text) == suite
 
+    @settings(max_examples=40)
+    @given(clause_lists.flatmap(lambda cs: st.tuples(st.just(cs), dimacs(cs))))
+    def test_dimacs(self, case):
+        clauses, text = case
+        assert parse_dimacs(text) == Cnf(3, tuple(clauses))
+
 
 class TestAnyText:
     @pytest.mark.parametrize("kind", sorted(READERS))
@@ -150,6 +183,16 @@ class TestAnyText:
             parse(text)
         except ParseError as exc:
             assert exc.line is None or exc.line >= 1
+
+    @settings(max_examples=150)
+    @given(text=cnf_texts)
+    def test_dimacs_parses_or_raises_parse_error(self, text):
+        try:
+            f = parse_dimacs(text)
+        except ParseError as exc:
+            assert exc.line is None or 1 <= exc.line <= text.count("\n") + 1
+        else:
+            assert all(0 < abs(lit) <= f.variable_count for c in f.clauses for lit in c)
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +235,24 @@ class TestCliFuzz:
                 assert code == 2
             else:
                 assert code in ((0, 2, 3) if kind == "config" else (0, 3))
+
+    @settings(max_examples=60)
+    @given(data=st.one_of(
+        st.binary(max_size=120),
+        st.one_of(cnf_texts, clause_lists.flatmap(dimacs)).map(lambda t: t.encode("utf-8")),
+    ))
+    def test_reduce_sat_returns_and_parse_failures_exit_2(self, data, fuzz_dir):
+        path = fuzz_dir / "input.cnf"
+        path.write_bytes(data)
+        try:
+            parse_dimacs(data.decode("utf-8"))
+            parse_failed = False
+        except (UnicodeDecodeError, ParseError):
+            parse_failed = True
+        quiet = contextlib.redirect_stdout(io.StringIO())
+        with quiet, contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli(input_argv("cnf", str(path), str(fuzz_dir / "mirror.ncgame")))
+        if parse_failed:
+            assert code == 2
+        else:
+            assert code in (0, 3)  # 3: a formula with no variable or no clause

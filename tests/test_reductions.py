@@ -62,6 +62,28 @@ class TestParseDimacs:
         with pytest.raises(ParseError, match="unterminated"):
             parse_dimacs("p cnf 1 1\n1\n")
 
+    @pytest.mark.parametrize("token", ["\u0663", "+1", "1_0", "\u00b2", "\uff11"])
+    def test_literals_take_ascii_digits_only(self, token):
+        with pytest.raises(ParseError, match="bad literal") as exc:
+            parse_dimacs(f"p cnf 12 1\n{token} 0\n")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("counts", ["\u0663 1", "1 +1", "1_0 1", "1 \u00b2"])
+    def test_header_counts_take_ascii_digits_only(self, counts):
+        with pytest.raises(ParseError, match="header counts must be integers"):
+            parse_dimacs(f"p cnf {counts}\n1 0\n")
+
+    @pytest.mark.parametrize(
+        "brk", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_lines_end_at_newline_only(self, brk):
+        # the rest of a comment after another line break is still comment
+        f = parse_dimacs(f"p cnf 2 1\nc note{brk}1 2 0\n-1 0\n")
+        assert f.clauses == (frozenset({-1}),)
+        with pytest.raises(ParseError) as exc:
+            parse_dimacs(f"c one{brk}two\np cnf 1 1\n1 x 0\n")
+        assert exc.value.line == 3
+
 
 class TestSatGame:
     def test_sizes_and_threshold(self):

@@ -1,11 +1,12 @@
 """Certificates: consistency check, guided SUT, extraction, normalization."""
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from conftest import MIRROR_WITNESS_TEXT, graph_of
+from conftest import MIRROR_WITNESS_TEXT, first_consistent, graph_of
 from ncgames.errors import ExtractionError, ParseError, ValidationError
 from ncgames.graph import SUT, TESTER, coverage_gain, generate_random, reachable
 from ncgames.play import PositionalStrategy, best_response_gain, simulate_play
@@ -153,6 +154,40 @@ class TestExtractWitness:
     def test_subset_cap_failure_is_reported(self, mirror):
         with pytest.raises(ExtractionError, match="no containment set"):
             extract_witness(mirror, "v0", subset_cap=0)
+
+    @pytest.mark.parametrize(
+        "n, seed, digest",
+        [
+            (9, 0, "344803593b8c43ec8fe88e268017e61a83f71214de8f59750aa61f288572e130"),
+            (11, 0, "4f9762857d41438f7df37171fe547cd2f95deb37864e292ba205efdfc22f39ac"),
+            (13, 3, "751f97467dc623164d5ea1588d565a15229bc1383d7722519e0c9ab7c0e12aa4"),
+            (15, 2, "4ed2014a96a7699bc62ec271a4232dd5d8926a34f1b438a37fecaf4bf710ac5d"),
+            (15, 3, "df8480d781b75caaa463bb11afcd48cbcfca8932c3393df70283b9a08fff49f6"),
+            (16, 1, "7a0e922fe502c223189be6c8131404929d75f1cb83f1dda94b103a5425355943"),
+        ],
+    )
+    def test_golden_witness_text(self, n, seed, digest):
+        # pinned: the search order, and so every extracted set, must not drift
+        g = generate_random(n, 0.3, 1, 2, seed)
+        text = serialize_witness(extract_witness(g, g.init))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, seed", [(9, 1), (10, 2)])
+    def test_subset_cap_counts_candidates(self, n, seed):
+        g = generate_random(n, 0.3, 1, 2, seed)
+        w = extract_witness(g, g.init)
+        found_at = {v: first_consistent(g, w, v)[0] for v in sorted(w.entries)}
+        assert max(found_at.values()) > 200  # far enough in that blocks are ruled out at once
+        for k in sorted(set(found_at.values())):
+            # the first node extraction visits whose set lies beyond the cap fails
+            short = min(v for v in found_at if found_at[v] >= k)
+            with pytest.raises(ExtractionError) as exc:
+                extract_witness(g, g.init, subset_cap=k - 1)
+            assert str(exc.value).startswith(
+                f"no containment set found for `{short}` (bound {w.entries[short].bound}) "
+                f"among the first {k - 1} candidates (subset_cap); instance:\n"
+            )
+        assert extract_witness(g, g.init, subset_cap=k) == w
 
 
 class TestNormalizeGains:
