@@ -37,6 +37,16 @@ EXIT_INVALID = 3
 EXIT_CAPACITY = 4
 EXIT_INTERNAL = 5
 
+# Exit code of each failure run_cli reports; the first row that matches wins.
+_EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    (ValidationError, EXIT_INVALID),
+    (CapacityError, EXIT_CAPACITY),
+    ((StrategyError, ExtractionError), EXIT_INTERNAL),
+    (OSError, EXIT_PARSE),  # an output that cannot be written
+    ((ValueError, NcgameError), EXIT_INVALID),
+)
+
 
 def _write_atomic(path: str, text: str) -> None:
     target = Path(path)
@@ -346,24 +356,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except (NcgameError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (StrategyError, ExtractionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except OSError as exc:  # an output that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValueError, NcgameError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 def console_entry() -> None:

@@ -8,14 +8,17 @@ are bit-identical across machines and independent of execution order.
 Reported numbers per cell: mean covered percent, its spread (standard
 error by default, standard deviation on request), mean resets, and mean
 executions.  The coverage denominator is the total node count by default;
-the reachable-node count is available as an option.
+the reachable-node count is available as an option.  The float statistics
+add in NumPy's pairwise summation order, so every CSV matches, byte for
+byte, the output of the earlier NumPy-based implementation.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import reduce
+from operator import add
 
 from .graph import GameGraph, ensure_valid, reachable
 from .testplan import (
@@ -74,6 +77,30 @@ def derive_seed(base_seed: int, strategy: str, budget: int, trial: int, stream: 
     return base_seed ^ fnv1a64(f"{strategy}|{budget}|{trial}|{stream}".encode())
 
 
+def _sum(xs: list[float]) -> float:
+    """Float sum in NumPy 2.x's pairwise order, equal to ``np.sum`` bit for bit.
+
+    Builtin ``sum`` compensates rounding from Python 3.12 on, so it is not used.
+    """
+    n = len(xs)
+    if n < 8:
+        return reduce(add, xs, 0.0)
+    if n <= 128:  # 8 strided accumulators, then the tail in sequence
+        r = [reduce(add, xs[j : n - n % 8 : 8]) for j in range(8)]
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, xs[n - n % 8 :], head)
+    half = n // 2 - (n // 2) % 8
+    return _sum(xs[:half]) + _sum(xs[half:])
+
+
+def _mean_sd(xs: list[float]) -> tuple[float, float]:
+    """``np.mean`` and ``np.std(ddof=1)`` bit for bit; the deviation of one value is 0.0."""
+    n = len(xs)
+    mean = _sum(xs) / n
+    squares = _sum([(x - mean) * (x - mean) for x in xs])
+    return mean, math.sqrt(squares / (n - 1)) if n > 1 else 0.0
+
+
 def run_one(
     g: GameGraph,
     suite: TestSuite,
@@ -122,9 +149,8 @@ def run_experiment(
     cells = []
     for strategy in sorted(set(cfg.strategies)):
         for budget in sorted(set(cfg.budgets)):
-            pcts = np.empty(cfg.trials)
-            resets = np.empty(cfg.trials)
-            execs = np.empty(cfg.trials)
+            pcts = []
+            resets = executions = 0  # int sums are exact in any order
             for trial in range(cfg.trials):
                 res = run_one(
                     g,
@@ -135,26 +161,14 @@ def run_experiment(
                     derive_seed(cfg.base_seed, strategy, budget, trial, "sut"),
                     derive_seed(cfg.base_seed, strategy, budget, trial, "pick"),
                 )
-                pcts[trial] = 100.0 * len(res.covered) / denom
-                resets[trial] = res.resets
-                execs[trial] = res.executions
-            if cfg.trials > 1:
-                spread = float(np.std(pcts, ddof=1))
-                if cfg.spread == "stderr":
-                    spread /= cfg.trials ** 0.5
-            else:
-                spread = 0.0
-            cells.append(
-                CellStats(
-                    strategy,
-                    budget,
-                    cfg.trials,
-                    float(np.mean(pcts)),
-                    spread,
-                    float(np.mean(resets)),
-                    float(np.mean(execs)),
-                )
-            )
+                pcts.append(100.0 * len(res.covered) / denom)
+                resets += res.resets
+                executions += res.executions
+            mean_pct, spread = _mean_sd(pcts)
+            if cfg.spread == "stderr":
+                spread /= cfg.trials ** 0.5
+            means = (resets / cfg.trials, executions / cfg.trials)
+            cells.append(CellStats(strategy, budget, cfg.trials, mean_pct, spread, *means))
     return ExperimentResult(cfg.graph_name, tuple(cells))
 
 

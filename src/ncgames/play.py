@@ -63,23 +63,6 @@ class PositionalStrategy(StateMachineStrategy):
         return self.moves[node]
 
 
-def as_strategy_fn(strategy) -> StrategyFn:
-    """Adapt a StateMachineStrategy (or pass through a callable) for
-    simulate_play.  The state is recomputed from the prefix on every call,
-    so the returned function is stateless and reusable across plays."""
-    if isinstance(strategy, StateMachineStrategy) and not callable(strategy):
-        def fn(prefix: PlayPrefix) -> str:
-            state = strategy.initial_state()
-            for node in prefix:
-                state = strategy.transition(state, node)
-            return strategy.choose(state, prefix[-1])
-
-        return fn
-    if callable(strategy):
-        return strategy
-    raise TypeError(f"not a strategy: {strategy!r}")
-
-
 def positional_bound(g: GameGraph) -> int:
     """Simulation bound after which positional-pair coverage has stabilized."""
     return len(g.nodes) + 1
@@ -95,6 +78,10 @@ def simulate_play(
     """Prefix (at most max_steps nodes) of the unique play from r that
     conforms to tester strategy s1 and SUT strategy s2.
 
+    A callable strategy receives the prefix so far.  A non-callable
+    ``StateMachineStrategy`` keeps one state for the play, advanced by
+    ``transition`` once on every node of the prefix, r included.
+
     Raises StrategyError when a strategy returns a non-successor.
     """
     ensure_valid(g, strict=True)
@@ -102,20 +89,29 @@ def simulate_play(
         raise ValueError(f"unknown node `{r}`")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    f1 = as_strategy_fn(s1)
-    f2 = as_strategy_fn(s2)
+    strategies = {TESTER: s1, SUT: s2}
+    states = {}  # player -> current state of its non-callable StateMachineStrategy
+    for player, strategy in strategies.items():
+        if isinstance(strategy, StateMachineStrategy) and not callable(strategy):
+            states[player] = strategy.initial_state()
+        elif not callable(strategy):
+            raise TypeError(f"not a strategy: {strategy!r}")
     prefix = [r]
-    while len(prefix) < max_steps:
+    while True:
         v = prefix[-1]
-        fn = f1 if g.owner(v) == TESTER else f2
-        choice = fn(tuple(prefix))
+        for player, state in states.items():
+            states[player] = strategies[player].transition(state, v)
+        if len(prefix) == max_steps:
+            return tuple(prefix)
+        owner = g.owner(v)
+        s = strategies[owner]
+        choice = s.choose(states[owner], v) if owner in states else s(tuple(prefix))
         if choice not in g.edges[v]:
             raise StrategyError(
                 f"strategy chose `{choice}`, not a successor of `{v}` "
                 f"(prefix: {' '.join(prefix)})"
             )
         prefix.append(choice)
-    return tuple(prefix)
 
 
 def check_log_consistency(prefix: PlayPrefix, g: GameGraph) -> bool:

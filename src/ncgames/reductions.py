@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from .errors import CapacityError, ParseError
 from .graph import INT_RE, SUT, TESTER, GameGraph, NodeInfo, ensure_valid
 
+MAX_GAME_NODES = 65_536  # largest game sat_to_ncgame builds (m + 3n + 1 nodes)
+
 
 @dataclass(frozen=True)
 class Cnf:
@@ -119,7 +121,8 @@ def sat_to_ncgame(f: Cnf) -> tuple[GameGraph, int]:
 
     Requires at least one clause: with none, the clause dispatcher would
     be a sink and the game would not be strict (an empty conjunction is
-    trivially satisfiable anyway).
+    trivially satisfiable anyway).  A game of more than MAX_GAME_NODES
+    nodes raises CapacityError before anything is built.
     """
     n = f.variable_count
     m = len(f.clauses)
@@ -127,6 +130,8 @@ def sat_to_ncgame(f: Cnf) -> tuple[GameGraph, int]:
         raise ValueError("formula must have at least one variable")
     if m < 1:
         raise ValueError("formula must have at least one clause")
+    if m + 3 * n + 1 > MAX_GAME_NODES:
+        raise CapacityError(f"formula needs {m + 3 * n + 1} game nodes, cap is {MAX_GAME_NODES}")
 
     nodes: dict[str, NodeInfo] = {}
     edges: dict[str, list[str]] = {}

@@ -9,8 +9,18 @@ from pathlib import Path
 import pytest
 
 from conftest import MIRROR_TEXT, MIRROR_WITNESS_TEXT, input_argv
+from ncgames import cli
 from ncgames.cli import run_cli
+from ncgames.errors import (
+    CapacityError,
+    ExtractionError,
+    NcgameError,
+    ParseError,
+    StrategyError,
+    ValidationError,
+)
 from ncgames.graph import generate_random, parse_game_graph, serialize_game_graph, validate
+from ncgames.reductions import MAX_GAME_NODES
 from ncgames.testplan import parse_suite
 from ncgames.witness import parse_witness
 
@@ -68,6 +78,30 @@ class TestProcessEntry:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (ParseError("bad"), 2),
+            (OSError("bad"), 2),
+            (ValidationError("bad"), 3),
+            (ValueError("bad"), 3),
+            (NcgameError("bad"), 3),
+            (CapacityError("bad"), 4),
+            (StrategyError("bad"), 5),
+            (ExtractionError("bad"), 5),
+        ],
+        ids=lambda x: type(x).__name__ if isinstance(x, Exception) else str(x),
+    )
+    def test_each_error_type_has_its_exit_code(self, error, code, monkeypatch, capsys):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_gen_suite", fail)
+        assert run_cli(["gen-suite", "--graph", "unused.ncgame"]) == code
+        assert capsys.readouterr().err == "error: bad\n"
 
 
 class TestValidate:
@@ -160,6 +194,16 @@ class TestReduceSat:
         captured = capsys.readouterr()
         assert captured.out == "threshold=9\n"
         assert parse_game_graph(captured.err).init == "dx1"
+
+    def test_huge_declared_variable_count_exits_4_without_output(self, tmp_path, capsys):
+        cnf = tmp_path / "huge.cnf"
+        cnf.write_text("p cnf 1000000000 1\n1 0\n")
+        out = tmp_path / "huge.ncgame"
+        assert run_cli(["reduce-sat", "--cnf", str(cnf), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: formula needs 3000000002 game nodes, cap is {MAX_GAME_NODES}\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.cnf"]
 
 
 class TestTransformAndGen:

@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncgames
 from conftest import graph_of
 from ncgames.experiments import (
     ALL_STRATEGIES,
@@ -17,7 +22,7 @@ from ncgames.experiments import (
     run_experiment,
     run_one,
 )
-from ncgames.graph import SUT, TESTER, generate_random
+from ncgames.graph import SUT, TESTER, generate_random, serialize_game_graph
 from ncgames.testplan import generate_static_suite
 
 
@@ -190,3 +195,48 @@ class TestCsv:
             graph_name="m", budgets=(10, 10), strategies=("s2", "s2"), trials=3
         )
         assert len(run_experiment(mirror, cfg).cells) == 1
+
+
+# Runs the CLI with every import of numpy failing, as on a machine without it.
+NO_NUMPY_SCRIPT = """
+import sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError("numpy is blocked")
+
+sys.meta_path.insert(0, BlockNumpy())
+try:
+    import numpy
+except ImportError:
+    pass
+else:
+    sys.exit("numpy import was not blocked")
+import ncgames
+import ncgames.cli
+
+code = ncgames.cli.run_cli(sys.argv[1:])
+assert "numpy" not in sys.modules
+sys.exit(code)
+"""
+
+
+class TestWithoutNumpy:
+    def test_cli_experiment_runs_and_matches_in_process_csv(self, tmp_path):
+        g = generate_random(9, 0.4, 1, 3, seed=21)
+        graph_file = tmp_path / "g9.ncgame"
+        graph_file.write_text(serialize_game_graph(g))
+        out = tmp_path / "g9.csv"
+        src = str(Path(ncgames.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_NUMPY_SCRIPT, "experiment", "--graph", str(graph_file),
+             "--budgets", "12,40", "--trials", "9", "--base-seed", "5", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        cfg = ExperimentConfig(graph_name="g9", budgets=(12, 40), trials=9, base_seed=5)
+        assert out.read_text() == emit_csv(run_experiment(g, cfg))

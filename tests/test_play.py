@@ -56,6 +56,35 @@ class TestSimulatePlay:
         with pytest.raises(StrategyError, match="not a successor"):
             simulate_play(mirror, "v0", bad, s2, 5)
 
+    def test_state_machine_transitions_once_per_node(self):
+        class CountingSut(StateMachineStrategy):
+            """Picks the first successor; the state is the number of nodes seen."""
+
+            def __init__(self):
+                self.transitions = 0
+
+            def initial_state(self):
+                return 0
+
+            def transition(self, state, node):
+                self.transitions += 1
+                return state + 1
+
+            def choose(self, state, node):
+                return g.edges[node][state % len(g.edges[node])]
+
+        g = generate_random(12, 0.5, 1, 3, seed=4)
+        s1 = PositionalStrategy(1, {v: g.edges[v][-1] for v in g.node_ids() if g.owner(v) == TESTER})
+        sut = CountingSut()
+        play = simulate_play(g, g.init, s1, sut, 60)
+        assert len(play) == 60
+        assert sut.transitions == 60
+
+    def test_non_strategy_rejected(self, mirror):
+        s2 = PositionalStrategy(2, {"v3": "v1"})
+        with pytest.raises(TypeError, match="not a strategy"):
+            simulate_play(mirror, "v0", object(), s2, 5)
+
 
 class TestLogConsistency:
     def test_repeating_choice_is_consistent(self, mirror):

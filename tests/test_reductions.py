@@ -10,6 +10,7 @@ from conftest import graph_of
 from ncgames.errors import CapacityError, ParseError
 from ncgames.graph import SUT, TESTER, validate
 from ncgames.reductions import (
+    MAX_GAME_NODES,
     Cnf,
     brute_force_sat,
     parse_dimacs,
@@ -135,6 +136,17 @@ class TestSatGame:
                 assert value == threshold
             else:
                 assert value > threshold
+
+    @pytest.mark.parametrize("n", [1, 21_844])
+    def test_node_cap_is_inclusive(self, n):
+        # m + 3n + 1 nodes: the largest m that fits, then one clause more
+        m = MAX_GAME_NODES - 3 * n - 1
+        clauses = tuple(frozenset({j % n + 1}) for j in range(m))
+        g, threshold = sat_to_ncgame(Cnf(n, clauses))
+        assert len(g.nodes) == MAX_GAME_NODES
+        assert threshold == m + 2 * n + 1
+        with pytest.raises(CapacityError, match=f"{MAX_GAME_NODES + 1} game nodes"):
+            sat_to_ncgame(Cnf(n, clauses + (frozenset({1}),)))
 
 
 class TestBruteForceSat:
