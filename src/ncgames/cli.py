@@ -6,8 +6,8 @@ Exit codes are stable for scripting:
 * 2 - parse error in an input file, an input that cannot be read as UTF-8
   text, an output that cannot be written (or bad command line)
 * 3 - validation failure or inconsistent witness
-* 4 - a capacity cap was exceeded
-* 5 - internal invariant violation (e.g. witness extraction failure)
+* 4 - a capacity cap was exceeded (also witness extraction's subset_cap)
+* 5 - a strategy broke its contract
 
 All error text goes to stderr with an ``error:`` prefix.  Output files are
 written to a temporary sibling and renamed into place, so failures never
@@ -24,7 +24,6 @@ from pathlib import Path
 from . import experiments, graph, reductions, solver, testplan, witness
 from .errors import (
     CapacityError,
-    ExtractionError,
     NcgameError,
     ParseError,
     StrategyError,
@@ -42,7 +41,7 @@ _EXIT_CODES = (
     (ParseError, EXIT_PARSE),
     (ValidationError, EXIT_INVALID),
     (CapacityError, EXIT_CAPACITY),
-    ((StrategyError, ExtractionError), EXIT_INTERNAL),
+    (StrategyError, EXIT_INTERNAL),
     (OSError, EXIT_PARSE),  # an output that cannot be written
     ((ValueError, NcgameError), EXIT_INVALID),
 )

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Each class maps to one CLI exit code so scripted callers can branch on
-failures without scraping messages.
+Each class maps to one CLI exit code, a subclass to its base's (exit 4 for
+``ExtractionError``), so scripted callers can branch without scraping messages.
 """
 from __future__ import annotations
 
@@ -32,8 +32,8 @@ class StrategyError(NcgameError):
     certificate-guided strategy found no legal move)."""
 
 
-class ExtractionError(NcgameError):
+class ExtractionError(CapacityError):
     """Certificate extraction found no containment set for a node among the
     candidates its `subset_cap` allows, with the instance attached.  The cap
-    limits work: a consistent set may lie beyond it, so this alone does not
-    mean a solver or extraction defect."""
+    limits work: a consistent set may lie beyond it, so this is a capacity
+    failure, not by itself a solver or extraction defect."""

@@ -78,9 +78,9 @@ def simulate_play(
     """Prefix (at most max_steps nodes) of the unique play from r that
     conforms to tester strategy s1 and SUT strategy s2.
 
-    A callable strategy receives the prefix so far.  A non-callable
-    ``StateMachineStrategy`` keeps one state for the play, advanced by
-    ``transition`` once on every node of the prefix, r included.
+    A ``StateMachineStrategy`` (``PositionalStrategy`` too) keeps one state
+    for the play, advanced by ``transition`` once on every node of the
+    prefix, r included, and moves by ``choose``; other callables get the prefix.
 
     Raises StrategyError when a strategy returns a non-successor.
     """
@@ -90,9 +90,9 @@ def simulate_play(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     strategies = {TESTER: s1, SUT: s2}
-    states = {}  # player -> current state of its non-callable StateMachineStrategy
+    states = {}  # player -> current state of its StateMachineStrategy
     for player, strategy in strategies.items():
-        if isinstance(strategy, StateMachineStrategy) and not callable(strategy):
+        if isinstance(strategy, StateMachineStrategy):
             states[player] = strategy.initial_state()
         elif not callable(strategy):
             raise TypeError(f"not a strategy: {strategy!r}")

@@ -7,20 +7,19 @@ case (the diverging node is still visited and paid for).  Every visited
 node costs one dollar; starting a case after the first costs a flat reset
 fee on top.
 
-``nt_plan`` repeatedly picks the case with the greatest selection score
-(``pgain``) until the budget cannot fund another start or everything the
-suite prescribes has been covered.  Scores are computed from counts that
-``nt_plan`` maintains incrementally: each case's node set and SUT-position
-count are computed once per run, and after each execution only the newly
-covered nodes are walked to decrement the uncovered counts of the cases
-holding them, so a score costs O(1).  Four scores are provided:
+``nt_plan`` repeatedly picks a case until the budget cannot fund another
+start or everything the suite prescribes has been covered.  It keeps, per
+case, the count u of its prescribed nodes not yet covered (after each
+execution only the newly covered nodes are walked) and the list of live
+cases (u > 0) in suite order.  A round picks uniformly among the
+candidates of one of four strategies:
 
-* ``s1.5`` - round-robin passes: 1 for cases not yet run in the current
-  pass, else 0 (passes restart, so leftover budget keeps buying
+* ``s1.5`` - round-robin passes: the cases whose id has not run in the
+  current pass (passes restart, so leftover budget keeps buying
   repetition while coverage is incomplete);
-* ``s2``   - 1 for cases that could still add coverage, else 0;
-* ``s3``   - a uniform random draw in [0, u] where u counts the case's
-  still-uncovered prescribed nodes;
+* ``s2``   - the live cases;
+* ``s3``   - the live cases with the greatest score (``pgain``), a
+  uniform random draw in [0, u]; if every draw is 0.0, all cases;
 * ``s4``   - as s3 but with u divided by the number of SUT positions in
   the case, favoring cases the SUT interferes with less.
 
@@ -186,29 +185,26 @@ def alpha(tc: TestCase, g: GameGraph) -> int:
 
 def pgain(
     strategy: str,
-    uncovered: int,
-    sut_positions: int,
-    ran: bool,
+    live: list[int],
+    uncovered: list[int],
+    sut_positions: list[int],
     rng: random.Random,
-) -> float:
-    """Selection score of a test case under one of the four strategies.
+) -> list[float]:
+    """Random selection scores of the live cases under ``s3`` or ``s4``.
 
-    The score reads only counts that ``nt_plan`` maintains incrementally:
-    `uncovered` is the number of the case's distinct prescribed nodes not
-    yet covered, `sut_positions` its ``alpha`` and `ran` whether it already
-    ran in the current pass (read by ``s1.5`` only).  ``s3`` and ``s4``
-    draw from `rng` only when the case can still add coverage.
+    `live` lists, in suite order, the indices of the cases that can still
+    add coverage; `uncovered` and `sut_positions` hold, per case, the
+    number of its distinct prescribed nodes not yet covered and its
+    ``alpha``.  Each live case takes one draw from `rng`, in order: u times
+    ``rng.random()`` for ``s3``, u / max(1, alpha) times it for ``s4``
+    (the floats of ``rng.uniform(0.0, bound)``).  Dead cases take no draw.
     """
-    if strategy == "s1.5":
-        return 0.0 if ran else 1.0
-    if strategy == "s2":
-        return 1.0 if uncovered else 0.0
+    rnd = rng.random
     if strategy == "s3":
-        return rng.uniform(0.0, uncovered) if uncovered else 0.0
+        return [uncovered[i] * rnd() for i in live]
     if strategy == "s4":
-        bound = uncovered / max(1, sut_positions)
-        return rng.uniform(0.0, bound) if bound else 0.0
-    raise ValueError(f"unknown strategy `{strategy}`")
+        return [uncovered[i] / (sut_positions[i] or 1) * rnd() for i in live]
+    raise ValueError(f"`{strategy}` has no random score")
 
 
 def execute_case(
@@ -248,12 +244,13 @@ def nt_plan(
     rng: random.Random,
     charge_first_start: bool = False,
 ) -> RunResult:
-    """Repetitive suite execution: keep picking the highest-scoring case.
+    """Repetitive suite execution: keep picking a case by `strategy`.
 
     Stops when everything the suite prescribes is covered or the leftover
     budget cannot fund another start (reset fee plus one visit; the first
-    start is free unless `charge_first_start`).  Ties on the score are
-    broken uniformly at random.
+    start is free unless `charge_first_start`).  Each round takes one
+    uniform draw over the strategy's candidates, after the ``pgain`` draws
+    for ``s3`` and ``s4``.
     """
     if not suite.cases:
         raise ValidationError("empty test suite")
@@ -265,7 +262,6 @@ def nt_plan(
         raise ValueError(f"unknown strategy `{strategy}`")
 
     cases = suite.cases
-    ids = [tc.id for tc in cases]
     sut_positions = [alpha(tc, g) for tc in cases]
     uncovered: list[int] = []  # per case: distinct prescribed nodes not yet covered
     holders: dict[str, list[int]] = {}  # node -> indices of the cases prescribing it
@@ -275,9 +271,9 @@ def nt_plan(
         for v in nodes:
             holders.setdefault(v, []).append(i)
     target_left = len(holders)  # prescribed nodes not yet covered
-    pass_size = len(set(ids))
+    live = [i for i, u in enumerate(uncovered) if u]  # cases that can add coverage
+    pending: list[int] = []  # s1.5: cases whose id has not run in this pass
     covered: set[str] = set()
-    executed_ids: set[str] = set()  # s1.5: ids run in the current pass
     log: list[ExecutionRecord] = []
     spent = resets = executions = 0
     while target_left:
@@ -285,30 +281,35 @@ def nt_plan(
         start_cost = 0 if first else reset_cost
         if spent + start_cost + 1 > budget:
             break
-        if len(executed_ids) == pass_size:
-            executed_ids.clear()  # new pass, run everything again
-        scores = [
-            pgain(strategy, u, a, case_id in executed_ids, rng)
-            for u, a, case_id in zip(uncovered, sut_positions, ids)
-        ]
-        top = max(scores)
-        ties = [tc for tc, s in zip(cases, scores) if s == top]
-        tc = ties[rng.randrange(len(ties))]
+        if strategy == "s2":
+            candidates = live
+        elif strategy == "s1.5":
+            candidates = pending = pending or list(range(len(cases)))  # new pass
+        else:
+            scores = pgain(strategy, live, uncovered, sut_positions, rng)
+            top = max(scores)
+            ties = [j for j, x in zip(live, scores) if x == top]
+            candidates = ties if top else range(len(cases))  # all 0.0: dead cases tie too
+        tc = cases[candidates[rng.randrange(len(candidates))]]
         spent += start_cost
         if not first:
             resets += 1
         realized, diverged, cost = execute_case(g, tc, budget - spent, sut)
         spent += cost
         executions += 1
+        emptied = False
         for v in realized:
             if v not in covered:
                 covered.add(v)
                 if v in holders:
                     target_left -= 1
-                    for i in holders[v]:
-                        uncovered[i] -= 1
-        if strategy == "s1.5":
-            executed_ids.add(tc.id)
+                    for j in holders[v]:
+                        uncovered[j] -= 1
+                        emptied = emptied or not uncovered[j]
+        if emptied:
+            live = [j for j in live if uncovered[j]]
+        if pending:
+            pending = [j for j in pending if cases[j].id != tc.id]
         log.append(ExecutionRecord(tc.id, realized, diverged))
     return RunResult(frozenset(covered), spent, resets, executions, tuple(log))
 

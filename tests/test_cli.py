@@ -91,7 +91,7 @@ class TestExitCodes:
             (NcgameError("bad"), 3),
             (CapacityError("bad"), 4),
             (StrategyError("bad"), 5),
-            (ExtractionError("bad"), 5),
+            (ExtractionError("bad"), 4),
         ],
         ids=lambda x: type(x).__name__ if isinstance(x, Exception) else str(x),
     )

@@ -80,6 +80,27 @@ class TestSimulatePlay:
         assert len(play) == 60
         assert sut.transitions == 60
 
+    def test_positional_strategy_moves_by_choose(self, mirror):
+        # a long play must not hand the growing prefix to __call__ on every move
+        class NoPrefix(PositionalStrategy):
+            def __call__(self, prefix):
+                raise AssertionError("prefix handed to a state-machine strategy")
+
+        s1 = NoPrefix(1, {"v0": "v1", "v1": "v3", "v2": "v3"})
+        s2 = NoPrefix(2, {"v3": "v1"})
+        assert simulate_play(mirror, "v0", s1, s2, 5) == ("v0", "v1", "v3", "v1", "v3")
+
+    def test_plain_callable_receives_the_prefix(self, mirror):
+        seen = []
+
+        def tester(prefix):
+            seen.append(prefix)
+            return {"v0": "v1", "v1": "v3", "v2": "v3"}[prefix[-1]]
+
+        s2 = PositionalStrategy(2, {"v3": "v1"})
+        assert simulate_play(mirror, "v0", tester, s2, 5) == ("v0", "v1", "v3", "v1", "v3")
+        assert seen == [("v0",), ("v0", "v1"), ("v0", "v1", "v3", "v1")]
+
     def test_non_strategy_rejected(self, mirror):
         s2 = PositionalStrategy(2, {"v3": "v1"})
         with pytest.raises(TypeError, match="not a strategy"):

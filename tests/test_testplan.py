@@ -82,38 +82,39 @@ class TestAlpha:
 
 
 class TestPgain:
-    def test_s2_zero_when_fully_covered(self):
-        rng = random.Random(0)
-        assert pgain("s2", 0, 0, False, rng) == 0.0
-        assert pgain("s2", 1, 0, False, rng) == 1.0
-
-    def test_s3_degenerate_interval(self):
-        assert pgain("s3", 0, 0, False, random.Random(0)) == 0.0
-
     def test_s3_range(self):
         rng = random.Random(1)
         for _ in range(50):
-            score = pgain("s3", 4, 1, False, rng)
+            (score,) = pgain("s3", [0], [4], [1], rng)
             assert 0.0 <= score <= 4.0
 
     def test_s4_range_divides_by_sut_positions(self, mirror):
         tc = Case("t", ("v0", "v1", "v3", "v1", "v3"))  # u=3 uncovered, alpha=2
         rng = random.Random(2)
         for _ in range(50):
-            score = pgain("s4", len(tc.node_set()), alpha(tc, mirror), False, rng)
+            (score,) = pgain("s4", [0], [len(tc.node_set())], [alpha(tc, mirror)], rng)
             assert 0.0 <= score <= 1.5
 
-    def test_s1_5_pass_bookkeeping(self):
-        rng = random.Random(3)
-        assert pgain("s1.5", 2, 0, False, rng) == 1.0
-        assert pgain("s1.5", 2, 0, True, rng) == 0.0
+    @pytest.mark.parametrize("strategy", ["s3", "s4"])
+    def test_one_uniform_draw_per_live_case_in_order(self, strategy):
+        uncovered, sut_positions, live = [3, 0, 5, 2], [2, 1, 0, 3], [0, 2, 3]
+        rng, reference = random.Random(5), random.Random(5)
+        scores = pgain(strategy, live, uncovered, sut_positions, rng)
+        divisors = [max(1, a) for a in sut_positions] if strategy == "s4" else [1] * 4
+        assert scores == [reference.uniform(0.0, uncovered[i] / divisors[i]) for i in live]
+        assert rng.getstate() == reference.getstate()
 
     def test_no_draw_without_uncovered_nodes(self):
         rng = random.Random(4)
         state = rng.getstate()
-        assert pgain("s3", 0, 2, False, rng) == 0.0
-        assert pgain("s4", 0, 2, False, rng) == 0.0
+        assert pgain("s3", [], [0, 0], [2, 2], rng) == []
+        assert pgain("s4", [], [0, 0], [2, 2], rng) == []
         assert rng.getstate() == state
+
+    @pytest.mark.parametrize("strategy", ["s1.5", "s2", "s5"])
+    def test_only_random_scores(self, strategy):
+        with pytest.raises(ValueError):
+            pgain(strategy, [0], [1], [0], random.Random(0))
 
 
 class TestExecuteCase:
@@ -219,6 +220,27 @@ class TestNtPlan:
         assert res.spent == 3 * 4 + 2 * 10
         assert res.covered == {"v0", "v1", "v2", "v3"}
 
+    def test_s1_5_runs_each_id_once_per_pass(self):
+        # a pass is keyed by case id: a repeated id runs once per pass,
+        # through whichever of its cases the draw picks
+        for i in range(20):
+            g = generate_random(10, 0.5, 1, 2, seed=4100 + i)
+            cases = generate_static_suite(g).cases
+            suite = Suite(cases + (Case(cases[0].id, cases[-1].path),))
+            pass_size = len({tc.id for tc in cases})
+            res = nt_plan(g, suite, 150, "s1.5", 1, SutResponder(i), random.Random(i))
+            ids = [rec.case_id for rec in res.log]
+            for start in range(0, len(ids), pass_size):
+                chunk = ids[start:start + pass_size]
+                assert len(set(chunk)) == len(chunk)
+
+    @pytest.mark.parametrize("strategy", ["s2", "s3", "s4"])
+    def test_case_without_nodes_is_never_a_candidate(self, mirror, strategy):
+        suite = Suite((Case("e", ()),) + generate_static_suite(mirror).cases)
+        for seed in range(20):
+            res = nt_plan(mirror, suite, 60, strategy, 1, SutResponder(seed), random.Random(seed))
+            assert "e" not in {rec.case_id for rec in res.log}
+
     def test_empty_suite_rejected(self, mirror):
         with pytest.raises(ValidationError, match="empty"):
             nt_plan(mirror, Suite(()), 10, "s2", 10, SutResponder(0), random.Random(0))
@@ -320,6 +342,129 @@ class TestGoldenStreams:
         res = nt_plan(g, suite, 80, strategy, 3, SutResponder(11), random.Random(11))
         got = tuple((rec.case_id, " ".join(rec.realized), rec.diverged) for rec in res.log)
         assert got == self.LOGS[strategy]
+
+
+class ZeroDraws(random.Random):
+    """Every score draw is 0.0; tie-breaks still come from the real stream."""
+
+    def random(self) -> float:
+        return 0.0
+
+    def getrandbits(self, k: int) -> int:  # keeps randrange on the bit stream
+        return super().getrandbits(k)
+
+
+class TestSelectionGoldens:
+    """Exact nt_plan logs for selection cases the trend goldens do not reach:
+    a repeated case id under s1.5, all-zero s3/s4 draws, and a charged first
+    start.  Same graph as TestGoldenStreams, reset cost 3."""
+
+    # budget 80, SutResponder(11), random.Random(11); t2 and t0 repeated
+    # with the paths of t4 and t5: spent 79, resets 13
+    REPEATED_ID_S1_5 = (
+        ("t0", "n00 n02", True),
+        ("t5", "n00 n02", True),
+        ("t4", "n00 n02 n07", True),
+        ("t2", "n00 n01", True),
+        ("t1", "n00 n02 n07 n09 n13", False),
+        ("t3", "n00 n02", True),
+        ("t0", "n00 n02", True),
+        ("t2", "n00 n01", True),
+        ("t3", "n00 n01 n03 n08", False),
+        ("t1", "n00 n01", True),
+        ("t5", "n00 n02", True),
+        ("t4", "n00 n02 n07", True),
+        ("t2", "n00 n01 n06 n11", False),
+        ("t0", "n00 n01 n03 n04 n05", False),
+    )
+    # budget 80, SutResponder(11), ZeroDraws(11): spent 80, resets 13
+    ZERO_DRAWS = (
+        ("t3", "n00 n02", True),
+        ("t4", "n00 n02 n10", False),
+        ("t3", "n00 n01 n03 n08", False),
+        ("t3", "n00 n01 n03 n08", False),
+        ("t4", "n00 n02 n07", True),
+        ("t4", "n00 n01", True),
+        ("t1", "n00 n02 n10", True),
+        ("t1", "n00 n01", True),
+        ("t4", "n00 n01", True),
+        ("t3", "n00 n01 n03 n08", False),
+        ("t5", "n00 n02", True),
+        ("t4", "n00 n02 n07", True),
+        ("t1", "n00 n01", True),
+        ("t0", "n00 n01 n03 n04 n05", False),
+    )
+    # budget 40, SutResponder(5), random.Random(5), charge_first_start=True:
+    # (spent, log); every start pays the reset fee
+    CHARGED = {
+        "s1.5": (40, (
+            ("t4", "n00 n02 n10", False),
+            ("t2", "n00 n01 n06 n11", False),
+            ("t3", "n00 n01 n03 n08", False),
+            ("t5", "n00 n01 n03 n04 n12", False),
+            ("t0", "n00 n01 n03 n04 n05", False),
+            ("t1", "n00", False),
+        )),
+        "s3": (40, (
+            ("t5", "n00 n02", True),
+            ("t0", "n00 n02", True),
+            ("t3", "n00 n01 n03 n08", False),
+            ("t1", "n00 n02 n07 n09 n13", False),
+            ("t0", "n00 n01 n03 n04 n05", False),
+            ("t2", "n00 n01 n06 n11", False),
+        )),
+        "s4": (38, (
+            ("t5", "n00 n02", True),
+            ("t0", "n00 n02", True),
+            ("t3", "n00 n01 n03 n08", False),
+            ("t1", "n00 n02 n07 n09 n13", False),
+            ("t5", "n00 n01 n03 n04 n12", False),
+            ("t4", "n00 n01", True),
+        )),
+    }
+    CHARGED["s2"] = CHARGED["s1.5"]
+
+    @staticmethod
+    def run(suite=None, **kwargs):
+        g = generate_random(14, 0.5, 1, 2, seed=3)
+        suite = suite or generate_static_suite(g)
+        res = nt_plan(g, suite, reset_cost=3, **kwargs)
+        log = tuple((rec.case_id, " ".join(rec.realized), rec.diverged) for rec in res.log)
+        return res, log
+
+    def test_repeated_id_keys_the_s1_5_pass(self):
+        g = generate_random(14, 0.5, 1, 2, seed=3)
+        cases = generate_static_suite(g).cases
+        by_id = {tc.id: tc for tc in cases}
+        suite = Suite(cases + (Case("t2", by_id["t4"].path), Case("t0", by_id["t5"].path)))
+        res, log = self.run(
+            suite, budget=80, strategy="s1.5", sut=SutResponder(11), rng=random.Random(11)
+        )
+        assert log == self.REPEATED_ID_S1_5
+        assert (res.spent, res.resets) == (79, 13)
+
+    @pytest.mark.parametrize("strategy", ["s3", "s4"])
+    def test_all_zero_draws_tie_every_case(self, strategy):
+        res, log = self.run(budget=80, strategy=strategy, sut=SutResponder(11), rng=ZeroDraws(11))
+        assert log == self.ZERO_DRAWS
+        assert (res.spent, res.resets) == (80, 13)
+        # the tie spans dead cases too: t3 (n00 n01 n03 n08) is fully
+        # covered after the third execution and still runs fourth
+        assert {"n00", "n01", "n03", "n08"} <= {v for _, r, _ in log[:3] for v in r.split()}
+        assert log[3][0] == "t3"
+
+    @pytest.mark.parametrize("strategy", sorted(CHARGED))
+    def test_charged_first_start(self, strategy):
+        res, log = self.run(
+            budget=40,
+            strategy=strategy,
+            sut=SutResponder(5),
+            rng=random.Random(5),
+            charge_first_start=True,
+        )
+        spent, expected = self.CHARGED[strategy]
+        assert log == expected
+        assert res.spent == spent and res.resets == res.executions == len(expected)
 
 
 class TestBaselines:
