@@ -82,6 +82,27 @@ class TestAlpha:
 
 
 class TestPgain:
+    def test_s2_zero_when_fully_covered(self):
+        # s2 has no random score: its gain is 1 while a case has an
+        # uncovered node and 0 after, so a covered case leaves the draw
+        g = graph_of(
+            {
+                "a": (TESTER, 1, ("b",)),
+                "b": (TESTER, 1, ("c",)),
+                "c": (TESTER, 1, ("c",)),
+            },
+            init="a",
+        )
+        suite = Suite((Case("t0", ("a", "b")), Case("t1", ("a", "b")), Case("t2", ("a", "b", "c"))))
+        for seed in range(30):
+            res = nt_plan(g, suite, 100, "s2", 1, SutResponder(seed), random.Random(seed))
+            ids = [rec.case_id for rec in res.log]
+            assert ids[-1] == "t2" and len(ids) <= 2
+
+    def test_s3_degenerate_interval(self):
+        assert pgain("s3", [0], [0], [1], random.Random(0)) == [0.0]
+        assert pgain("s4", [0], [0], [1], random.Random(0)) == [0.0]
+
     def test_s3_range(self):
         rng = random.Random(1)
         for _ in range(50):
