@@ -42,7 +42,10 @@ print(f"product states explored: {res.states_explored}")
 
 # the optimal SUT mirrors the tester's first branch choice forever
 print("\nSUT policy (node, covered so far) -> move:")
-for (node, covered), move in sorted(res.sut_policy().items()):
+# frozensets compare by inclusion, so order the covered sets by size and members
+for (node, covered), move in sorted(
+    res.sut_policy().items(), key=lambda item: (item[0][0], len(item[0][1]), sorted(item[0][1]))
+):
     print(f"  {node} with {{{', '.join(sorted(covered))}}} -> {move}")
 
 # a committed (memoryless) SUT leaks the fourth node

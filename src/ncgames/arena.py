@@ -9,18 +9,27 @@ with ``shift = P.bit_length()``.  A move to u lands in
 pays ν(C), the summed gain of C.
 
 Covered sets only grow, so the states reachable from the root split into
-layers, one per mask, solved in decreasing popcount order.  Within a layer,
-moves that leave it have settled values and every state is worth at least
-its floor ν(C), so the layer's max-min value is the least fixed point of
-the one-step operator started at ν(C) everywhere, which synchronous
-rounds reach by raising values only.
+layers, one per mask, and a move either stays in its layer or enters a
+mask of popcount one higher.  Exploration therefore visits the masks in
+nondecreasing popcount order and finds each layer by a search inside its
+mask, started from the positions entered from smaller masks; the solve
+walks the layers in the reverse order.  Within a layer, moves that leave
+it have settled values and every state is worth at least its floor ν(C),
+so the layer's max-min value is the least fixed point of the one-step
+operator started at ν(C) everywhere, which synchronous rounds reach by
+raising values only.  Every round reads the previous round's values and
+applies its raises afterwards; after the first round it re-evaluates only
+the states with an in-layer successor that rose in the previous round
+(every state, when the restart home rose), since no other state can rise.
 
 Tester policies must avoid value-preserving cycles inside a layer, so a
 recorded tester choice is the option that strictly raised the state's
 value in the round its final value was reached, judged against the
-previous round's table; a state that never rose keeps ``succ[p][0]``.  The
-SUT choice is the first argmin at the fixed point, which is always safe
-for the minimizer.
+previous round's table.  The solve returns the value table and these
+recorded choices only; a tester state that never rose moves to
+``succ[p][0]`` and an SUT state to its first successor of least value,
+which is always safe for the minimizer (``ncgames.solver.SolveResult``
+works both out on lookup).
 """
 from __future__ import annotations
 
@@ -50,52 +59,58 @@ class _Arena:
     def explore(self, restart: bool = False, state_cap: float = math.inf):
         """Product states reachable from (root, {root}), layered by mask.
 
-        Returns (layers, mask_gain): layers maps a mask to the sorted
-        positions present with it, mask_gain maps it to ν(mask).  With
-        ``restart`` every state also reaches (root, same mask).
+        Returns (layers, mask_gain): layers maps each mask, in nondecreasing
+        popcount order, to the sorted positions present with it; mask_gain
+        maps it to ν(mask).  With ``restart`` every state also reaches
+        (root, same mask).  Only a count above max(state_cap, 1) raises,
+        since the root state is always admitted.
         """
-        succ, cover, gains, bits, shift, root = (
-            self.succ, self.cover, self.gains, self.bits, self.shift, self.root
-        )
+        succ, cover, gains, bits, root = self.succ, self.cover, self.gains, self.bits, self.root
+        if restart:
+            succ = [moves + (root,) for moves in succ]
         mask_gain = {bits[root]: gains[cover[root]]}
-        start = (bits[root] << shift) | root
-        low = (1 << shift) - 1
-        seen = {start}
         layers: dict[int, list[int]] = {}
-        stack = [start]
-        while stack:
-            key = stack.pop()
-            p = key & low
-            mask = key >> shift
-            layers.setdefault(mask, []).append(p)
-            for u in succ[p] + (root,) if restart else succ[p]:
-                m2 = mask | bits[u]
-                if m2 not in mask_gain:
-                    mask_gain[m2] = mask_gain[mask] + gains[cover[u]]
-                nxt = (m2 << shift) | u
-                if nxt not in seen:
-                    if len(seen) >= state_cap:
-                        raise CapacityError(f"search state space exceeds cap {state_cap}")
-                    seen.add(nxt)
-                    stack.append(nxt)
-        for members in layers.values():
-            members.sort()
+        level = {bits[root]: {root}}  # masks of one popcount -> positions reached so far
+        count = 0
+        while level:
+            entered: dict[int, set[int]] = {}  # the next popcount's masks
+            for mask, seen in level.items():
+                stack = list(seen)
+                while stack:
+                    for u in succ[stack.pop()]:
+                        if mask & bits[u]:
+                            if u not in seen:
+                                seen.add(u)
+                                stack.append(u)
+                        else:
+                            m2 = mask | bits[u]
+                            if m2 in entered:
+                                entered[m2].add(u)
+                            else:
+                                entered[m2] = {u}
+                                mask_gain[m2] = mask_gain[mask] + gains[cover[u]]
+                count += len(seen)
+                if count > state_cap and count > 1:
+                    raise CapacityError(f"search state space exceeds cap {state_cap}")
+                layers[mask] = sorted(seen)
+            level = entered
         return layers, mask_gain
 
     def solve(self, restart: bool = False, record: bool = False, state_cap: float = math.inf):
-        """Root value, number of reachable states, tester and SUT policies.
+        """Root value, number of reachable states, value table, tester choices.
 
         With ``restart`` a state's floor is the value of (root, same mask)
-        rather than ν(C), and a sink's only value is its floor.  With
-        ``record`` (plain arenas only) the policies map each packed state
-        to the chosen successor position; otherwise they stay empty.
+        rather than ν(C), and a sink's only value is its floor.  The value
+        table maps every packed state to its value.  With ``record`` (plain
+        arenas only) the tester choices map each packed tester state whose
+        value rose to the successor position that raised it last; otherwise
+        they stay empty.
         """
         layers, mask_gain = self.explore(restart, state_cap)
         succ, is_tester, bits, shift = self.succ, self.is_tester, self.bits, self.shift
         values: dict[int, int] = {}
         tester: dict[int, int] = {}
-        sut: dict[int, int] = {}
-        for mask in sorted(layers, key=lambda m: (-m.bit_count(), m)):
+        for mask in reversed(layers):
             members = layers[mask]
             n = len(members)
             base = mask_gain[mask]
@@ -103,57 +118,49 @@ class _Arena:
             slot = {p: i for i, p in enumerate(members)}
             # table[:n] holds the layer's values, settled exits follow
             table = [base] * n
-            work = []
-            live = []  # states whose value can still change after the first round
+            rows = []
+            preds: list[list[int]] = [[] for _ in range(n)]  # in-layer predecessors
             for i, p in enumerate(members):
                 row = []
-                inside = restart
                 for u in succ[p]:
                     if mask & bits[u]:
                         row.append(slot[u])
-                        inside = True
+                        preds[slot[u]].append(i)
                     else:
                         row.append(len(table))
                         table.append(values[((mask | bits[u]) << shift) | u])
                 if not row:
                     row.append(len(table))
                     table.append(base)
-                item = (i, p, is_tester[p], row)
-                work.append(item)
-                if inside:
-                    live.append(item)
+                rows.append(row)
             home = slot[self.root] if restart else 0
-            todo = work
+            todo = range(n)
             while todo:
-                prev = table[:]
-                floor = prev[home] if restart else base
-                changed = False
-                for i, p, own, row in todo:
-                    if own:
+                floor = table[home] if restart else base
+                raised = []
+                for i in todo:
+                    p, row = members[i], rows[i]
+                    if is_tester[p]:
                         best = floor
                         for k in row:
-                            if prev[k] > best:
-                                best = prev[k]
+                            if table[k] > best:
+                                best = table[k]
                     else:
-                        best = prev[row[0]]
+                        best = table[row[0]]
                         for k in row:
-                            if prev[k] < best:
-                                best = prev[k]
+                            if table[k] < best:
+                                best = table[k]
                         if best < floor:
                             best = floor
-                    if best > prev[i]:
-                        table[i] = best
-                        changed = True
-                        if record and own:
-                            tester[hi | p] = succ[p][[prev[k] for k in row].index(best)]
-                todo = live if changed else ()
-            for i, p, own, row in work:
-                key = hi | p
-                values[key] = table[i]
-                if record:
-                    if own:
-                        tester.setdefault(key, succ[p][0])
-                    else:
-                        vals = [table[k] for k in row]
-                        sut[key] = succ[p][vals.index(min(vals))]
-        return values[(bits[self.root] << shift) | self.root], len(values), tester, sut
+                    if best > table[i]:
+                        raised.append((i, best))
+                        if record and is_tester[p]:
+                            tester[hi | p] = succ[p][[table[k] for k in row].index(best)]
+                todo = set()
+                for i, best in raised:
+                    table[i] = best
+                    todo.update(preds[i])
+                if restart and table[home] > floor:
+                    todo = range(n)
+            values.update(zip([hi | p for p in members], table))
+        return values[(bits[self.root] << shift) | self.root], len(values), values, tester

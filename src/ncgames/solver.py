@@ -5,7 +5,8 @@ The nodes reachable from the root become the positions of an arena
 the max-min coverage value on the product of nodes and covered sets: a
 move along an edge (v, v') adds v' to the covered set, and an infinite
 play whose covered set stops growing at C pays ν(C).  ``solve_mcg`` also
-records the optimal policies; ``solve_mcg_restart`` runs the same kernel
+keeps the value table and the recorded tester choices, from which its
+result reads the optimal policies; ``solve_mcg_restart`` runs the same kernel
 with the tester's restart move.  ``oracle_mcg`` shares only the indexing
 and searches the game tree independently.
 
@@ -51,17 +52,21 @@ class SolveResult:
 
     Policies map (node, covered set) to the chosen successor; they are
     defined for every product state reachable from the solved root, which
-    covers every position an opponent can force.  ``tester_move`` /
-    ``sut_move`` give single lookups; ``tester_policy`` / ``sut_policy``
-    materialize readable dictionaries (small graphs only).
+    covers every position an opponent can force.  Only the value table and
+    the tester choices recorded when a value rose are stored: a tester
+    state that never rose moves to its first successor, and an SUT state to
+    its first successor of least value, both worked out on lookup.  A state
+    with no value, or owned by the other player, raises ``KeyError``.
+    ``tester_move`` / ``sut_move`` give single lookups; ``tester_policy`` /
+    ``sut_policy`` materialize readable dictionaries (small graphs only).
     """
 
     value: int
     states_explored: int
     root: str
     _arena: _Arena = field(repr=False)
+    _values: dict[int, int] = field(repr=False)
     _tester: dict[int, int] = field(repr=False)
-    _sut: dict[int, int] = field(repr=False)
 
     def _pack(self, node: str, covered: Iterable[str]) -> int:
         idx = self._arena.index
@@ -70,27 +75,38 @@ class SolveResult:
             mask |= 1 << idx[v]
         return (mask << self._arena.shift) | idx[node]
 
+    def _move(self, packed: int, tester: bool) -> int:
+        arena = self._arena
+        p = packed & ((1 << arena.shift) - 1)
+        if packed not in self._values or arena.is_tester[p] != tester:
+            raise KeyError(packed)
+        if tester:
+            return self._tester.get(packed, arena.succ[p][0])
+        mask, values, bits, shift = packed >> arena.shift, self._values, arena.bits, arena.shift
+        return min(arena.succ[p], key=lambda u: values[((mask | bits[u]) << shift) | u])
+
     def tester_move(self, node: str, covered: Iterable[str]) -> str:
-        return self._arena.ids[self._tester[self._pack(node, covered)]]
+        return self._arena.ids[self._move(self._pack(node, covered), True)]
 
     def sut_move(self, node: str, covered: Iterable[str]) -> str:
-        return self._arena.ids[self._sut[self._pack(node, covered)]]
+        return self._arena.ids[self._move(self._pack(node, covered), False)]
 
-    def _unpack_policy(self, table: dict[int, int]) -> dict[tuple[str, frozenset[str]], str]:
-        ids, shift = self._arena.ids, self._arena.shift
+    def _policy(self, tester: bool) -> dict[tuple[str, frozenset[str]], str]:
+        ids, shift, is_tester = self._arena.ids, self._arena.shift, self._arena.is_tester
         out = {}
-        for packed, u in table.items():
-            v = ids[packed & ((1 << shift) - 1)]
-            mask = packed >> shift
-            covered = frozenset(ids[i] for i in range(len(ids)) if mask & (1 << i))
-            out[(v, covered)] = ids[u]
+        for packed in self._values:
+            p = packed & ((1 << shift) - 1)
+            if is_tester[p] == tester:
+                mask = packed >> shift
+                covered = frozenset(ids[i] for i in range(len(ids)) if mask & (1 << i))
+                out[(ids[p], covered)] = ids[self._move(packed, tester)]
         return out
 
     def tester_policy(self) -> dict[tuple[str, frozenset[str]], str]:
-        return self._unpack_policy(self._tester)
+        return self._policy(True)
 
     def sut_policy(self) -> dict[tuple[str, frozenset[str]], str]:
-        return self._unpack_policy(self._sut)
+        return self._policy(False)
 
 
 def solve_mcg(g: GameGraph, r: str, cap: int = 20) -> SolveResult:
@@ -102,14 +118,14 @@ def solve_mcg(g: GameGraph, r: str, cap: int = 20) -> SolveResult:
     """
     ensure_valid(g, strict=True)
     arena = _node_arena(g, r, cap)
-    value, states, tester, sut = arena.solve(record=True)
+    value, states, values, tester = arena.solve(record=True)
     return SolveResult(
         value=value,
         states_explored=states,
         root=r,
         _arena=arena,
+        _values=values,
         _tester=tester,
-        _sut=sut,
     )
 
 

@@ -1,12 +1,13 @@
 """Exact solver: values, policies, restart variant, brute-force oracle."""
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from conftest import graph_of
-from ncgames.errors import CapacityError, ValidationError
+from ncgames.errors import CapacityError, StrategyError, ValidationError
 from ncgames.graph import (
     SUT,
     TESTER,
@@ -16,9 +17,10 @@ from ncgames.graph import (
     generate_random,
     reachable,
 )
-from ncgames.play import best_response_gain
+from ncgames.play import PositionalStrategy, best_response_gain
 from ncgames.reductions import parse_dimacs, sat_to_ncgame
 from ncgames.solver import (
+    _node_arena,
     extract_optimal_sut,
     oracle_mcg,
     solve_mcg,
@@ -231,3 +233,158 @@ class TestOptimalSut:
             res = solve_mcg(g, g.init)
             sut = extract_optimal_sut(res)
             assert best_response_gain(g, g.init, sut) == res.value
+
+
+def _golden_graphs(mirror) -> dict[str, GameGraph]:
+    """Fixed games for the golden digests: the mirror, random graphs of
+    8-14 nodes (half of them with unequal gains) and one SAT game."""
+    graphs = {"mirror": mirror}
+    for n, seed, sut_fraction in [
+        (8, 1, 0.3), (9, 2, 0.5), (10, 3, 0.3), (11, 4, 0.5),
+        (12, 5, 0.3), (13, 6, 0.5), (14, 7, 0.3), (14, 8, 0.5),
+    ]:
+        g = generate_random(n, sut_fraction, 1, 3, seed)
+        if seed % 2:
+            g = g.map_gains(lambda v, _gain: 1 + int(v[1:]) % 4)
+        graphs[f"random-{n}-{seed}"] = g
+    f = parse_dimacs("p cnf 4 5\n1 2 -3 0\n-1 3 4 0\n-2 -4 0\n2 3 0\n-1 -3 -4 0\n")
+    graphs["sat-4-5"], _threshold = sat_to_ncgame(f)
+    return graphs
+
+
+def _policy_digest(res) -> str:
+    def items(policy):
+        return sorted((v, tuple(sorted(covered)), u) for (v, covered), u in policy.items())
+
+    text = repr((res.value, res.states_explored, items(res.tester_policy()), items(res.sut_policy())))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of (value, states_explored, sorted tester policy, sorted SUT policy)
+GOLDEN_POLICY_DIGESTS = {
+    "mirror": "442d0b8312c374f0ff6c55d220552f4fdef196cfae4d6efa25af4839449c16d1",
+    "random-10-3": "aa470ebbc8445a1f2e24d582da1701831f9aa7f1c3c67f58ddd9b77b6238977f",
+    "random-11-4": "b3d9e7240800c1a782abf621a7f51e8beb30588751694f8013b8b26dc7bc57aa",
+    "random-12-5": "74628aa60329fcc795e951517f33374082c5bf291f5604f523668c21d70cbdf7",
+    "random-13-6": "b8b060cd5d2f65e3d1c01c9f0209b48ecc547eac74defb6b93db8f9ada5eebf4",
+    "random-14-7": "a9db96a8ea308d89f1117d67498185a1ffbda96213b1fc69f080ed2b1988f2c3",
+    "random-14-8": "7df5fa1781f7b4ee93fb4b9d7aea3fbecbfa50a70be1a1f96d6bbda5db51a580",
+    "random-8-1": "0d39db3656c2d0952fbc46d31fe140f5dd9aea3d3cba0ecc32439e9ffbd20355",
+    "random-9-2": "b2ca9edf1c31c0da9aab41543aa5730774538a97308f1d9e4607776ae7766bab",
+    "sat-4-5": "2bd744cacc1e0ff3b00261dbe7e5ca198727ab22b233b884469f43c46ac7675e",
+}
+
+# solve_mcg_restart value, then best_response_gain against the SUT that
+# always takes its first and its last successor
+GOLDEN_VALUES = {
+    "mirror": (4, 4, 4),
+    "random-10-3": (9, 21, 23),
+    "random-11-4": (4, 8, 5),
+    "random-12-5": (30, 28, 28),
+    "random-13-6": (9, 9, 12),
+    "random-14-7": (29, 27, 27),
+    "random-14-8": (4, 8, 4),
+    "random-8-1": (7, 18, 7),
+    "random-9-2": (9, 9, 9),
+    "sat-4-5": (14, 15, 15),
+}
+
+
+class TestGoldenPolicies:
+    """Values, state counts and full policies pinned per graph, so that a
+    kernel rewrite must keep every recorded and derived move."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_POLICY_DIGESTS))
+    def test_policy_digest(self, mirror, name):
+        g = _golden_graphs(mirror)[name]
+        assert _policy_digest(solve_mcg(g, g.init)) == GOLDEN_POLICY_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_VALUES))
+    def test_restart_and_best_response_values(self, mirror, name):
+        g = _golden_graphs(mirror)[name]
+        first = PositionalStrategy(2, {v: g.edges[v][0] for v in g.nodes if g.owner(v) == SUT})
+        last = PositionalStrategy(2, {v: g.edges[v][-1] for v in g.nodes if g.owner(v) == SUT})
+        got = (
+            solve_mcg_restart(g, g.init),
+            best_response_gain(g, g.init, first),
+            best_response_gain(g, g.init, last),
+        )
+        assert got == GOLDEN_VALUES[name]
+
+
+def _product_states(g: GameGraph, r: str, sut) -> int:
+    """Reachable (node, SUT state, covered set) triples against a fixed SUT,
+    counted by a plain search independent of the solver."""
+    start = (r, sut.transition(sut.initial_state(), r), frozenset({r}))
+    seen = {start}
+    stack = [start]
+    while stack:
+        v, s, covered = stack.pop()
+        moves = g.edges[v] if g.owner(v) == TESTER else (sut.choose(s, v),)
+        for u in moves:
+            nxt = (u, sut.transition(s, u), covered | {u})
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen)
+
+
+class TestStateCap:
+    """``state_cap`` counts reachable product states, the root included:
+    a cap equal to the count passes, one lower fails, and the root state
+    is always admitted, so only a count above max(state_cap, 1) raises."""
+
+    @pytest.mark.parametrize("restart", [False, True])
+    @pytest.mark.parametrize("seed", [None, 3, 6])
+    def test_arena_cap_boundary(self, mirror, restart, seed):
+        g = mirror if seed is None else generate_random(10 + seed, 0.4, 1, 3, seed)
+        arena = _node_arena(g, g.init, 20)
+        value, states = arena.solve(restart=restart)[:2]
+        assert arena.solve(restart=restart, state_cap=states)[:2] == (value, states)
+        with pytest.raises(CapacityError, match=rf"^search state space exceeds cap {states - 1}$"):
+            arena.solve(restart=restart, state_cap=states - 1)
+
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_root_state_is_always_admitted(self, restart):
+        loop = graph_of({"a": (TESTER, 1, ("a",))}, init="a")
+        assert _node_arena(loop, "a", 20).solve(restart=restart, state_cap=0)[:2] == (1, 1)
+        pair = graph_of({"a": (TESTER, 1, ("b",)), "b": (SUT, 1, ("a",))}, init="a")
+        for cap in (0, 1):
+            with pytest.raises(CapacityError, match=rf"^search state space exceeds cap {cap}$"):
+                _node_arena(pair, "a", 20).solve(restart=restart, state_cap=cap)
+
+    @pytest.mark.parametrize("seed", [None, 3, 6])
+    def test_best_response_cap_boundary(self, mirror, seed):
+        g = mirror if seed is None else generate_random(10 + seed, 0.4, 1, 3, seed)
+        sut = PositionalStrategy(2, {v: g.edges[v][-1] for v in g.nodes if g.owner(v) == SUT})
+        states = _product_states(g, g.init, sut)
+        value = best_response_gain(g, g.init, sut)
+        assert best_response_gain(g, g.init, sut, state_cap=states) == value
+        with pytest.raises(CapacityError, match=rf"^search state space exceeds cap {states - 1}$"):
+            best_response_gain(g, g.init, sut, state_cap=states - 1)
+
+    def test_best_response_one_state(self):
+        loop = graph_of({"a": (TESTER, 1, ("a",))}, init="a")
+        assert best_response_gain(loop, "a", PositionalStrategy(2, {}), state_cap=0) == 1
+
+
+class TestLookupEdges:
+    def test_sut_move_on_tester_state(self, mirror):
+        res = solve_mcg(mirror, "v0")
+        with pytest.raises(KeyError):
+            res.sut_move("v0", {"v0"})
+
+    def test_tester_move_on_sut_state(self, mirror):
+        res = solve_mcg(mirror, "v0")
+        assert res.sut_move("v3", {"v0", "v1", "v3"}) in mirror.edges["v3"]
+        with pytest.raises(KeyError):
+            res.tester_move("v3", {"v0", "v1", "v3"})
+
+    def test_unreached_covered_set(self, mirror):
+        # plays from v0 reach v3 only through v1 or v2, so (v3, {v0, v3}) is
+        # never reached, although both of its successor states are
+        res = solve_mcg(mirror, "v0")
+        with pytest.raises(KeyError):
+            res.tester_move("v1", {"v1"})
+        with pytest.raises(StrategyError, match="no policy entry"):
+            extract_optimal_sut(res).choose(frozenset({"v0", "v3"}), "v3")
