@@ -218,10 +218,8 @@ def _parse_config(text: str) -> dict[str, tuple[str, int]]:
     return out
 
 
-def _to_int(value: int | str, key: str, line: int | None) -> int:
+def _to_int(value: str, key: str, line: int | None) -> int:
     """An integer setting; ASCII digits only, else a ParseError naming the key."""
-    if isinstance(value, int):
-        return value
     text = value.strip()
     if not graph.INT_RE.fullmatch(text):
         raise ParseError(f"`{key}` must be an integer, got `{text}`", line)
@@ -238,7 +236,7 @@ def _cmd_experiment(args) -> int:
             return flag_value, None
         return settings.get(key, (fallback, None))
 
-    def pick_int(key: str, fallback: int) -> int:
+    def pick_int(key: str, fallback: str) -> int:
         value, line = pick(key, fallback)
         return _to_int(value, key, line)
 
@@ -254,9 +252,9 @@ def _cmd_experiment(args) -> int:
         graph_name=pick("name", Path(graph_path).stem)[0],
         budgets=tuple(_to_int(b, "budgets", budgets_line) for b in budgets.split(",")),
         strategies=tuple(strategies.split(",")),
-        trials=pick_int("trials", 100),
-        reset_cost=pick_int("reset_cost", 10),
-        base_seed=pick_int("base_seed", 0),
+        trials=pick_int("trials", "100"),
+        reset_cost=pick_int("reset_cost", "10"),
+        base_seed=pick_int("base_seed", "0"),
         denominator=pick("denominator", "total")[0],
         spread=pick("spread", "stderr")[0],
     )
@@ -338,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", help="graph name for the CSV (default: file stem)")
     p.add_argument("--strategies", help="comma-separated strategy list")
     p.add_argument("--budgets", help="comma-separated budget list")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--reset-cost", type=int, dest="reset_cost")
-    p.add_argument("--base-seed", type=int, dest="base_seed")
+    p.add_argument("--trials")
+    p.add_argument("--reset-cost", dest="reset_cost")
+    p.add_argument("--base-seed", dest="base_seed")
     p.add_argument("--denominator", choices=["total", "reachable"])
     p.add_argument("--spread", choices=["stderr", "stddev"])
     p.add_argument("--out")

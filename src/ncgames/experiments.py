@@ -134,6 +134,8 @@ def run_experiment(
         raise ValueError("trials must be >= 1")
     if any(b < 1 for b in cfg.budgets):
         raise ValueError("budgets must be >= 1")
+    if cfg.reset_cost < 0:
+        raise ValueError("reset_cost must be >= 0")
     if cfg.denominator not in ("total", "reachable"):
         raise ValueError("denominator must be `total` or `reachable`")
     if cfg.spread not in ("stderr", "stddev"):

@@ -1,9 +1,9 @@
 """Plays, strategies, bounded play simulation, and exhaustive search helpers.
 
 A play prefix is a tuple of node ids respecting the graph's edges.  A
-strategy for a player is any callable mapping a play prefix (whose last
-node the player owns) to one successor of that node; positional strategies
-specialize this to a per-node choice table.
+strategy for a player is a callable mapping a play prefix (whose last node
+the player owns) to one successor of that node, or a state machine;
+``PositionalStrategy`` is the memoryless one, a per-node choice table.
 
 ``StateMachineStrategy`` is the finite-state SUT interface used by
 certificate checking and by ``best_response_gain``: the strategy exposes a
@@ -55,9 +55,6 @@ class PositionalStrategy(StateMachineStrategy):
 
     player: int
     moves: Mapping[str, str]
-
-    def __call__(self, prefix: PlayPrefix) -> str:
-        return self.moves[prefix[-1]]
 
     def choose(self, state: Hashable, node: str) -> str:
         return self.moves[node]

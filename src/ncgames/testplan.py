@@ -4,8 +4,8 @@ A test case is a prescribed play prefix starting at the initial node.
 Executing one walks the prefix while the SUT re-resolves every choice at
 its own nodes; a response that departs from the prescription ends the
 case (the diverging node is still visited and paid for).  Every visited
-node costs one dollar; starting a case after the first costs a flat reset
-fee on top.
+node costs one dollar; the first start of a run is free and every later
+start (a reset) costs a flat fee on top.
 
 ``nt_plan`` repeatedly picks a case until the budget cannot fund another
 start or everything the suite prescribes has been covered.  It keeps, per
@@ -74,20 +74,26 @@ class ExecutionRecord:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one budgeted run: what was covered and what it cost."""
+    """Outcome of one budgeted run: what was covered, what it cost, and one
+    record per execution; every start after the first is a reset."""
 
     covered: frozenset[str]
     spent: int
-    resets: int
-    executions: int
     log: tuple[ExecutionRecord, ...]
+
+    @property
+    def executions(self) -> int:
+        return len(self.log)
+
+    @property
+    def resets(self) -> int:
+        return max(len(self.log) - 1, 0)
 
 
 class SutResponder:
     """Seeded random resolver of SUT choices: uniform over successors."""
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def choose(self, g: GameGraph, v: str) -> str:
@@ -234,6 +240,16 @@ def execute_case(
     return tuple(realized), diverged, len(realized)
 
 
+def _check_run(suite: TestSuite, budget: int, reset_cost: int) -> None:
+    """Arguments that ``nt_plan`` and ``static_once`` reject alike."""
+    if not suite.cases:
+        raise ValidationError("empty test suite")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if reset_cost < 0:
+        raise ValueError("reset_cost must be >= 0")
+
+
 def nt_plan(
     g: GameGraph,
     suite: TestSuite,
@@ -242,22 +258,16 @@ def nt_plan(
     reset_cost: int,
     sut: SutResponder,
     rng: random.Random,
-    charge_first_start: bool = False,
 ) -> RunResult:
     """Repetitive suite execution: keep picking a case by `strategy`.
 
     Stops when everything the suite prescribes is covered or the leftover
-    budget cannot fund another start (reset fee plus one visit; the first
-    start is free unless `charge_first_start`).  Each round takes one
-    uniform draw over the strategy's candidates, after the ``pgain`` draws
-    for ``s3`` and ``s4``.
+    budget cannot fund another start (one visit, plus the reset fee for
+    every start after the first).  Each round takes one uniform draw over
+    the strategy's candidates, after the ``pgain`` draws for ``s3`` and
+    ``s4``.
     """
-    if not suite.cases:
-        raise ValidationError("empty test suite")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if reset_cost < 0:
-        raise ValueError("reset_cost must be >= 0")
+    _check_run(suite, budget, reset_cost)
     if strategy not in PGAIN_STRATEGIES:
         raise ValueError(f"unknown strategy `{strategy}`")
 
@@ -275,10 +285,9 @@ def nt_plan(
     pending: list[int] = []  # s1.5: cases whose id has not run in this pass
     covered: set[str] = set()
     log: list[ExecutionRecord] = []
-    spent = resets = executions = 0
+    spent = 0
     while target_left:
-        first = executions == 0 and not charge_first_start
-        start_cost = 0 if first else reset_cost
+        start_cost = reset_cost if log else 0
         if spent + start_cost + 1 > budget:
             break
         if strategy == "s2":
@@ -292,11 +301,8 @@ def nt_plan(
             candidates = ties if top else range(len(cases))  # all 0.0: dead cases tie too
         tc = cases[candidates[rng.randrange(len(candidates))]]
         spent += start_cost
-        if not first:
-            resets += 1
         realized, diverged, cost = execute_case(g, tc, budget - spent, sut)
         spent += cost
-        executions += 1
         emptied = False
         for v in realized:
             if v not in covered:
@@ -311,7 +317,7 @@ def nt_plan(
         if pending:
             pending = [j for j in pending if cases[j].id != tc.id]
         log.append(ExecutionRecord(tc.id, realized, diverged))
-    return RunResult(frozenset(covered), spent, resets, executions, tuple(log))
+    return RunResult(frozenset(covered), spent, tuple(log))
 
 
 def static_once(
@@ -320,34 +326,27 @@ def static_once(
     budget: int,
     reset_cost: int,
     sut: SutResponder,
-    charge_first_start: bool = False,
 ) -> RunResult:
     """Execute each case exactly once, in suite order, within the budget.
 
     This is the deterministic-model baseline: no repetition after a
-    divergence, and typically the budget is not exhausted.
+    divergence, and typically the budget is not exhausted.  Starts are
+    charged as in ``nt_plan``.
     """
-    if not suite.cases:
-        raise ValidationError("empty test suite")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _check_run(suite, budget, reset_cost)
     covered: set[str] = set()
     log: list[ExecutionRecord] = []
-    spent = resets = executions = 0
+    spent = 0
     for tc in suite.cases:
-        first = executions == 0 and not charge_first_start
-        start_cost = 0 if first else reset_cost
+        start_cost = reset_cost if log else 0
         if spent + start_cost + 1 > budget:
             break
         spent += start_cost
-        if not first:
-            resets += 1
         realized, diverged, cost = execute_case(g, tc, budget - spent, sut)
         spent += cost
-        executions += 1
         covered.update(realized)
         log.append(ExecutionRecord(tc.id, realized, diverged))
-    return RunResult(frozenset(covered), spent, resets, executions, tuple(log))
+    return RunResult(frozenset(covered), spent, tuple(log))
 
 
 def random_walk(
@@ -374,7 +373,7 @@ def random_walk(
             v = succs[rng.randrange(len(succs))]
         realized.append(v)
     record = ExecutionRecord("walk", tuple(realized), False)
-    return RunResult(frozenset(realized), len(realized), 0, 1, (record,))
+    return RunResult(frozenset(realized), len(realized), (record,))
 
 
 def parse_suite(text: str) -> TestSuite:

@@ -402,6 +402,25 @@ class TestSimulateAndExperiment:
         assert run_cli(["experiment", "--graph", mirror_file, "--budgets", "5,y"]) == 2
         assert "`budgets` must be an integer, got `y`" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["trials", "reset-cost", "base-seed"])
+    @pytest.mark.parametrize("value", ["\u0663", "1_0", "+3"])
+    def test_experiment_integer_flags_take_ascii_digits_only(self, mirror_file, flag, value, capsys):
+        argv = ["experiment", "--graph", mirror_file, "--budgets", "5", f"--{flag}", value]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        key = flag.replace("-", "_")
+        assert f"`{key}` must be an integer, got `{value}`" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("strategy", ["GMU-static", "rdm", "s2"])
+    def test_simulate_negative_reset_cost_is_invalid(self, mirror_file, strategy, capsys):
+        argv = ["simulate", "--graph", mirror_file, "--strategy", strategy, "--budget", "40",
+                "--reset-cost", "-5"]
+        assert run_cli(argv) == 3
+        captured = capsys.readouterr()
+        assert "reset_cost must be >= 0" in captured.err
+        assert captured.out == ""
+
 
 INPUT_KINDS = ("graph", "witness", "suite", "config", "cnf")
 

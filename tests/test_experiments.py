@@ -11,6 +11,8 @@ import pytest
 
 import ncgames
 from conftest import graph_of
+from ncgames import experiments
+from ncgames.cli import run_cli
 from ncgames.experiments import (
     ALL_STRATEGIES,
     CSV_HEADER,
@@ -165,6 +167,25 @@ class TestRunExperiment:
         cfg = ExperimentConfig(graph_name="m", budgets=(5,), strategies=("s9",))
         with pytest.raises(ValueError, match="unknown strategy"):
             run_experiment(mirror, cfg)
+
+    def test_negative_reset_cost_rejected_before_any_cell(self, mirror, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "run_one", no_trial)
+        cfg = ExperimentConfig(graph_name="m", budgets=(5,), reset_cost=-1)
+        with pytest.raises(ValueError, match="reset_cost must be >= 0"):
+            run_experiment(mirror, cfg)
+
+    def test_negative_reset_cost_exits_3(self, mirror, tmp_path, capsys):
+        path = tmp_path / "mirror.ncgame"
+        path.write_text(serialize_game_graph(mirror))
+        argv = ["experiment", "--graph", str(path), "--budgets", "5", "--strategies", "rdm",
+                "--reset-cost", "-1"]
+        assert run_cli(argv) == 3
+        captured = capsys.readouterr()
+        assert "reset_cost must be >= 0" in captured.err
+        assert captured.out == ""
 
 
 class TestCsv:

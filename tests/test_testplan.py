@@ -266,22 +266,6 @@ class TestNtPlan:
         with pytest.raises(ValidationError, match="empty"):
             nt_plan(mirror, Suite(()), 10, "s2", 10, SutResponder(0), random.Random(0))
 
-    def test_charge_first_start_flag(self, mirror):
-        suite = generate_static_suite(mirror)
-        res = nt_plan(
-            mirror,
-            suite,
-            30,
-            "s2",
-            10,
-            SutResponder(3),
-            random.Random(3),
-            charge_first_start=True,
-        )
-        costs = sum(len(rec.realized) for rec in res.log)
-        assert res.spent == costs + 10 * res.resets
-        assert res.resets == res.executions  # every start charged
-
 
 class TestGoldenStreams:
     """Exact nt_plan logs on one seeded graph, pinned so that a change to
@@ -377,8 +361,9 @@ class ZeroDraws(random.Random):
 
 class TestSelectionGoldens:
     """Exact nt_plan logs for selection cases the trend goldens do not reach:
-    a repeated case id under s1.5, all-zero s3/s4 draws, and a charged first
-    start.  Same graph as TestGoldenStreams, reset cost 3."""
+    a repeated case id under s1.5, all-zero s3/s4 draws, and a tight budget
+    that the reset fees use up.  Same graph as TestGoldenStreams, reset
+    cost 3."""
 
     # budget 80, SutResponder(11), random.Random(11); t2 and t0 repeated
     # with the paths of t4 and t5: spent 79, resets 13
@@ -415,18 +400,18 @@ class TestSelectionGoldens:
         ("t1", "n00 n01", True),
         ("t0", "n00 n01 n03 n04 n05", False),
     )
-    # budget 40, SutResponder(5), random.Random(5), charge_first_start=True:
-    # (spent, log); every start pays the reset fee
+    # budget 40, SutResponder(5), random.Random(5): (spent, log); the first
+    # start is free, every later one pays the reset fee
     CHARGED = {
-        "s1.5": (40, (
+        "s1.5": (38, (
             ("t4", "n00 n02 n10", False),
             ("t2", "n00 n01 n06 n11", False),
             ("t3", "n00 n01 n03 n08", False),
             ("t5", "n00 n01 n03 n04 n12", False),
             ("t0", "n00 n01 n03 n04 n05", False),
-            ("t1", "n00", False),
+            ("t1", "n00 n01", True),
         )),
-        "s3": (40, (
+        "s3": (37, (
             ("t5", "n00 n02", True),
             ("t0", "n00 n02", True),
             ("t3", "n00 n01 n03 n08", False),
@@ -434,13 +419,14 @@ class TestSelectionGoldens:
             ("t0", "n00 n01 n03 n04 n05", False),
             ("t2", "n00 n01 n06 n11", False),
         )),
-        "s4": (38, (
+        "s4": (40, (
             ("t5", "n00 n02", True),
             ("t0", "n00 n02", True),
             ("t3", "n00 n01 n03 n08", False),
             ("t1", "n00 n02 n07 n09 n13", False),
             ("t5", "n00 n01 n03 n04 n12", False),
             ("t4", "n00 n01", True),
+            ("t2", "n00 n02", True),
         )),
     }
     CHARGED["s2"] = CHARGED["s1.5"]
@@ -476,16 +462,11 @@ class TestSelectionGoldens:
 
     @pytest.mark.parametrize("strategy", sorted(CHARGED))
     def test_charged_first_start(self, strategy):
-        res, log = self.run(
-            budget=40,
-            strategy=strategy,
-            sut=SutResponder(5),
-            rng=random.Random(5),
-            charge_first_start=True,
-        )
+        res, log = self.run(budget=40, strategy=strategy, sut=SutResponder(5), rng=random.Random(5))
         spent, expected = self.CHARGED[strategy]
         assert log == expected
-        assert res.spent == spent and res.resets == res.executions == len(expected)
+        assert res.spent == spent == sum(len(r.split()) for _, r, _ in log) + 3 * res.resets
+        assert res.resets == res.executions - 1 == len(expected) - 1
 
 
 class TestBaselines:
@@ -531,6 +512,53 @@ class TestBaselines:
             ids = [rec.case_id for rec in res.log]
             assert len(ids) == len(set(ids))
             assert res.spent <= 100
+
+    def test_static_once_rejects_negative_reset_cost(self):
+        g = generate_random(6, 0.5, 1, 2, 1)
+        with pytest.raises(ValueError, match="reset_cost must be >= 0"):
+            static_once(g, generate_static_suite(g), 12, -5, SutResponder(0))
+
+
+class TestAccountingRule:
+    def test_holds_on_random_runs(self):
+        """Every runner: spent is the visits plus the fee for every start after
+        the first, within the budget; the counts follow the log; a negative fee
+        is rejected."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        def check(res, budget, fee):
+            assert res.spent == sum(len(rec.realized) for rec in res.log) + fee * res.resets
+            assert res.spent <= budget
+            assert res.executions == len(res.log)
+            assert res.resets == max(len(res.log) - 1, 0)
+
+        @settings(max_examples=150)
+        @given(
+            n=st.integers(2, 20),
+            sut_fraction=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+            max_out=st.integers(1, 3),
+            graph_seed=st.integers(0, 10**6),
+            budget=st.integers(1, 300),
+            fee=st.integers(0, 12),
+            bad_fee=st.integers(-12, -1),
+            seed=st.integers(0, 10**6),
+        )
+        def prop(n, sut_fraction, max_out, graph_seed, budget, fee, bad_fee, seed):
+            g = generate_random(n, sut_fraction, 1, min(max_out, n), graph_seed)
+            suite = generate_static_suite(g)
+            for strategy in ("s1.5", "s2", "s3", "s4"):
+                res = nt_plan(g, suite, budget, strategy, fee, SutResponder(seed), random.Random(seed))
+                check(res, budget, fee)
+                with pytest.raises(ValueError, match="reset_cost must be >= 0"):
+                    nt_plan(g, suite, budget, strategy, bad_fee, SutResponder(seed), random.Random(seed))
+            check(static_once(g, suite, budget, fee, SutResponder(seed)), budget, fee)
+            with pytest.raises(ValueError, match="reset_cost must be >= 0"):
+                static_once(g, suite, budget, bad_fee, SutResponder(seed))
+            check(random_walk(g, budget, SutResponder(seed), random.Random(seed)), budget, 0)
+
+        prop()
 
 
 class TestSuiteFiles:
