@@ -9,9 +9,11 @@ Exit codes are stable for scripting:
 * 4 - a capacity cap was exceeded (also witness extraction's subset_cap)
 * 5 - a strategy broke its contract
 
-All error text goes to stderr with an ``error:`` prefix.  Output files are
-written to a temporary sibling and renamed into place, so failures never
-leave partial files behind.
+argparse only collects text: integers take ASCII digits only (exit 2, naming
+the key), and ``run_experiment`` checks strategies, denominator, spread and a
+given suite (exit 3), from a flag as from a config key.  All error text goes
+to stderr with an ``error:`` prefix.  Output files are written to a temporary
+sibling and renamed into place, so failures never leave partial files behind.
 """
 from __future__ import annotations
 
@@ -87,6 +89,19 @@ def _load_graph(path: str) -> graph.GameGraph:
     return graph.parse_game_graph(_read_text(path))
 
 
+def _to_int(value: str, key: str, line: int | None = None) -> int:
+    """An integer setting; ASCII digits only, else a ParseError naming the key."""
+    text = value.strip()
+    if not graph.INT_RE.fullmatch(text):
+        raise ParseError(f"`{key}` must be an integer, got `{text}`", line)
+    return int(text)
+
+
+def _int_flags(args, *keys: str) -> list[int]:
+    """The integer flags named by their keys, read as text by argparse, in order."""
+    return [_to_int(getattr(args, key), key) for key in keys]
+
+
 def _cmd_validate(args) -> int:
     g = _load_graph(args.graph)
     violations = graph.validate(g, strict=not args.non_strict)
@@ -99,20 +114,20 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gen_random(args) -> int:
-    g = graph.generate_random(
-        args.nodes, args.sut_fraction, args.min_out, args.max_out, args.seed
-    )
+    nodes, min_out, max_out, seed = _int_flags(args, "nodes", "min_out", "max_out", "seed")
+    g = graph.generate_random(nodes, args.sut_fraction, min_out, max_out, seed)
     _emit(graph.serialize_game_graph(g), args.out)
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
+    (cap,) = _int_flags(args, "cap")
     g = _load_graph(args.graph)
     if args.restart:
-        value = solver.solve_mcg_restart(g, g.init, cap=args.cap)
+        value = solver.solve_mcg_restart(g, g.init, cap=cap)
         print(f"mcg_restart={value}")
         return EXIT_OK
-    res = solver.solve_mcg(g, g.init, cap=args.cap)
+    res = solver.solve_mcg(g, g.init, cap=cap)
     print(f"mcg={res.value}")
     if g.is_tester(g.init):
         print(f"first_move={res.tester_move(g.init, [g.init])}")
@@ -122,8 +137,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_witness_extract(args) -> int:
+    (cap,) = _int_flags(args, "cap")
     g = _load_graph(args.graph)
-    w = witness.extract_witness(g, g.init, cap=args.cap)
+    w = witness.extract_witness(g, g.init, cap=cap)
     summary = f"entries={len(w.entries)} c_init={w.entries[g.init].bound}"
     if args.out is None:
         sys.stdout.write(witness.serialize_witness(w))
@@ -171,21 +187,19 @@ def _cmd_gen_suite(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    budget, reset_cost, seed, trials = _int_flags(args, "budget", "reset_cost", "seed", "trials")
     g = _load_graph(args.graph)
     suite = None
     if args.suite is not None:
         graph.ensure_valid(g, strict=True)  # a broken graph is reported before its suite
         suite = testplan.parse_suite(_read_text(args.suite))
-        problems = testplan.validate_suite(g, suite)
-        if problems:
-            raise ValidationError("; ".join(problems))
     cfg = experiments.ExperimentConfig(
         graph_name=Path(args.graph).stem,
-        budgets=(args.budget,),
+        budgets=(budget,),
         strategies=(args.strategy,),
-        trials=args.trials,
-        reset_cost=args.reset_cost,
-        base_seed=args.seed,
+        trials=trials,
+        reset_cost=reset_cost,
+        base_seed=seed,
     )
     (cell,) = experiments.run_experiment(g, cfg, suite).cells
     print(
@@ -216,14 +230,6 @@ def _parse_config(text: str) -> dict[str, tuple[str, int]]:
             raise ParseError(f"duplicate config key `{key}`", lineno)
         out[key] = (value.strip(), lineno)
     return out
-
-
-def _to_int(value: str, key: str, line: int | None) -> int:
-    """An integer setting; ASCII digits only, else a ParseError naming the key."""
-    text = value.strip()
-    if not graph.INT_RE.fullmatch(text):
-        raise ParseError(f"`{key}` must be an integer, got `{text}`", line)
-    return int(text)
 
 
 def _cmd_experiment(args) -> int:
@@ -276,24 +282,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("gen-random", help="generate a random strict game graph")
-    p.add_argument("--nodes", type=int, required=True)
+    p.add_argument("--nodes", required=True)
     p.add_argument("--sut-fraction", type=float, default=0.5)
-    p.add_argument("--min-out", type=int, default=1)
-    p.add_argument("--max-out", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--min-out", default="1")
+    p.add_argument("--max-out", default="3")
+    p.add_argument("--seed", default="0")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_gen_random)
 
     p = sub.add_parser("solve", help="exact coverage guarantee from the initial node")
     p.add_argument("--graph", required=True)
     p.add_argument("--restart", action="store_true", help="tester may restart at any time")
-    p.add_argument("--cap", type=int, default=20, help="reachable-node cap")
+    p.add_argument("--cap", default="20", help="reachable-node cap")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("witness-extract", help="extract a consistent coverage certificate")
     p.add_argument("--graph", required=True)
     p.add_argument("--out")
-    p.add_argument("--cap", type=int, default=20)
+    p.add_argument("--cap", default="20")
     p.set_defaults(fn=_cmd_witness_extract)
 
     p = sub.add_parser("witness-check", help="check a coverage certificate")
@@ -319,15 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="budgeted test-plan execution trials")
     p.add_argument("--graph", required=True)
     p.add_argument("--suite", help="ncsuite file (generated when omitted)")
-    p.add_argument(
-        "--strategy",
-        required=True,
-        choices=sorted(experiments.ALL_STRATEGIES),
-    )
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--reset-cost", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    strategies = ", ".join(sorted(experiments.ALL_STRATEGIES))
+    p.add_argument("--strategy", required=True, help=f"one of {strategies}")
+    p.add_argument("--budget", required=True)
+    p.add_argument("--reset-cost", default="10")
+    p.add_argument("--seed", default="0")
+    p.add_argument("--trials", default="100")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("experiment", help="Monte Carlo campaign, CSV output")
@@ -339,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials")
     p.add_argument("--reset-cost", dest="reset_cost")
     p.add_argument("--base-seed", dest="base_seed")
-    p.add_argument("--denominator", choices=["total", "reachable"])
-    p.add_argument("--spread", choices=["stderr", "stddev"])
+    p.add_argument("--denominator", help="total (default) or reachable")
+    p.add_argument("--spread", help="stderr (default) or stddev")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_experiment)
 

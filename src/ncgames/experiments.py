@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
+from .errors import ValidationError
 from .graph import GameGraph, ensure_valid, reachable
 from .testplan import (
     PGAIN_STRATEGIES,
@@ -29,6 +30,7 @@ from .testplan import (
     nt_plan,
     random_walk,
     static_once,
+    validate_suite,
 )
 
 ALL_STRATEGIES = ("GMU-static", "s1.5", "s2", "s3", "s4", "rdm")
@@ -127,7 +129,7 @@ def run_experiment(
 ) -> ExperimentResult:
     """Full campaign over the configured (strategy, budget) grid.
 
-    The suite is the generated static suite of `g` unless one is given.
+    The suite is the generated static suite of `g`; a given one is checked before any cell runs.
     """
     ensure_valid(g, strict=True)
     if cfg.trials < 1:
@@ -146,6 +148,8 @@ def run_experiment(
 
     if suite is None:
         suite = generate_static_suite(g)
+    elif problems := validate_suite(g, suite):
+        raise ValidationError("; ".join(problems))
     denom = len(g.nodes) if cfg.denominator == "total" else len(reachable(g, g.init))
 
     cells = []

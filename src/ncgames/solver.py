@@ -23,17 +23,12 @@ from .errors import CapacityError, StrategyError
 from .graph import TESTER, GameGraph, ensure_valid, reachable
 from .play import StateMachineStrategy
 
-_MAX_NODES = 64  # 2^n covered sets: wider games are refused whatever the cap
-
 
 def _node_arena(g: GameGraph, r: str, cap: int) -> _Arena:
     """Arena whose positions are the nodes reachable from r, in id order."""
-    if r not in g.nodes:
-        raise ValueError(f"unknown node `{r}`")
     ids = sorted(reachable(g, r))
-    limit = min(cap, _MAX_NODES)
-    if len(ids) > limit:
-        raise CapacityError(f"{len(ids)} reachable nodes exceed the solver cap {limit}")
+    if len(ids) > cap:
+        raise CapacityError(f"{len(ids)} reachable nodes exceed the solver cap {cap}")
     index = {v: i for i, v in enumerate(ids)}
     return _Arena(
         ids=ids,
@@ -187,7 +182,7 @@ def oracle_mcg(g: GameGraph, r: str, cap: int = 1_000_000) -> int:
     number of expanded tree nodes.
     """
     ensure_valid(g, strict=True)
-    arena = _node_arena(g, r, _MAX_NODES)
+    arena = _node_arena(g, r, len(g.nodes))
     gains = arena.gains
     succ = arena.succ
     is_tester = arena.is_tester

@@ -214,8 +214,6 @@ def extract_witness(
     ensure_valid(g, strict=True)
     if any(info.gain < 1 for info in g.nodes.values()):
         raise ValidationError("extraction requires every gain >= 1; normalize first")
-    if r not in g.nodes:
-        raise ValueError(f"unknown node `{r}`")
 
     bounds = {v: solve_mcg(g, v, cap=cap).value for v in sorted(reachable(g, r))}
     entries: dict[str, WitnessEntry] = {}

@@ -19,6 +19,7 @@ from ncgames.errors import (
     StrategyError,
     ValidationError,
 )
+from ncgames.experiments import ALL_STRATEGIES
 from ncgames.graph import generate_random, parse_game_graph, serialize_game_graph, validate
 from ncgames.reductions import MAX_GAME_NODES
 from ncgames.testplan import parse_suite
@@ -420,6 +421,76 @@ class TestSimulateAndExperiment:
         captured = capsys.readouterr()
         assert "reset_cost must be >= 0" in captured.err
         assert captured.out == ""
+
+
+# Every integer flag, by subcommand, and a command line that is valid without it;
+# the flag goes last, so it overrides a value the base line already gives.
+INT_FLAGS = [
+    ("gen-random", "nodes"), ("gen-random", "min-out"), ("gen-random", "max-out"),
+    ("gen-random", "seed"), ("solve", "cap"), ("witness-extract", "cap"),
+    ("simulate", "budget"), ("simulate", "reset-cost"), ("simulate", "seed"),
+    ("simulate", "trials"),
+]
+BASE_ARGV = {
+    "gen-random": ["--nodes", "5"],
+    "solve": ["--graph", "{graph}"],
+    "witness-extract": ["--graph", "{graph}"],
+    "simulate": ["--graph", "{graph}", "--strategy", "s2", "--budget", "8", "--trials", "1"],
+}
+
+
+class TestSettingChecks:
+    @pytest.mark.parametrize("command, flag", INT_FLAGS, ids=[f"{c} --{f}" for c, f in INT_FLAGS])
+    @pytest.mark.parametrize("value", ["\u0663", "1_0", "+3"])
+    def test_integer_flags_take_ascii_digits_only(
+        self, mirror_file, tmp_path, command, flag, value, capsys
+    ):
+        out = tmp_path / "out.txt"
+        argv = [command, *(a.format(graph=mirror_file) for a in BASE_ARGV[command])]
+        if command in ("gen-random", "witness-extract"):
+            argv += ["--out", str(out)]
+        assert run_cli(argv + [f"--{flag}", value]) == 2
+        captured = capsys.readouterr()
+        key = flag.replace("-", "_")
+        assert captured.err == f"error: `{key}` must be an integer, got `{value}`\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config_line, message",
+        [
+            (["simulate", "--strategy", "bogus", "--budget", "8"], "strategies=bogus",
+             "unknown strategy `bogus`"),
+            (["experiment", "--budgets", "8", "--denominator", "foo"], "denominator=foo",
+             "denominator must be `total` or `reachable`"),
+            (["experiment", "--budgets", "8", "--spread", "foo"], "spread=foo",
+             "spread must be `stderr` or `stddev`"),
+        ],
+        ids=["strategy", "denominator", "spread"],
+    )
+    def test_value_outside_its_set_fails_like_its_config_key(
+        self, mirror_file, tmp_path, argv, config_line, message, capsys
+    ):
+        assert run_cli([argv[0], "--graph", mirror_file, *argv[1:]]) == 3
+        from_flag = capsys.readouterr()
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"graph={mirror_file}\nbudgets=8\n{config_line}\n")
+        assert run_cli(["experiment", "--config", str(cfg)]) == 3
+        from_config = capsys.readouterr()
+        assert from_flag.err == from_config.err == f"error: {message}\n"
+        assert from_flag.out == from_config.out == ""
+
+    @pytest.mark.parametrize(
+        "command, values",
+        [("simulate", ALL_STRATEGIES), ("experiment", ("total", "reachable", "stderr", "stddev"))],
+    )
+    def test_help_names_the_allowed_values(self, command, values, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")  # no line break inside a value
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert [v for v in values if v not in out] == []
 
 
 INPUT_KINDS = ("graph", "witness", "suite", "config", "cnf")

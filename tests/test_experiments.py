@@ -13,6 +13,7 @@ import ncgames
 from conftest import graph_of
 from ncgames import experiments
 from ncgames.cli import run_cli
+from ncgames.errors import ValidationError
 from ncgames.experiments import (
     ALL_STRATEGIES,
     CSV_HEADER,
@@ -25,7 +26,7 @@ from ncgames.experiments import (
     run_one,
 )
 from ncgames.graph import SUT, TESTER, generate_random, serialize_game_graph
-from ncgames.testplan import generate_static_suite
+from ncgames.testplan import TestCase as Case, TestSuite as Suite, generate_static_suite
 
 
 def cycle_graph():
@@ -176,6 +177,20 @@ class TestRunExperiment:
         cfg = ExperimentConfig(graph_name="m", budgets=(5,), reset_cost=-1)
         with pytest.raises(ValueError, match="reset_cost must be >= 0"):
             run_experiment(mirror, cfg)
+
+    @pytest.mark.parametrize(
+        "path, problem",
+        [(("v0", "v9"), "t0: unknown node `v9`"), (("v0", "v3"), "t0: `v0 v3` is not an edge")],
+    )
+    def test_given_suite_checked_before_any_cell(self, mirror, monkeypatch, path, problem):
+        def no_trial(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "run_one", no_trial)
+        suite = Suite((Case("t0", path),))
+        cfg = ExperimentConfig(graph_name="m", budgets=(5,))
+        with pytest.raises(ValidationError, match=problem):
+            run_experiment(mirror, cfg, suite)
 
     def test_negative_reset_cost_exits_3(self, mirror, tmp_path, capsys):
         path = tmp_path / "mirror.ncgame"

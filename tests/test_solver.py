@@ -68,14 +68,22 @@ class TestSolveValue:
         with pytest.raises(CapacityError):
             solve_mcg(mirror, "v0", cap=3)
 
-    def test_state_packing_ceiling_is_enforced(self):
-        # a cap above the packing width must not silently corrupt states
+    def test_cap_governs_above_64_nodes(self):
+        # states are packed into Python ints, so no fixed width limits the node count
         n = 70
         nodes = {f"n{i:02d}": NodeInfo(TESTER, 1) for i in range(n)}
         edges = {f"n{i:02d}": (f"n{(i + 1) % n:02d}",) for i in range(n)}
         ring = GameGraph(nodes, edges, "n00")
-        with pytest.raises(CapacityError):
-            solve_mcg(ring, "n00", cap=100)
+        res = solve_mcg(ring, "n00", cap=70)
+        assert (res.value, res.states_explored) == (70, 139)
+        assert solve_mcg_restart(ring, "n00", cap=70) == oracle_mcg(ring, "n00") == 70
+        with pytest.raises(CapacityError, match="70 reachable nodes exceed the solver cap 69"):
+            solve_mcg(ring, "n00", cap=69)
+
+    @pytest.mark.parametrize("solve", [solve_mcg, solve_mcg_restart, oracle_mcg])
+    def test_unknown_root(self, mirror, solve):
+        with pytest.raises(ValueError, match="unknown node `zz`"):
+            solve(mirror, "zz")
 
     def test_zero_gains_allowed(self):
         g = graph_of(

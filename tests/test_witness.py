@@ -125,6 +125,10 @@ class TestExtractWitness:
         assert w.entries["v0"].bound == 3
         assert w.entries["v1"].bound == 2
 
+    def test_unknown_root(self, mirror):
+        with pytest.raises(ValueError, match="unknown node `zz`"):
+            extract_witness(mirror, "zz")
+
     def test_tester_cycle_containment_is_the_cycle(self):
         g = graph_of(
             {
