@@ -23,13 +23,13 @@ the states with an in-layer successor that rose in the previous round
 (every state, when the restart home rose), since no other state can rise.
 
 Tester policies must avoid value-preserving cycles inside a layer, so a
-recorded tester choice is the option that strictly raised the state's
-value in the round its final value was reached, judged against the
-previous round's table.  The solve returns the value table and these
-recorded choices only; a tester state that never rose moves to
-``succ[p][0]`` and an SUT state to its first successor of least value,
-which is always safe for the minimizer (``ncgames.solver.SolveResult``
-works both out on lookup).
+tester choice is the option that strictly raised the state's value in the
+round its final value was reached, judged against the previous round's
+table (``succ[p][0]`` if it never rose); an SUT state moves to its first
+successor of least value, which is always safe for the minimizer.  The
+solve keeps values only: a layer's rounds read just its floor and settled
+exits, so running ``solve_layer`` again on a solved layer repeats them and
+names the same choices, which ``ncgames.solver.SolveResult`` does on lookup.
 """
 from __future__ import annotations
 
@@ -96,71 +96,72 @@ class _Arena:
             level = entered
         return layers, mask_gain
 
-    def solve(self, restart: bool = False, record: bool = False, state_cap: float = math.inf):
-        """Root value, number of reachable states, value table, tester choices.
+    def solve(self, restart: bool = False, state_cap: float = math.inf):
+        """Root value, number of reachable states and the value table of every packed state.
 
         With ``restart`` a state's floor is the value of (root, same mask)
-        rather than ν(C), and a sink's only value is its floor.  The value
-        table maps every packed state to its value.  With ``record`` (plain
-        arenas only) the tester choices map each packed tester state whose
-        value rose to the successor position that raised it last; otherwise
-        they stay empty.
+        rather than ν(C), and a sink's only value is its floor.
         """
         layers, mask_gain = self.explore(restart, state_cap)
-        succ, is_tester, bits, shift = self.succ, self.is_tester, self.bits, self.shift
         values: dict[int, int] = {}
-        tester: dict[int, int] = {}
         for mask in reversed(layers):
-            members = layers[mask]
-            n = len(members)
-            base = mask_gain[mask]
-            hi = mask << shift
-            slot = {p: i for i, p in enumerate(members)}
-            # table[:n] holds the layer's values, settled exits follow
-            table = [base] * n
-            rows = []
-            preds: list[list[int]] = [[] for _ in range(n)]  # in-layer predecessors
-            for i, p in enumerate(members):
-                row = []
-                for u in succ[p]:
-                    if mask & bits[u]:
-                        row.append(slot[u])
-                        preds[slot[u]].append(i)
-                    else:
-                        row.append(len(table))
-                        table.append(values[((mask | bits[u]) << shift) | u])
-                if not row:
+            self.solve_layer(mask, layers[mask], mask_gain[mask], values, restart)
+        return values[(self.bits[self.root] << self.shift) | self.root], len(values), values
+
+    def solve_layer(self, mask: int, members: list[int], base: int, values: dict, restart: bool):
+        """Solve the layer of ``mask`` (sorted ``members``, floor ``base`` = ν(mask)) into
+        ``values``, which holds its exits.  Returns each member's row (its successors'
+        table slots) and the slot that last raised it, or None.
+        """
+        succ, is_tester, bits, shift = self.succ, self.is_tester, self.bits, self.shift
+        n = len(members)
+        slot = {p: i for i, p in enumerate(members)}
+        # table[:n] holds the layer's values, settled exits follow
+        table = [base] * n
+        rows = []
+        preds: list[list[int]] = [[] for _ in range(n)]  # in-layer predecessors
+        for i, p in enumerate(members):
+            row = []
+            for u in succ[p]:
+                if mask & bits[u]:
+                    row.append(slot[u])
+                    preds[slot[u]].append(i)
+                else:
                     row.append(len(table))
-                    table.append(base)
-                rows.append(row)
-            home = slot[self.root] if restart else 0
-            todo = range(n)
-            while todo:
-                floor = table[home] if restart else base
-                raised = []
-                for i in todo:
-                    p, row = members[i], rows[i]
-                    if is_tester[p]:
+                    table.append(values[((mask | bits[u]) << shift) | u])
+            if not row:
+                row.append(len(table))
+                table.append(base)
+            rows.append(row)
+        home = slot[self.root] if restart else 0
+        last: list[int | None] = [None] * n
+        todo = range(n)
+        while todo:
+            floor = table[home] if restart else base
+            raised = []
+            for i in todo:
+                row = rows[i]
+                if is_tester[members[i]]:
+                    best, arg = floor, None  # a rise to the restart floor has no slot
+                    for k in row:
+                        if table[k] > best:
+                            best = table[k]
+                            arg = k  # the first slot of the largest value
+                else:
+                    best, arg = table[row[0]], None
+                    for k in row:
+                        if table[k] < best:
+                            best = table[k]
+                    if best < floor:
                         best = floor
-                        for k in row:
-                            if table[k] > best:
-                                best = table[k]
-                    else:
-                        best = table[row[0]]
-                        for k in row:
-                            if table[k] < best:
-                                best = table[k]
-                        if best < floor:
-                            best = floor
-                    if best > table[i]:
-                        raised.append((i, best))
-                        if record and is_tester[p]:
-                            tester[hi | p] = succ[p][[table[k] for k in row].index(best)]
-                todo = set()
-                for i, best in raised:
-                    table[i] = best
-                    todo.update(preds[i])
-                if restart and table[home] > floor:
-                    todo = range(n)
-            values.update(zip([hi | p for p in members], table))
-        return values[(bits[self.root] << shift) | self.root], len(values), values, tester
+                if best > table[i]:
+                    raised.append((i, best, arg))
+            todo = set()
+            for i, best, arg in raised:
+                table[i] = best
+                last[i] = arg
+                todo.update(preds[i])
+            if restart and table[home] > floor:
+                todo = range(n)
+        values.update(zip([(mask << shift) | p for p in members], table))
+        return rows, last

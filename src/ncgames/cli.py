@@ -9,8 +9,9 @@ Exit codes are stable for scripting:
 * 4 - a capacity cap was exceeded (also witness extraction's subset_cap)
 * 5 - a strategy broke its contract
 
-argparse only collects text: integers take ASCII digits only (exit 2, naming
-the key), and ``run_experiment`` checks strategies, denominator, spread and a
+argparse only collects text: integers take ASCII digits only and
+``--sut-fraction`` ASCII digits with at most one point (exit 2, naming the
+key), and ``run_experiment`` checks strategies, denominator, spread and a
 given suite (exit 3), from a flag as from a config key.  All error text goes
 to stderr with an ``error:`` prefix.  Output files are written to a temporary
 sibling and renamed into place, so failures never leave partial files behind.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -97,6 +99,14 @@ def _to_int(value: str, key: str, line: int | None = None) -> int:
     return int(text)
 
 
+def _to_decimal(value: str, key: str) -> float:
+    """A decimal setting; ASCII digits with at most one point, else a ParseError naming the key."""
+    text = value.strip()
+    if not re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)", text):
+        raise ParseError(f"`{key}` must be a decimal number, got `{text}`")
+    return float(text)
+
+
 def _int_flags(args, *keys: str) -> list[int]:
     """The integer flags named by their keys, read as text by argparse, in order."""
     return [_to_int(getattr(args, key), key) for key in keys]
@@ -115,7 +125,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_gen_random(args) -> int:
     nodes, min_out, max_out, seed = _int_flags(args, "nodes", "min_out", "max_out", "seed")
-    g = graph.generate_random(nodes, args.sut_fraction, min_out, max_out, seed)
+    sut_fraction = _to_decimal(args.sut_fraction, "sut_fraction")
+    g = graph.generate_random(nodes, sut_fraction, min_out, max_out, seed)
     _emit(graph.serialize_game_graph(g), args.out)
     return EXIT_OK
 
@@ -283,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-random", help="generate a random strict game graph")
     p.add_argument("--nodes", required=True)
-    p.add_argument("--sut-fraction", type=float, default=0.5)
+    p.add_argument("--sut-fraction", default="0.5")
     p.add_argument("--min-out", default="1")
     p.add_argument("--max-out", default="3")
     p.add_argument("--seed", default="0")

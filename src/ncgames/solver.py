@@ -5,10 +5,10 @@ The nodes reachable from the root become the positions of an arena
 the max-min coverage value on the product of nodes and covered sets: a
 move along an edge (v, v') adds v' to the covered set, and an infinite
 play whose covered set stops growing at C pays ν(C).  ``solve_mcg`` also
-keeps the value table and the recorded tester choices, from which its
-result reads the optimal policies; ``solve_mcg_restart`` runs the same kernel
-with the tester's restart move.  ``oracle_mcg`` shares only the indexing
-and searches the game tree independently.
+keeps the value table, from which its result reads the optimal policies;
+``solve_mcg_restart`` runs the same kernel with the tester's restart move.
+``oracle_mcg`` shares only the indexing and searches the game tree
+independently.
 
 Solving one instance is single-threaded; distinct instances share no
 mutable state and may be solved concurrently.
@@ -47,11 +47,11 @@ class SolveResult:
 
     Policies map (node, covered set) to the chosen successor; they are
     defined for every product state reachable from the solved root, which
-    covers every position an opponent can force.  Only the value table and
-    the tester choices recorded when a value rose are stored: a tester
-    state that never rose moves to its first successor, and an SUT state to
-    its first successor of least value, both worked out on lookup.  A state
-    with no value, or owned by the other player, raises ``KeyError``.
+    covers every position an opponent can force.  The solve keeps values
+    only: an SUT state moves to its first successor of least value, and the
+    first tester lookup in a covered set replays that layer and caches its
+    choices (``ncgames.arena`` says why they are exact and cycle-free).  A
+    state with no value, or of the other owner, raises ``KeyError`` at once.
     ``tester_move`` / ``sut_move`` give single lookups; ``tester_policy`` /
     ``sut_policy`` materialize readable dictionaries (small graphs only).
     """
@@ -61,7 +61,7 @@ class SolveResult:
     root: str
     _arena: _Arena = field(repr=False)
     _values: dict[int, int] = field(repr=False)
-    _tester: dict[int, int] = field(repr=False)
+    _choices: dict[int, dict] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _pack(self, node: str, covered: Iterable[str]) -> int:
         idx = self._arena.index
@@ -75,10 +75,16 @@ class SolveResult:
         p = packed & ((1 << arena.shift) - 1)
         if packed not in self._values or arena.is_tester[p] != tester:
             raise KeyError(packed)
-        if tester:
-            return self._tester.get(packed, arena.succ[p][0])
         mask, values, bits, shift = packed >> arena.shift, self._values, arena.bits, arena.shift
-        return min(arena.succ[p], key=lambda u: values[((mask | bits[u]) << shift) | u])
+        if not tester:
+            return min(arena.succ[p], key=lambda u: values[((mask | bits[u]) << shift) | u])
+        if mask not in self._choices:  # replay the layer; its rounds rewrite the same values
+            members = [q for q in range(len(arena.succ)) if (mask << shift) | q in values]
+            base = sum(gain for c, gain in enumerate(arena.gains) if mask >> c & 1)
+            rows, last = arena.solve_layer(mask, members, base, values, False)
+            self._choices[mask] = {members[i]: arena.succ[members[i]][rows[i].index(k)]
+                                   for i, k in enumerate(last) if k is not None}
+        return self._choices[mask].get(p, arena.succ[p][0])
 
     def tester_move(self, node: str, covered: Iterable[str]) -> str:
         return self._arena.ids[self._move(self._pack(node, covered), True)]
@@ -113,14 +119,13 @@ def solve_mcg(g: GameGraph, r: str, cap: int = 20) -> SolveResult:
     """
     ensure_valid(g, strict=True)
     arena = _node_arena(g, r, cap)
-    value, states, values, tester = arena.solve(record=True)
+    value, states, values = arena.solve()
     return SolveResult(
         value=value,
         states_explored=states,
         root=r,
         _arena=arena,
         _values=values,
-        _tester=tester,
     )
 
 

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and file handling."""
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -455,6 +456,41 @@ class TestSettingChecks:
         assert captured.err == f"error: `{key}` must be an integer, got `{value}`\n"
         assert captured.out == ""
         assert not out.exists()
+
+    GEN_RANDOM = ["gen-random", "--nodes", "5", "--sut-fraction"]
+
+    @pytest.mark.parametrize("value", ["x", "\u0660.\u0665", "1_0", "+0.5"])
+    def test_sut_fraction_takes_ascii_decimals_only(self, tmp_path, value, capsys):
+        out = tmp_path / "out.ncgame"
+        assert run_cli(self.GEN_RANDOM + [value, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: `sut_fraction` must be a decimal number, got `{value}`\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0.5", ".5", "1", "1.", "0"])
+    def test_sut_fraction_decimal_forms(self, tmp_path, value):
+        out = tmp_path / "out.ncgame"
+        assert run_cli(self.GEN_RANDOM + [value, "--out", str(out)]) == 0
+        assert out.read_text() == serialize_game_graph(generate_random(5, float(value), 1, 3, 0))
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.5"])
+    def test_sut_fraction_outside_unit_interval_is_invalid(self, tmp_path, value, capsys):
+        out = tmp_path / "out.ncgame"
+        assert run_cli(self.GEN_RANDOM + [value, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: sut_fraction must be in [0, 1]\n"
+        assert not out.exists()
+
+    def test_parser_declares_no_types(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        typed = [
+            (name, action.dest)
+            for name, sub in commands.choices.items()
+            for action in sub._actions
+            if action.type is not None
+        ]
+        assert typed == []
 
     @pytest.mark.parametrize(
         "argv, config_line, message",

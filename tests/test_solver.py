@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import graph_of
+from ncgames.arena import _Arena
 from ncgames.errors import CapacityError, StrategyError, ValidationError
 from ncgames.graph import (
     SUT,
@@ -318,6 +319,43 @@ class TestGoldenPolicies:
             best_response_gain(g, g.init, last),
         )
         assert got == GOLDEN_VALUES[name]
+
+
+class TestLazyTesterChoices:
+    """Tester moves come from replaying the looked-up state's layer on the
+    first lookup in it; the replay must give the full policy's moves in any
+    lookup order and rewrite the value table unchanged."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_POLICY_DIGESTS))
+    def test_shuffled_single_lookups_equal_the_policy(self, mirror, name):
+        g = _golden_graphs(mirror)[name]
+        policy = solve_mcg(g, g.init).tester_policy()
+        res = solve_mcg(g, g.init)
+        values = dict(res._values)
+        keys = sorted(policy, key=lambda key: (key[0], sorted(key[1])))
+        random.Random(name).shuffle(keys)
+        assert {key: res.tester_move(*key) for key in keys} == policy
+        assert res._values == values
+        assert res.tester_policy() == policy
+        assert res == solve_mcg(g, g.init)  # the lookup cache takes no part in equality
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_POLICY_DIGESTS))
+    def test_bad_lookups_raise_before_any_replay(self, mirror, name, monkeypatch):
+        g = _golden_graphs(mirror)[name]
+        res = solve_mcg(g, g.init)
+
+        def no_replay(*args):
+            raise AssertionError("layer replayed")
+
+        monkeypatch.setattr(_Arena, "solve_layer", no_replay)
+        # every reached covered set holds the root, so an empty one is never reached
+        bad = [(g.init, set())] + [(v, covered) for v, covered in res.sut_policy()]
+        if name == "mirror":
+            bad.append(("v1", {"v1"}))  # both successor states reached, this one not
+        for v, covered in bad:
+            with pytest.raises(KeyError):
+                res.tester_move(v, covered)
+        assert res._choices == {}
 
 
 def _product_states(g: GameGraph, r: str, sut) -> int:
