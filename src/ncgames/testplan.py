@@ -30,6 +30,10 @@ written in the ``ncsuite 1`` format::
     ncsuite 1
     case <id>: <node> <node> ...
 
+A uniform pick among n options is this package's k-bit rejection draw, not ``randrange``'s:
+``getrandbits(k)``, k = n.bit_length(), until below n (``randrange(n)``'s stream on CPython
+3.10-3.13).  A ``random.Random`` subclass feeds the picks through its ``getrandbits``.
+
 Each run owns its responder and RNG; independent runs execute
 concurrently without coordination.
 """
@@ -38,6 +42,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParseError, ValidationError
 from .graph import ID_RE, SUT, GameGraph, ensure_valid, reachable, read_lines
@@ -50,9 +55,6 @@ class TestCase:
     id: str
     path: tuple[str, ...]
 
-    def node_set(self) -> frozenset[str]:
-        return frozenset(self.path)
-
 
 @dataclass(frozen=True)
 class TestSuite:
@@ -63,6 +65,15 @@ class TestSuite:
         for tc in self.cases:
             out.update(tc.path)
         return frozenset(out)
+
+    @cached_property
+    def _targets(self) -> tuple[tuple[int, ...], dict[str, tuple[int, ...]]]:
+        """Distinct prescribed nodes per case; node -> indices of the cases prescribing it."""
+        holders: dict[str, tuple[int, ...]] = {}
+        for i, tc in enumerate(self.cases):
+            for v in set(tc.path):
+                holders[v] = holders.get(v, ()) + (i,)
+        return tuple(len(set(tc.path)) for tc in self.cases), holders
 
 
 @dataclass(frozen=True)
@@ -90,15 +101,25 @@ class RunResult:
         return max(len(self.log) - 1, 0)
 
 
+def _below(getrandbits, n: int) -> int:
+    """Uniform pick in [0, n), as CPython's ``Random._randbelow_with_getrandbits``."""
+    if n < 1:
+        raise ValueError("empty range")  # getrandbits(0) is 0: the loop would never end
+    r = getrandbits(k := n.bit_length())
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 class SutResponder:
-    """Seeded random resolver of SUT choices: uniform over successors."""
+    """Seeded resolver of SUT choices: a uniform pick over successors from ``Random(seed)``."""
 
     def __init__(self, seed: int):
-        self._rng = random.Random(seed)
+        self._bits = random.Random(seed).getrandbits
 
     def choose(self, g: GameGraph, v: str) -> str:
         succs = g.edges[v]
-        return succs[self._rng.randrange(len(succs))]
+        return succs[_below(self._bits, len(succs))]
 
 
 def validate_suite(g: GameGraph, suite: TestSuite) -> list[str]:
@@ -263,23 +284,17 @@ def nt_plan(
 
     Stops when everything the suite prescribes is covered or the leftover
     budget cannot fund another start (one visit, plus the reset fee for
-    every start after the first).  Each round takes one uniform draw over
-    the strategy's candidates, after the ``pgain`` draws for ``s3`` and
-    ``s4``.
+    every start after the first).  Each round takes one uniform pick from
+    ``rng.getrandbits`` over the strategy's candidates, after the ``pgain``
+    draws for ``s3`` and ``s4``.  A suite builds its node tables on its first run.
     """
     _check_run(suite, budget, reset_cost)
     if strategy not in PGAIN_STRATEGIES:
         raise ValueError(f"unknown strategy `{strategy}`")
 
-    cases = suite.cases
-    sut_positions = [alpha(tc, g) for tc in cases]
-    uncovered: list[int] = []  # per case: distinct prescribed nodes not yet covered
-    holders: dict[str, list[int]] = {}  # node -> indices of the cases prescribing it
-    for i, tc in enumerate(cases):
-        nodes = tc.node_set()
-        uncovered.append(len(nodes))
-        for v in nodes:
-            holders.setdefault(v, []).append(i)
+    cases, (counts, holders) = suite.cases, suite._targets  # shared by all runs: read only
+    uncovered = list(counts)  # per case: distinct prescribed nodes not yet covered
+    sut_positions = [alpha(tc, g) for tc in cases] if strategy == "s4" else []
     target_left = len(holders)  # prescribed nodes not yet covered
     live = [i for i, u in enumerate(uncovered) if u]  # cases that can add coverage
     pending: list[int] = []  # s1.5: cases whose id has not run in this pass
@@ -299,7 +314,7 @@ def nt_plan(
             top = max(scores)
             ties = [j for j, x in zip(live, scores) if x == top]
             candidates = ties if top else range(len(cases))  # all 0.0: dead cases tie too
-        tc = cases[candidates[rng.randrange(len(candidates))]]
+        tc = cases[candidates[_below(rng.getrandbits, len(candidates))]]
         spent += start_cost
         realized, diverged, cost = execute_case(g, tc, budget - spent, sut)
         spent += cost
@@ -356,11 +371,11 @@ def random_walk(
     rng: random.Random,
 ) -> RunResult:
     """Single continuous random walk from the initial node until the budget
-    runs out.  Tester choices are uniform; SUT choices come from the
-    responder.  Never resets on strict graphs, so no reset fee applies."""
+    runs out.  Tester choices are uniform picks from ``rng.getrandbits``; SUT
+    choices come from the responder.  Never resets on strict graphs: no reset fee."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    nodes, edges = g.nodes, g.edges
+    nodes, edges, bits = g.nodes, g.edges, rng.getrandbits
     v = g.init
     realized = [v]
     for _ in range(budget - 1):
@@ -370,7 +385,7 @@ def random_walk(
         if nodes[v].owner == SUT:
             v = sut.choose(g, v)
         else:
-            v = succs[rng.randrange(len(succs))]
+            v = succs[_below(bits, len(succs))]
         realized.append(v)
     record = ExecutionRecord("walk", tuple(realized), False)
     return RunResult(frozenset(realized), len(realized), (record,))

@@ -10,7 +10,9 @@ from ncgames.errors import ParseError, ValidationError
 from ncgames.graph import SUT, TESTER, generate_random, reachable
 from ncgames.testplan import TestCase as Case, TestSuite as Suite
 from ncgames.testplan import (
+    PGAIN_STRATEGIES,
     SutResponder,
+    _below,
     alpha,
     execute_case,
     generate_static_suite,
@@ -113,7 +115,7 @@ class TestPgain:
         tc = Case("t", ("v0", "v1", "v3", "v1", "v3"))  # u=3 uncovered, alpha=2
         rng = random.Random(2)
         for _ in range(50):
-            (score,) = pgain("s4", [0], [len(tc.node_set())], [alpha(tc, mirror)], rng)
+            (score,) = pgain("s4", [0], [len(frozenset(tc.path))], [alpha(tc, mirror)], rng)
             assert 0.0 <= score <= 1.5
 
     @pytest.mark.parametrize("strategy", ["s3", "s4"])
@@ -223,7 +225,7 @@ class TestNtPlan:
             res = nt_plan(g, suite, 120, "s2", 10, SutResponder(seed), random.Random(seed))
             covered: set[str] = set()
             for rec in res.log:
-                assert not by_id[rec.case_id].node_set() <= covered
+                assert not frozenset(by_id[rec.case_id].path) <= covered
                 covered.update(rec.realized)
 
     def test_s1_5_repeats_passes_until_coverage(self, mirror):
@@ -350,13 +352,11 @@ class TestGoldenStreams:
 
 
 class ZeroDraws(random.Random):
-    """Every score draw is 0.0; tie-breaks still come from the real stream."""
+    """Every score draw is 0.0; tie-breaks still come from the real stream,
+    since uniform picks read ``getrandbits`` directly."""
 
     def random(self) -> float:
         return 0.0
-
-    def getrandbits(self, k: int) -> int:  # keeps randrange on the bit stream
-        return super().getrandbits(k)
 
 
 class TestSelectionGoldens:
@@ -467,6 +467,56 @@ class TestSelectionGoldens:
         assert log == expected
         assert res.spent == spent == sum(len(r.split()) for _, r, _ in log) + 3 * res.resets
         assert res.resets == res.executions - 1 == len(expected) - 1
+
+
+class TestUniformPick:
+    """A uniform pick among n options is k-bit ``getrandbits`` draws, k =
+    n.bit_length(), until one is below n: the stream of ``randrange(n)``."""
+
+    SIZES = (1, 2, 3, 7, 8, 9, 63, 64, 65, 1000, 2**20 + 3)  # 2^k - 1, 2^k, 2^k + 1
+
+    def test_draw_for_draw_equal_to_randrange(self):
+        for seed in range(200):
+            for n in self.SIZES:
+                ours, reference = random.Random(seed), random.Random(seed)
+                picks = [_below(ours.getrandbits, n) for _ in range(12)]
+                assert picks == [reference.randrange(n) for _ in range(12)]
+                assert ours.random() == reference.random()  # the streams stay aligned
+
+    def test_sut_choices_equal_randrange_choices(self, mirror):
+        g = graph_of({"a": (SUT, 1, ("a", "b", "c")), "b": (TESTER, 1, ("a",)),
+                      "c": (TESTER, 1, ("a",))}, init="a")
+        for seed in range(100):
+            for graph, v in ((mirror, "v3"), (g, "a")):
+                sut, reference = SutResponder(seed), random.Random(seed)
+                succs = graph.edges[v]
+                want = [succs[reference.randrange(len(succs))] for _ in range(30)]
+                assert [sut.choose(graph, v) for _ in range(30)] == want
+
+    def test_no_successor_is_an_error(self):
+        g = graph_of({"a": (SUT, 1, ())}, init="a")
+        with pytest.raises(ValueError, match="empty range"):
+            SutResponder(0).choose(g, "a")
+
+
+class TestSharedSuite:
+    def test_runs_on_one_suite_equal_runs_on_fresh_suites(self):
+        """A suite's tables are built by its first run and read by every later
+        one; no run may change what the next run sees."""
+        g = generate_random(14, 0.5, 1, 2, seed=3)
+        suite = generate_static_suite(g)
+        for strategy in PGAIN_STRATEGIES:
+            for budget in (1, 12, 40, 400):
+                for fee in (0, 3, 10):
+                    for seed in (7, 8):
+                        fresh = nt_plan(g, Suite(suite.cases), budget, strategy, fee,
+                                        SutResponder(seed), random.Random(seed))
+                        for _ in range(2):
+                            got = nt_plan(g, suite, budget, strategy, fee,
+                                          SutResponder(seed), random.Random(seed))
+                            assert got == fresh
+        assert suite == Suite(suite.cases)
+        assert hash(suite) == hash(Suite(suite.cases))
 
 
 class TestBaselines:
