@@ -20,7 +20,9 @@ operator started at ν(C) everywhere, which synchronous rounds reach by
 raising values only.  Every round reads the previous round's values and
 applies its raises afterwards; after the first round it re-evaluates only
 the states with an in-layer successor that rose in the previous round
-(every state, when the restart home rose), since no other state can rise.
+(every state, when the floor rose), since no other state can rise.  The
+floor is one table slot: ν(C), or the root's value in a restarting arena
+(the tester's restart move keeps C), and a sink moves only to it.
 
 Tester policies must avoid value-preserving cycles inside a layer, so a
 tester choice is the option that strictly raised the state's value in the
@@ -49,6 +51,7 @@ class _Arena:
     is_tester: list[bool]
     gains: list[int]  # by cover bit index
     root: int
+    restart: bool = False  # the tester may send the pebble back to the root
     shift: int = field(init=False)
     bits: list[int] = field(init=False)  # 1 << cover[p]
 
@@ -56,18 +59,16 @@ class _Arena:
         self.shift = len(self.succ).bit_length()
         self.bits = [1 << c for c in self.cover]
 
-    def explore(self, restart: bool = False, state_cap: float = math.inf):
+    def explore(self, state_cap: float = math.inf):
         """Product states reachable from (root, {root}), layered by mask.
 
         Returns (layers, mask_gain): layers maps each mask, in nondecreasing
         popcount order, to the sorted positions present with it; mask_gain
-        maps it to ν(mask).  With ``restart`` every state also reaches
-        (root, same mask).  Only a count above max(state_cap, 1) raises,
-        since the root state is always admitted.
+        maps it to ν(mask).  A restarting arena has the root in every layer.
+        Only a count above max(state_cap, 1) raises, since the root state is
+        always admitted.
         """
         succ, cover, gains, bits, root = self.succ, self.cover, self.gains, self.bits, self.root
-        if restart:
-            succ = [moves + (root,) for moves in succ]
         mask_gain = {bits[root]: gains[cover[root]]}
         layers: dict[int, list[int]] = {}
         level = {bits[root]: {root}}  # masks of one popcount -> positions reached so far
@@ -75,6 +76,8 @@ class _Arena:
         while level:
             entered: dict[int, set[int]] = {}  # the next popcount's masks
             for mask, seen in level.items():
+                if self.restart:
+                    seen.add(root)
                 stack = list(seen)
                 while stack:
                     for u in succ[stack.pop()]:
@@ -96,28 +99,26 @@ class _Arena:
             level = entered
         return layers, mask_gain
 
-    def solve(self, restart: bool = False, state_cap: float = math.inf):
-        """Root value, number of reachable states and the value table of every packed state.
-
-        With ``restart`` a state's floor is the value of (root, same mask)
-        rather than ν(C), and a sink's only value is its floor.
-        """
-        layers, mask_gain = self.explore(restart, state_cap)
+    def solve(self, state_cap: float = math.inf):
+        """Root value, number of reachable states and the value table of every packed state."""
+        layers, mask_gain = self.explore(state_cap)
         values: dict[int, int] = {}
         for mask in reversed(layers):
-            self.solve_layer(mask, layers[mask], mask_gain[mask], values, restart)
+            self.solve_layer(mask, layers[mask], mask_gain[mask], values)
         return values[(self.bits[self.root] << self.shift) | self.root], len(values), values
 
-    def solve_layer(self, mask: int, members: list[int], base: int, values: dict, restart: bool):
-        """Solve the layer of ``mask`` (sorted ``members``, floor ``base`` = ν(mask)) into
-        ``values``, which holds its exits.  Returns each member's row (its successors'
-        table slots) and the slot that last raised it, or None.
+    def solve_layer(self, mask: int, members: list[int], base: int, values: dict):
+        """Solve the layer of ``mask`` (sorted ``members``) into ``values``, which holds its
+        exits.  The floor is one table slot, ``home``: ``base`` = ν(mask), or the root's
+        value in a restarting arena.  Returns each member's row (its successors' table
+        slots) and the slot that last raised it, or None.
         """
         succ, is_tester, bits, shift = self.succ, self.is_tester, self.bits, self.shift
         n = len(members)
         slot = {p: i for i, p in enumerate(members)}
-        # table[:n] holds the layer's values, settled exits follow
-        table = [base] * n
+        # table[:n] holds the layer's values, table[n] = ν(mask), settled exits follow
+        table = [base] * (n + 1)
+        home = slot[self.root] if self.restart else n
         rows = []
         preds: list[list[int]] = [[] for _ in range(n)]  # in-layer predecessors
         for i, p in enumerate(members):
@@ -129,20 +130,16 @@ class _Arena:
                 else:
                     row.append(len(table))
                     table.append(values[((mask | bits[u]) << shift) | u])
-            if not row:
-                row.append(len(table))
-                table.append(base)
-            rows.append(row)
-        home = slot[self.root] if restart else 0
+            rows.append(row or [home])  # a sink only reaches its floor
         last: list[int | None] = [None] * n
         todo = range(n)
         while todo:
-            floor = table[home] if restart else base
+            floor = table[home]
             raised = []
             for i in todo:
                 row = rows[i]
                 if is_tester[members[i]]:
-                    best, arg = floor, None  # a rise to the restart floor has no slot
+                    best, arg = floor, None  # a rise to the floor has no slot
                     for k in row:
                         if table[k] > best:
                             best = table[k]
@@ -161,7 +158,7 @@ class _Arena:
                 table[i] = best
                 last[i] = arg
                 todo.update(preds[i])
-            if restart and table[home] > floor:
+            if table[home] > floor:
                 todo = range(n)
         values.update(zip([(mask << shift) | p for p in members], table))
         return rows, last

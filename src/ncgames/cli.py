@@ -112,15 +112,19 @@ def _int_flags(args, *keys: str) -> list[int]:
     return [_to_int(getattr(args, key), key) for key in keys]
 
 
-def _cmd_validate(args) -> int:
-    g = _load_graph(args.graph)
-    violations = graph.validate(g, strict=not args.non_strict)
+def _report(violations: list[str], verdict: str) -> int:
+    """Print each violation and exit 3, or print ``verdict`` and exit 0."""
     for violation in violations:
         print(f"violation: {violation}")
     if violations:
         return EXIT_INVALID
-    print("ok")
+    print(verdict)
     return EXIT_OK
+
+
+def _cmd_validate(args) -> int:
+    g = _load_graph(args.graph)
+    return _report(graph.validate(g, strict=not args.non_strict), "ok")
 
 
 def _cmd_gen_random(args) -> int:
@@ -164,13 +168,7 @@ def _cmd_witness_extract(args) -> int:
 def _cmd_witness_check(args) -> int:
     g = _load_graph(args.graph)
     w = witness.parse_witness(_read_text(args.witness))
-    violations = witness.check_witness(g, w)
-    for violation in violations:
-        print(f"violation: {violation}")
-    if violations:
-        return EXIT_INVALID
-    print("consistent")
-    return EXIT_OK
+    return _report(witness.check_witness(g, w), "consistent")
 
 
 def _cmd_reduce_sat(args) -> int:

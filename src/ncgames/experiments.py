@@ -114,13 +114,12 @@ def run_one(
 ):
     """Run a single trial of one strategy; returns its RunResult."""
     sut = SutResponder(sut_seed)
-    rng = random.Random(pick_seed)
     if strategy == "rdm":
-        return random_walk(g, budget, sut, rng)
+        return random_walk(g, budget, sut, random.Random(pick_seed))
     if strategy == "GMU-static":
         return static_once(g, suite, budget, reset_cost, sut)
     if strategy in PGAIN_STRATEGIES:
-        return nt_plan(g, suite, budget, strategy, reset_cost, sut, rng)
+        return nt_plan(g, suite, budget, strategy, reset_cost, sut, random.Random(pick_seed))
     raise ValueError(f"unknown strategy `{strategy}`")
 
 
@@ -183,10 +182,13 @@ CSV_HEADER = "graph,strategy,budget,trials,mean_pct,stderr_pct,mean_resets,mean_
 
 def emit_csv(res: ExperimentResult) -> str:
     """Render cells as CSV, one row per (strategy, budget), sorted."""
+    name = res.graph_name
+    if any(c in name for c in ',"\r\n'):  # quoted as RFC 4180 says, inner quotes doubled
+        name = '"' + name.replace('"', '""') + '"'
     lines = [CSV_HEADER]
     for cell in sorted(res.cells, key=lambda c: (c.strategy, c.budget)):
         lines.append(
-            f"{res.graph_name},{cell.strategy},{cell.budget},{cell.trials},"
+            f"{name},{cell.strategy},{cell.budget},{cell.trials},"
             f"{cell.mean_pct:.2f},{cell.spread_pct:.2f},"
             f"{cell.mean_resets:.2f},{cell.mean_executions:.2f}"
         )

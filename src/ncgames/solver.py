@@ -15,7 +15,7 @@ mutable state and may be solved concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .arena import _Arena
@@ -81,7 +81,7 @@ class SolveResult:
         if mask not in self._choices:  # replay the layer; its rounds rewrite the same values
             members = [q for q in range(len(arena.succ)) if (mask << shift) | q in values]
             base = sum(gain for c, gain in enumerate(arena.gains) if mask >> c & 1)
-            rows, last = arena.solve_layer(mask, members, base, values, False)
+            rows, last = arena.solve_layer(mask, members, base, values)
             self._choices[mask] = {members[i]: arena.succ[members[i]][rows[i].index(k)]
                                    for i, k in enumerate(last) if k is not None}
         return self._choices[mask].get(p, arena.succ[p][0])
@@ -139,7 +139,7 @@ def solve_mcg_restart(g: GameGraph, r: str, cap: int = 20) -> int:
     option never leaves the current layer.
     """
     ensure_valid(g, strict=False)
-    return _node_arena(g, r, cap).solve(restart=True)[0]
+    return replace(_node_arena(g, r, cap), restart=True).solve()[0]
 
 
 class OptimalSutStrategy(StateMachineStrategy):

@@ -63,6 +63,13 @@ def mirror() -> GameGraph:
     return GameGraph(nodes, edges, "v0")
 
 
+@pytest.fixture
+def mirror_file(tmp_path) -> str:
+    path = tmp_path / "mirror.ncgame"
+    path.write_text(MIRROR_TEXT)
+    return str(path)
+
+
 def graph_of(layout: dict[str, tuple[int, int, tuple[str, ...]]], init: str) -> GameGraph:
     """Compact builder: node -> (owner, gain, successors)."""
     nodes = {v: NodeInfo(owner, gain) for v, (owner, gain, _) in layout.items()}

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MIRROR_TEXT, MIRROR_WITNESS_TEXT, input_argv
+from conftest import MIRROR_WITNESS_TEXT, input_argv
 from ncgames import cli
 from ncgames.cli import run_cli
 from ncgames.errors import (
@@ -27,13 +27,6 @@ from ncgames.testplan import parse_suite
 from ncgames.witness import parse_witness
 
 FIG_CNF = "p cnf 3 2\n1 2 3 0\n-1 -2 0\n"
-
-
-@pytest.fixture
-def mirror_file(tmp_path):
-    path = tmp_path / "mirror.ncgame"
-    path.write_text(MIRROR_TEXT)
-    return str(path)
 
 
 class TestSolve:

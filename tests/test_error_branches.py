@@ -1,0 +1,152 @@
+"""Every error branch of the readers and checkers, one table row each.
+
+A file input's row also runs the command that reads it: a parse error
+exits 2 with ``error: line N: ...`` on stderr, a violation exits 3 with
+``violation: ...`` on stdout.  ``graph.validate``'s structural branches
+cannot be reached from a file, since the parser rejects their causes
+first, so its rows build the graph directly.
+"""
+from __future__ import annotations
+
+import pytest
+
+from conftest import input_argv
+from ncgames.cli import run_cli
+from ncgames.errors import ParseError
+from ncgames.graph import SUT, TESTER, GameGraph, NodeInfo, parse_game_graph, validate
+from ncgames.reductions import parse_dimacs
+from ncgames.testplan import parse_suite
+from ncgames.witness import check_witness, parse_witness
+
+
+def _graph_text(*lines: str) -> str:
+    return "\n".join(("ncgame 1",) + lines) + "\n"
+
+
+# (text, line, reason) for parse_game_graph
+GRAPH_ERRORS = {
+    "node token count": (_graph_text("node a owner=tester"), 2,
+                         "expected `node <id> owner=<tester|sut> gain=<uint>`"),
+    "invalid node id": (_graph_text("node a-b owner=tester gain=1"), 2, "invalid node id `a-b`"),
+    "owner prefix": (_graph_text("node a tester gain=1"), 2,
+                     "expected `owner=<tester|sut> gain=<uint>`"),
+    "gain prefix": (_graph_text("node a owner=tester 1"), 2,
+                    "expected `owner=<tester|sut> gain=<uint>`"),
+    "edge token count": (_graph_text("node a owner=tester gain=1", "edge a"), 3,
+                         "expected `edge <src> <dst>`"),
+    "init token count": (_graph_text("node a owner=tester gain=1", "init a a"), 3,
+                         "expected `init <id>`"),
+    "duplicate init": (_graph_text("node a owner=tester gain=1", "init a", "init a"), 4,
+                       "duplicate init line"),
+    "unknown edge target": (_graph_text("node a owner=tester gain=1", "edge a b", "init a"), 3,
+                            "unknown node `b`"),
+    "unknown init": (_graph_text("node a owner=tester gain=1", "edge a a", "", "init z"), 5,
+                     "unknown node `z` in init"),
+}
+
+# (text, line, reason) for parse_witness
+WITNESS_ERRORS = {
+    "invalid node id": ("ncwitness 1\nentry v-0 c=1 P=v0\n", 2, "invalid node id `v-0`"),
+    "bound prefix": ("ncwitness 1\nentry v0 1 P=v0\n", 2, "expected `c=<uint> P=<id>[,<id>]*`"),
+    "set prefix": ("ncwitness 1\n# comment\nentry v0 c=1 v0\n", 3,
+                   "expected `c=<uint> P=<id>[,<id>]*`"),
+    "empty member": ("ncwitness 1\nentry v0 c=1 P=v0,,v1\n", 2,
+                     "containment set must list node ids separated by commas"),
+    "no members": ("ncwitness 1\nentry v0 c=1 P=\n", 2,
+                   "containment set must list node ids separated by commas"),
+    "bad member": ("ncwitness 1\nentry v0 c=1 P=v0,v-1\n", 2,
+                   "containment set must list node ids separated by commas"),
+}
+
+# (text, line, reason) for parse_suite
+SUITE_ERRORS = {
+    "invalid case id": ("ncsuite 1\ncase c-1: v0 v1\n", 2, "invalid case id `c-1`"),
+    "empty case id": ("ncsuite 1\ncase : v0 v1\n", 2, "invalid case id ``"),
+    "empty path": ("ncsuite 1\ncase c1: v0 v1\ncase c2:\n", 3, "case path must list node ids"),
+    "bad path": ("ncsuite 1\ncase c1: v0 v-1\n", 2, "case path must list node ids"),
+}
+
+# (text, line, reason) for parse_dimacs
+DIMACS_ERRORS = {
+    "negative variable count": ("c comment\np cnf -1 0\n", 2, "header counts must be nonnegative"),
+    "negative clause count": ("p cnf 1 -2\n1 0\n", 1, "header counts must be nonnegative"),
+}
+
+
+PARSERS = {"graph": parse_game_graph, "witness": parse_witness, "suite": parse_suite,
+           "cnf": parse_dimacs}
+PARSE_ERRORS = {(kind, case): row
+                for kind, table in (("graph", GRAPH_ERRORS), ("witness", WITNESS_ERRORS),
+                                    ("suite", SUITE_ERRORS), ("cnf", DIMACS_ERRORS))
+                for case, row in table.items()}
+
+
+@pytest.mark.parametrize("kind,case", sorted(PARSE_ERRORS))
+def test_parse_errors(kind, case, mirror_file, tmp_path, capsys):
+    text, line, reason = PARSE_ERRORS[kind, case]
+    with pytest.raises(ParseError) as info:
+        PARSERS[kind](text)
+    assert (info.value.line, info.value.reason) == (line, reason)
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text)
+    assert run_cli(input_argv(kind, str(path), mirror_file)) == 2
+    assert capsys.readouterr().err == f"error: line {line}: {reason}\n"
+
+
+# A graph whose init loops on itself and whose other nodes are unreachable,
+# so entries for them are checked without being required.
+CHECK_GRAPH = _graph_text(
+    "node r owner=tester gain=1",
+    "node s owner=sut gain=1",
+    "node t owner=tester gain=1",
+    "node x owner=tester gain=1",
+    "edge r r",
+    "edge s x",
+    "edge t x",
+    "edge x x",
+    "init r",
+)
+ROOT_ENTRY = "entry r c=1 P=r"
+
+# (extra witness entries, the one violation reported) for check_witness
+WITNESS_VIOLATIONS = {
+    "entry for an unknown node": (["entry zz c=1 P=zz"], "entry for unknown node `zz`"),
+    "unknown containment member": (["entry t c=2 P=t,zz"], "t: containment names unknown node `zz`"),
+    "missing successor entry": (["entry s c=2 P=s"], "s: successor lacks a witness entry"),
+    "missing exit entry": (["entry t c=2 P=t"], "t: exit node `x` lacks a witness entry"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_VIOLATIONS))
+def test_witness_violations(case, tmp_path, capsys):
+    extra, violation = WITNESS_VIOLATIONS[case]
+    text = "\n".join(["ncwitness 1", ROOT_ENTRY] + extra) + "\n"
+    g = parse_game_graph(CHECK_GRAPH)
+    assert check_witness(g, parse_witness("ncwitness 1\n" + ROOT_ENTRY + "\n")) == []
+    assert check_witness(g, parse_witness(text)) == [violation]
+    graph_path, witness_path = tmp_path / "g.ncgame", tmp_path / "w.ncwitness"
+    graph_path.write_text(CHECK_GRAPH)
+    witness_path.write_text(text)
+    assert run_cli(input_argv("witness", str(witness_path), str(graph_path))) == 3
+    assert capsys.readouterr().out == f"violation: {violation}\n"
+
+
+# (nodes, edges, the one violation reported) for validate; each graph's init is `a`
+GRAPH_VIOLATIONS = {
+    "invalid owner": ({"a": NodeInfo(7, 1)}, {"a": ("a",)}, "invalid owner on node `a`"),
+    "negative gain": ({"a": NodeInfo(SUT, -1)}, {"a": ("a",)}, "negative gain on node `a`"),
+    "unknown edge source": ({"a": NodeInfo(TESTER, 1)}, {"a": ("a",), "z": ("a",)},
+                            "unknown node `z` used as edge source"),
+    "duplicate successor": ({"a": NodeInfo(TESTER, 1)}, {"a": ("a", "a")},
+                            "duplicate successor `a` on node `a`"),
+    "unknown edge target": ({"a": NodeInfo(TESTER, 1)}, {"a": ("a", "z")},
+                            "unknown node `z` in edge from `a`"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_VIOLATIONS))
+def test_graph_violations(case):
+    nodes, edges, violation = GRAPH_VIOLATIONS[case]
+    g = GameGraph(nodes, edges, "a")
+    assert validate(g, strict=False) == [violation]
+    assert validate(g, strict=True) == [violation]

@@ -1,8 +1,11 @@
 """Campaign runner: determinism, statistics shape, CSV output."""
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -226,11 +229,46 @@ class TestCsv:
         keys = [(r.split(",")[1], int(r.split(",")[2])) for r in rows]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("name", ["g,x", 'a"b', "a\nb", "a\rb"])
+    def test_name_with_csv_specials_reads_back_intact(self, name):
+        cfg = ExperimentConfig(graph_name=name, budgets=(10, 30), strategies=("s2",), trials=2)
+        text = emit_csv(run_experiment(cycle_graph(), cfg))
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows[0] == CSV_HEADER.split(",")
+        assert [len(row) for row in rows] == [8, 8, 8]
+        assert [row[0] for row in rows[1:]] == [name, name]
+        assert text.count('"' + name.replace('"', '""') + '",s2,') == 2
+
+    def test_graph_stem_with_comma_is_quoted(self, mirror, tmp_path, capsys):
+        path = tmp_path / "g,x.ncgame"
+        path.write_text(serialize_game_graph(mirror))
+        argv = ["experiment", "--graph", str(path), "--budgets", "10", "--trials", "2",
+                "--strategies", "s2"]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith('"g,x",s2,10,2,')
+
     def test_duplicate_grid_entries_collapse(self, mirror):
         cfg = ExperimentConfig(
             graph_name="m", budgets=(10, 10), strategies=("s2", "s2"), trials=3
         )
         assert len(run_experiment(mirror, cfg).cells) == 1
+
+
+class TestPickGenerator:
+    def test_only_picking_strategies_seed_a_pick_generator(self, mirror, monkeypatch):
+        seeds = []
+
+        class CountingRandom:
+            @staticmethod
+            def Random(seed):
+                seeds.append(seed)
+                return random.Random(seed)
+
+        monkeypatch.setattr(experiments, "random", CountingRandom)
+        run_experiment(mirror, ExperimentConfig("m", (10, 20), ("GMU-static",), trials=5))
+        assert seeds == []
+        run_experiment(mirror, ExperimentConfig("m", (10,), ("rdm", "s2"), trials=5))
+        assert len(seeds) == 10
 
 
 # Runs the CLI with every import of numpy failing, as on a machine without it.

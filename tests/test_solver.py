@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -384,20 +385,21 @@ class TestStateCap:
     @pytest.mark.parametrize("seed", [None, 3, 6])
     def test_arena_cap_boundary(self, mirror, restart, seed):
         g = mirror if seed is None else generate_random(10 + seed, 0.4, 1, 3, seed)
-        arena = _node_arena(g, g.init, 20)
-        value, states = arena.solve(restart=restart)[:2]
-        assert arena.solve(restart=restart, state_cap=states)[:2] == (value, states)
+        arena = replace(_node_arena(g, g.init, 20), restart=restart)
+        value, states = arena.solve()[:2]
+        assert arena.solve(state_cap=states)[:2] == (value, states)
         with pytest.raises(CapacityError, match=rf"^search state space exceeds cap {states - 1}$"):
-            arena.solve(restart=restart, state_cap=states - 1)
+            arena.solve(state_cap=states - 1)
 
     @pytest.mark.parametrize("restart", [False, True])
     def test_root_state_is_always_admitted(self, restart):
         loop = graph_of({"a": (TESTER, 1, ("a",))}, init="a")
-        assert _node_arena(loop, "a", 20).solve(restart=restart, state_cap=0)[:2] == (1, 1)
-        pair = graph_of({"a": (TESTER, 1, ("b",)), "b": (SUT, 1, ("a",))}, init="a")
+        assert replace(_node_arena(loop, "a", 20), restart=restart).solve(state_cap=0)[:2] == (1, 1)
+        pair = replace(_node_arena(graph_of({"a": (TESTER, 1, ("b",)), "b": (SUT, 1, ("a",))}, init="a"),
+                                   "a", 20), restart=restart)
         for cap in (0, 1):
             with pytest.raises(CapacityError, match=rf"^search state space exceeds cap {cap}$"):
-                _node_arena(pair, "a", 20).solve(restart=restart, state_cap=cap)
+                pair.solve(state_cap=cap)
 
     @pytest.mark.parametrize("seed", [None, 3, 6])
     def test_best_response_cap_boundary(self, mirror, seed):
