@@ -12,7 +12,9 @@ Exit codes are stable for scripting:
 argparse only collects text: integers take ASCII digits only and
 ``--sut-fraction`` ASCII digits with at most one point (exit 2, naming the
 key), and ``run_experiment`` checks strategies, denominator, spread and a
-given suite (exit 3), from a flag as from a config key.  All error text goes
+given suite (exit 3), from a flag as from a config key.  A setting left out
+is not passed on, so every default is the library's; the ``experiment``
+config keys are its long flags.  All error text goes
 to stderr with an ``error:`` prefix.  Output files are written to a temporary
 sibling and renamed into place, so failures never leave partial files behind.
 """
@@ -107,9 +109,9 @@ def _to_decimal(value: str, key: str) -> float:
     return float(text)
 
 
-def _int_flags(args, *keys: str) -> list[int]:
-    """The integer flags named by their keys, read as text by argparse, in order."""
-    return [_to_int(getattr(args, key), key) for key in keys]
+def _int_flags(args, *keys: str) -> dict[str, int]:
+    """The integer flags given, by key and in order; a flag left out takes the library default."""
+    return {key: _to_int(getattr(args, key), key) for key in keys if getattr(args, key) is not None}
 
 
 def _report(violations: list[str], verdict: str) -> int:
@@ -128,7 +130,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gen_random(args) -> int:
-    nodes, min_out, max_out, seed = _int_flags(args, "nodes", "min_out", "max_out", "seed")
+    nodes, min_out, max_out, seed = _int_flags(args, "nodes", "min_out", "max_out", "seed").values()
     sut_fraction = _to_decimal(args.sut_fraction, "sut_fraction")
     g = graph.generate_random(nodes, sut_fraction, min_out, max_out, seed)
     _emit(graph.serialize_game_graph(g), args.out)
@@ -136,13 +138,13 @@ def _cmd_gen_random(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    (cap,) = _int_flags(args, "cap")
+    given = _int_flags(args, "cap")
     g = _load_graph(args.graph)
     if args.restart:
-        value = solver.solve_mcg_restart(g, g.init, cap=cap)
+        value = solver.solve_mcg_restart(g, g.init, **given)
         print(f"mcg_restart={value}")
         return EXIT_OK
-    res = solver.solve_mcg(g, g.init, cap=cap)
+    res = solver.solve_mcg(g, g.init, **given)
     print(f"mcg={res.value}")
     if g.is_tester(g.init):
         print(f"first_move={res.tester_move(g.init, [g.init])}")
@@ -152,9 +154,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_witness_extract(args) -> int:
-    (cap,) = _int_flags(args, "cap")
+    given = _int_flags(args, "cap")
     g = _load_graph(args.graph)
-    w = witness.extract_witness(g, g.init, cap=cap)
+    w = witness.extract_witness(g, g.init, **given)
     summary = f"entries={len(w.entries)} c_init={w.entries[g.init].bound}"
     if args.out is None:
         sys.stdout.write(witness.serialize_witness(w))
@@ -196,7 +198,9 @@ def _cmd_gen_suite(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    budget, reset_cost, seed, trials = _int_flags(args, "budget", "reset_cost", "seed", "trials")
+    given = _int_flags(args, "budget", "reset_cost", "seed", "trials")
+    if "seed" in given:
+        given["base_seed"] = given.pop("seed")
     g = _load_graph(args.graph)
     suite = None
     if args.suite is not None:
@@ -204,11 +208,9 @@ def _cmd_simulate(args) -> int:
         suite = testplan.parse_suite(_read_text(args.suite))
     cfg = experiments.ExperimentConfig(
         graph_name=Path(args.graph).stem,
-        budgets=(budget,),
+        budgets=(given.pop("budget"),),
         strategies=(args.strategy,),
-        trials=trials,
-        reset_cost=reset_cost,
-        base_seed=seed,
+        **given,
     )
     (cell,) = experiments.run_experiment(g, cfg, suite).cells
     print(
@@ -219,10 +221,10 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_CONFIG_KEYS = frozenset(
-    ("graph", "strategies", "budgets", "name", "trials", "reset_cost", "base_seed",
-     "denominator", "spread")
-)
+# The experiment's settings: its config keys, and its long flags with `_` for `-`.
+# The graph is read first, then the others convert in this order.
+_SETTINGS = ("graph", "name", "budgets", "strategies", "trials", "reset_cost", "base_seed",
+             "denominator", "spread")
 
 
 def _parse_config(text: str) -> dict[str, tuple[str, int]]:
@@ -233,7 +235,7 @@ def _parse_config(text: str) -> dict[str, tuple[str, int]]:
         if not sep:
             raise ParseError("expected `key=value`", lineno)
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ParseError(f"unknown config key `{key}`", lineno)
         if key in out:
             raise ParseError(f"duplicate config key `{key}`", lineno)
@@ -241,38 +243,30 @@ def _parse_config(text: str) -> dict[str, tuple[str, int]]:
     return out
 
 
+def _setting(key: str, text: str, line: int | None):
+    """An experiment setting's text as ExperimentConfig takes it; list items are stripped."""
+    if key == "budgets":
+        return tuple(_to_int(b, key, line) for b in text.split(","))
+    if key == "strategies":
+        return tuple(s.strip() for s in text.split(","))
+    if key in ("trials", "reset_cost", "base_seed"):
+        return _to_int(text, key, line)
+    return text
+
+
 def _cmd_experiment(args) -> int:
     settings = _parse_config(_read_text(args.config)) if args.config is not None else {}
-
-    def pick(key: str, fallback):
-        """(value, config line): the flag wins, then the config file, then the fallback."""
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            return flag_value, None
-        return settings.get(key, (fallback, None))
-
-    def pick_int(key: str, fallback: str) -> int:
-        value, line = pick(key, fallback)
-        return _to_int(value, key, line)
-
     graph_path = args.graph or settings.get("graph", (None, None))[0]
     if graph_path is None:
         raise ValidationError("no graph given (flag --graph or config key `graph`)")
     g = _load_graph(graph_path)
-    strategies, _ = pick("strategies", ",".join(experiments.ALL_STRATEGIES))
-    budgets, budgets_line = pick("budgets", None)
-    if budgets is None:
-        raise ValidationError("no budgets given (flag --budgets or config key `budgets`)")
-    cfg = experiments.ExperimentConfig(
-        graph_name=pick("name", Path(graph_path).stem)[0],
-        budgets=tuple(_to_int(b, "budgets", budgets_line) for b in budgets.split(",")),
-        strategies=tuple(strategies.split(",")),
-        trials=pick_int("trials", "100"),
-        reset_cost=pick_int("reset_cost", "10"),
-        base_seed=pick_int("base_seed", "0"),
-        denominator=pick("denominator", "total")[0],
-        spread=pick("spread", "stderr")[0],
+    settings.update(
+        (key, (getattr(args, key), None)) for key in _SETTINGS if getattr(args, key) is not None
     )
+    if "budgets" not in settings:
+        raise ValidationError("no budgets given (flag --budgets or config key `budgets`)")
+    given = {key: _setting(key, *settings[key]) for key in _SETTINGS[1:] if key in settings}
+    cfg = experiments.ExperimentConfig(graph_name=given.pop("name", Path(graph_path).stem), **given)
     res = experiments.run_experiment(g, cfg)
     _emit(experiments.emit_csv(res), args.out)
     return EXIT_OK
@@ -302,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact coverage guarantee from the initial node")
     p.add_argument("--graph", required=True)
     p.add_argument("--restart", action="store_true", help="tester may restart at any time")
-    p.add_argument("--cap", default="20", help="reachable-node cap")
+    p.add_argument("--cap", help="reachable-node cap")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("witness-extract", help="extract a consistent coverage certificate")
     p.add_argument("--graph", required=True)
     p.add_argument("--out")
-    p.add_argument("--cap", default="20")
+    p.add_argument("--cap")
     p.set_defaults(fn=_cmd_witness_extract)
 
     p = sub.add_parser("witness-check", help="check a coverage certificate")
@@ -337,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     strategies = ", ".join(sorted(experiments.ALL_STRATEGIES))
     p.add_argument("--strategy", required=True, help=f"one of {strategies}")
     p.add_argument("--budget", required=True)
-    p.add_argument("--reset-cost", default="10")
-    p.add_argument("--seed", default="0")
-    p.add_argument("--trials", default="100")
+    p.add_argument("--reset-cost")
+    p.add_argument("--seed")
+    p.add_argument("--trials")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("experiment", help="Monte Carlo campaign, CSV output")

@@ -63,6 +63,7 @@ class CellStats:
 class ExperimentResult:
     graph_name: str
     cells: tuple[CellStats, ...] = field(default_factory=tuple)
+    spread: str = "stderr"  # the spread the cells hold, which names the CSV column
 
 
 def fnv1a64(data: bytes) -> int:
@@ -174,18 +175,18 @@ def run_experiment(
                 spread /= cfg.trials ** 0.5
             means = (resets / cfg.trials, executions / cfg.trials)
             cells.append(CellStats(strategy, budget, cfg.trials, mean_pct, spread, *means))
-    return ExperimentResult(cfg.graph_name, tuple(cells))
+    return ExperimentResult(cfg.graph_name, tuple(cells), cfg.spread)
 
 
 CSV_HEADER = "graph,strategy,budget,trials,mean_pct,stderr_pct,mean_resets,mean_executions"
 
 
 def emit_csv(res: ExperimentResult) -> str:
-    """Render cells as CSV, one row per (strategy, budget), sorted."""
+    """Render cells as CSV, one row per (strategy, budget), sorted; the spread names its column."""
     name = res.graph_name
     if any(c in name for c in ',"\r\n'):  # quoted as RFC 4180 says, inner quotes doubled
         name = '"' + name.replace('"', '""') + '"'
-    lines = [CSV_HEADER]
+    lines = [CSV_HEADER.replace("stderr_pct", f"{res.spread}_pct")]
     for cell in sorted(res.cells, key=lambda c: (c.strategy, c.budget)):
         lines.append(
             f"{name},{cell.strategy},{cell.budget},{cell.trials},"

@@ -123,8 +123,8 @@ class SutResponder:
 
 
 def validate_suite(g: GameGraph, suite: TestSuite) -> list[str]:
-    """Suite invariants: distinct ids, paths start at init and follow edges."""
-    violations = []
+    """Suite invariants: at least one case, distinct ids, paths start at init and follow edges."""
+    violations = [] if suite.cases else ["empty test suite"]
     seen_ids: set[str] = set()
     for tc in suite.cases:
         if tc.id in seen_ids:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import MIRROR_WITNESS_TEXT, input_argv
-from ncgames import cli
+from ncgames import cli, experiments, solver, witness
 from ncgames.cli import run_cli
 from ncgames.errors import (
     CapacityError,
@@ -407,6 +407,29 @@ class TestSimulateAndExperiment:
         assert f"`{key}` must be an integer, got `{value}`" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_simulate_rejects_empty_suite_before_any_trial(
+        self, mirror_file, tmp_path, strategy, capsys
+    ):
+        suite_path = tmp_path / "empty.ncsuite"
+        suite_path.write_text("ncsuite 1\n")
+        argv = ["simulate", "--graph", mirror_file, "--suite", str(suite_path),
+                "--strategy", strategy, "--budget", "8"]
+        assert run_cli(argv) == 3
+        assert capsys.readouterr() == ("", "error: empty test suite\n")
+
+    @pytest.mark.parametrize("text", [" s2 , rdm", "s2, rdm", "s2 ,rdm"])
+    def test_strategy_list_items_are_stripped(self, mirror_file, tmp_path, text, capsys):
+        argv = ["experiment", "--graph", mirror_file, "--budgets", "5", "--trials", "2"]
+        assert run_cli(argv + ["--strategies", "rdm,s2"]) == 0
+        expected = capsys.readouterr().out
+        assert run_cli(argv + ["--strategies", text]) == 0
+        assert capsys.readouterr().out == expected
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"strategies={text}\n")
+        assert run_cli(argv + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
+
     @pytest.mark.parametrize("strategy", ["GMU-static", "rdm", "s2"])
     def test_simulate_negative_reset_cost_is_invalid(self, mirror_file, strategy, capsys):
         argv = ["simulate", "--graph", mirror_file, "--strategy", strategy, "--budget", "40",
@@ -473,6 +496,73 @@ class TestSettingChecks:
         assert run_cli(self.GEN_RANDOM + [value, "--out", str(out)]) == 3
         assert capsys.readouterr().err == "error: sut_fraction must be in [0, 1]\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["solve", "--graph", "g"], ("cap",)),
+            (["witness-extract", "--graph", "g"], ("cap",)),
+            (["simulate", "--graph", "g", "--strategy", "s2", "--budget", "8"],
+             ("reset_cost", "seed", "trials")),
+        ],
+        ids=["solve", "witness-extract", "simulate"],
+    )
+    def test_parser_leaves_library_defaults_unset(self, argv, keys):
+        args = cli.build_parser().parse_args(argv)
+        assert {key: getattr(args, key) for key in keys} == dict.fromkeys(keys)
+
+    @pytest.mark.parametrize(
+        "argv, module, name",
+        [
+            (["solve"], solver, "solve_mcg"),
+            (["solve", "--restart"], solver, "solve_mcg_restart"),
+            (["witness-extract"], witness, "extract_witness"),
+        ],
+        ids=["solve", "solve-restart", "witness-extract"],
+    )
+    def test_omitted_cap_is_not_passed(self, mirror_file, argv, module, name, monkeypatch):
+        calls = []
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        assert run_cli(argv + ["--graph", mirror_file]) == 0
+        assert run_cli(argv + ["--graph", mirror_file, "--cap", "7"]) == 0
+        assert calls == [{}, {"cap": 7}]
+
+    @pytest.mark.parametrize(
+        "argv, given, passed",
+        [
+            (["simulate", "--strategy", "s2", "--budget", "8"],
+             ["--trials", "3", "--seed", "4", "--reset-cost", "5"],
+             {"trials": 3, "base_seed": 4, "reset_cost": 5}),
+            (["experiment", "--budgets", "8"],
+             ["--trials", "3", "--base-seed", "4", "--reset-cost", "5", "--strategies", "s2",
+              "--denominator", "reachable", "--spread", "stddev"],
+             {"trials": 3, "base_seed": 4, "reset_cost": 5, "strategies": ("s2",),
+              "denominator": "reachable", "spread": "stddev"}),
+        ],
+        ids=["simulate", "experiment"],
+    )
+    def test_omitted_settings_are_not_passed(
+        self, mirror_file, argv, given, passed, monkeypatch, capsys
+    ):
+        calls = []
+        real = experiments.ExperimentConfig
+
+        def spy(**kwargs):
+            calls.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(experiments, "ExperimentConfig", spy)
+        assert run_cli([argv[0], "--graph", mirror_file, *argv[1:]]) == 0
+        assert run_cli([argv[0], "--graph", mirror_file, *argv[1:], *given]) == 0
+        omitted, full = calls
+        assert omitted.keys() & passed.keys() == set()
+        assert full == {**omitted, **passed}
 
     def test_parser_declares_no_types(self):
         parser = cli.build_parser()

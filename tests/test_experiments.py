@@ -195,6 +195,15 @@ class TestRunExperiment:
         with pytest.raises(ValidationError, match=problem):
             run_experiment(mirror, cfg, suite)
 
+    def test_empty_given_suite_rejected_before_any_cell(self, mirror, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "run_one", no_trial)
+        cfg = ExperimentConfig(graph_name="m", budgets=(5,), strategies=("rdm", "s2"))
+        with pytest.raises(ValidationError, match="^empty test suite$"):
+            run_experiment(mirror, cfg, Suite(()))
+
     def test_negative_reset_cost_exits_3(self, mirror, tmp_path, capsys):
         path = tmp_path / "mirror.ncgame"
         path.write_text(serialize_game_graph(mirror))
@@ -216,6 +225,22 @@ class TestCsv:
         lines = text.splitlines()
         assert lines[0] == CSV_HEADER
         assert lines[1].startswith("cycle,s2,30,4,100.00,0.00,")
+
+    def test_stddev_names_its_column(self, mirror):
+        cfg = ExperimentConfig(
+            graph_name="m", budgets=(8,), strategies=("rdm",), trials=5, spread="stddev"
+        )
+        header = emit_csv(run_experiment(mirror, cfg)).splitlines()[0]
+        assert header == CSV_HEADER.replace("stderr_pct", "stddev_pct")
+
+    def test_stddev_flag_names_its_column(self, mirror_file, capsys):
+        argv = ["experiment", "--graph", mirror_file, "--budgets", "3", "--trials", "5",
+                "--strategies", "rdm", "--spread", "stddev"]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "graph,strategy,budget,trials,mean_pct,stddev_pct,mean_resets,mean_executions",
+            "mirror,rdm,3,5,75.00,0.00,0.00,1.00",
+        ]
 
     def test_empty_result_is_header_only(self):
         assert emit_csv(ExperimentResult("g", ())) == CSV_HEADER + "\n"

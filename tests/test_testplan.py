@@ -624,6 +624,9 @@ class TestSuiteFiles:
         with pytest.raises(ParseError, match="expected"):
             parse_suite("ncsuite 1\nwalk a: x\n")
 
+    def test_validate_suite_reports_an_empty_suite(self, mirror):
+        assert validate_suite(mirror, Suite(())) == ["empty test suite"]
+
     def test_validate_suite_reports_bad_paths(self, mirror):
         suite = Suite(
             (
