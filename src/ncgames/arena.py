@@ -17,12 +17,21 @@ walks the layers in the reverse order.  Within a layer, moves that leave
 it have settled values and every state is worth at least its floor ν(C),
 so the layer's max-min value is the least fixed point of the one-step
 operator started at ν(C) everywhere, which synchronous rounds reach by
-raising values only.  Every round reads the previous round's values and
-applies its raises afterwards; after the first round it re-evaluates only
-the states with an in-layer successor that rose in the previous round
-(every state, when the floor rose), since no other state can rise.  The
-floor is one table slot: ν(C), or the root's value in a restarting arena
-(the tester's restart move keeps C), and a sink moves only to it.
+raising values only.  The floor is ν(C), or the root's value in a
+restarting arena (the tester's restart move keeps C), and a sink moves
+only to it.
+
+Round 1 reads ν(C) in every in-layer state, so it runs while the layer's
+rows are built: a tester takes the larger of its floor and its best exit,
+and an SUT state takes its floor if it has an in-layer move, else the
+larger of the floor and its least exit.  A one-state layer needs no more:
+its in-layer moves are self-loops, worth the floor (in a restarting arena
+that state is the root, and the same holds).  Every later round reads the
+previous round's values and applies its raises afterwards.  It
+re-evaluates an SUT state whose in-layer successor rose and a tester whose
+in-layer successor rose above it (every state, when the floor rose),
+since no other state can rise; a tester's exits are already in its value,
+so it reads only its in-layer successors.
 
 Tester policies must avoid value-preserving cycles inside a layer, so a
 tester choice is the option that strictly raised the state's value in the
@@ -31,7 +40,8 @@ table (``succ[p][0]`` if it never rose); an SUT state moves to its first
 successor of least value, which is always safe for the minimizer.  The
 solve keeps values only: a layer's rounds read just its floor and settled
 exits, so running ``solve_layer`` again on a solved layer repeats them and
-names the same choices, which ``ncgames.solver.SolveResult`` does on lookup.
+returns the same choices, which ``ncgames.solver.SolveResult`` does on
+lookup.
 """
 from __future__ import annotations
 
@@ -54,10 +64,12 @@ class _Arena:
     restart: bool = False  # the tester may send the pebble back to the root
     shift: int = field(init=False)
     bits: list[int] = field(init=False)  # 1 << cover[p]
+    step: list[int] = field(init=False)  # a move to p from any mask lands in (mask << shift) | step[p]
 
     def __post_init__(self):
         self.shift = len(self.succ).bit_length()
         self.bits = [1 << c for c in self.cover]
+        self.step = [(b << self.shift) | p for p, b in enumerate(self.bits)]
 
     def explore(self, state_cap: float = math.inf):
         """Product states reachable from (root, {root}), layered by mask.
@@ -105,60 +117,92 @@ class _Arena:
         values: dict[int, int] = {}
         for mask in reversed(layers):
             self.solve_layer(mask, layers[mask], mask_gain[mask], values)
-        return values[(self.bits[self.root] << self.shift) | self.root], len(values), values
+        return values[self.step[self.root]], len(values), values
 
     def solve_layer(self, mask: int, members: list[int], base: int, values: dict):
         """Solve the layer of ``mask`` (sorted ``members``) into ``values``, which holds its
-        exits.  The floor is one table slot, ``home``: ``base`` = ν(mask), or the root's
-        value in a restarting arena.  Returns each member's row (its successors' table
-        slots) and the slot that last raised it, or None.
+        exits.  The floor is ``base`` = ν(mask), or the root's value in a restarting arena.
+        Round 1 runs while the rows are built, and a one-state layer is solved outright.
+        Returns each member's tester choice: the successor position that last raised it,
+        or None.
         """
-        succ, is_tester, bits, shift = self.succ, self.is_tester, self.bits, self.shift
+        succ, is_tester, step, inf = self.succ, self.is_tester, self.step, math.inf
+        here = mask << self.shift  # a move to u stays in the layer iff here & step[u]
         n = len(members)
-        slot = {p: i for i, p in enumerate(members)}
-        # table[:n] holds the layer's values, table[n] = ν(mask), settled exits follow
-        table = [base] * (n + 1)
-        home = slot[self.root] if self.restart else n
-        rows = []
-        preds: list[list[int]] = [[] for _ in range(n)]  # in-layer predecessors
+        if n == 1:  # its in-layer moves are self-loops, worth the floor like a sink
+            p = members[0]
+            best, arg = base, None
+            if is_tester[p]:
+                for u in succ[p]:
+                    if not here & step[u]:
+                        v = values[here | step[u]]
+                        if v > best:
+                            best, arg = v, u
+            elif succ[p] and not any(here & step[u] for u in succ[p]):
+                best = max(base, min(values[here | step[u]] for u in succ[p]))
+            values[here | p] = best
+            return [arg]
+        slot = dict(zip(members, range(n)))
+        table = [base] * (n + 1)  # table[:n] holds the layer's values, table[n] = ν(mask)
+        home = slot[self.root] if self.restart else n  # the floor's slot
+        rows: list[list[int]] = []  # in-layer successors' slots
+        lows: list[float] = []  # an SUT state's least exit value (a sink's: base)
+        spreds: list[list[int]] = [[] for _ in members]  # in-layer SUT predecessors
+        tpreds: list[list[int]] = [[] for _ in members]  # in-layer tester predecessors
+        raised = []  # round 1: every in-layer slot still holds base
         for i, p in enumerate(members):
-            row = []
-            for u in succ[p]:
-                if mask & bits[u]:
-                    row.append(slot[u])
-                    preds[slot[u]].append(i)
+            row, tester, moves = [], is_tester[p], succ[p]
+            preds = tpreds if tester else spreds
+            best, arg, low = base, None, inf if moves else base  # a sink only reaches its floor
+            for u in moves:
+                if here & step[u]:
+                    k = slot[u]
+                    row.append(k)
+                    preds[k].append(i)
                 else:
-                    row.append(len(table))
-                    table.append(values[((mask | bits[u]) << shift) | u])
-            rows.append(row or [home])  # a sink only reaches its floor
+                    v = values[here | step[u]]
+                    if tester:
+                        if v > best:
+                            best, arg = v, u  # the first exit of the largest value
+                    elif v < low:
+                        low = v
+            if not (tester or row) and low > base:
+                best = low
+            rows.append(row)
+            lows.append(low)
+            if best > base:
+                raised.append((i, best, arg))
         last: list[int | None] = [None] * n
-        todo = range(n)
-        while todo:
+        floor = base
+        while raised:
+            todo = set()
+            for i, best, arg in raised:
+                table[i] = best
+                last[i] = arg
+                todo.update(spreds[i])
+                for j in tpreds[i]:
+                    if table[j] < best:  # a tester at least as high cannot rise by i
+                        todo.add(j)
+            if table[home] > floor:
+                todo = range(n)
             floor = table[home]
             raised = []
             for i in todo:
                 row = rows[i]
-                if is_tester[members[i]]:
-                    best, arg = floor, None  # a rise to the floor has no slot
+                if is_tester[members[i]]:  # exits are already in its value
+                    best, arg = floor, None
                     for k in row:
                         if table[k] > best:
                             best = table[k]
                             arg = k  # the first slot of the largest value
                 else:
-                    best, arg = table[row[0]], None
+                    best, arg = lows[i], None
                     for k in row:
                         if table[k] < best:
                             best = table[k]
                     if best < floor:
                         best = floor
                 if best > table[i]:
-                    raised.append((i, best, arg))
-            todo = set()
-            for i, best, arg in raised:
-                table[i] = best
-                last[i] = arg
-                todo.update(preds[i])
-            if table[home] > floor:
-                todo = range(n)
-        values.update(zip([(mask << shift) | p for p in members], table))
-        return rows, last
+                    raised.append((i, best, arg if arg is None else members[arg]))
+        values.update(zip([here | p for p in members], table))
+        return last

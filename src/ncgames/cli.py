@@ -256,8 +256,8 @@ def _setting(key: str, text: str, line: int | None):
 
 def _cmd_experiment(args) -> int:
     settings = _parse_config(_read_text(args.config)) if args.config is not None else {}
-    graph_path = args.graph or settings.get("graph", (None, None))[0]
-    if graph_path is None:
+    graph_path = args.graph or settings.get("graph", ("", None))[0]
+    if not graph_path:  # an empty value from the flag or the config is no graph
         raise ValidationError("no graph given (flag --graph or config key `graph`)")
     g = _load_graph(graph_path)
     settings.update(

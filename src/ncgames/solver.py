@@ -49,8 +49,9 @@ class SolveResult:
     defined for every product state reachable from the solved root, which
     covers every position an opponent can force.  The solve keeps values
     only: an SUT state moves to its first successor of least value, and the
-    first tester lookup in a covered set replays that layer and caches its
-    choices (``ncgames.arena`` says why they are exact and cycle-free).  A
+    first tester lookup in a covered set replays that layer, which names the
+    successor that last raised each state, and caches those choices
+    (``ncgames.arena`` says why they are exact and cycle-free).  A
     state with no value, or of the other owner, raises ``KeyError`` at once.
     ``tester_move`` / ``sut_move`` give single lookups; ``tester_policy`` /
     ``sut_policy`` materialize readable dictionaries (small graphs only).
@@ -75,15 +76,15 @@ class SolveResult:
         p = packed & ((1 << arena.shift) - 1)
         if packed not in self._values or arena.is_tester[p] != tester:
             raise KeyError(packed)
-        mask, values, bits, shift = packed >> arena.shift, self._values, arena.bits, arena.shift
+        here, values, step = packed - p, self._values, arena.step  # here = mask << shift
         if not tester:
-            return min(arena.succ[p], key=lambda u: values[((mask | bits[u]) << shift) | u])
+            return min(arena.succ[p], key=lambda u: values[here | step[u]])
+        mask = packed >> arena.shift
         if mask not in self._choices:  # replay the layer; its rounds rewrite the same values
-            members = [q for q in range(len(arena.succ)) if (mask << shift) | q in values]
+            members = [q for q in range(len(arena.succ)) if here | q in values]
             base = sum(gain for c, gain in enumerate(arena.gains) if mask >> c & 1)
-            rows, last = arena.solve_layer(mask, members, base, values)
-            self._choices[mask] = {members[i]: arena.succ[members[i]][rows[i].index(k)]
-                                   for i, k in enumerate(last) if k is not None}
+            last = arena.solve_layer(mask, members, base, values)
+            self._choices[mask] = {q: u for q, u in zip(members, last) if u is not None}
         return self._choices[mask].get(p, arena.succ[p][0])
 
     def tester_move(self, node: str, covered: Iterable[str]) -> str:

@@ -299,6 +299,22 @@ class TestSimulateAndExperiment:
         assert "line 3: unknown config key `trial`" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag, config", [([], "graph=\n"), (["--graph", ""], "graph=  \n"),
+                                              (["--graph", ""], "")])
+    def test_experiment_empty_graph_is_no_graph(self, tmp_path, capsys, flag, config):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config + "budgets=20\n")
+        assert run_cli(["experiment", "--config", str(cfg), *flag]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: no graph given (flag --graph or config key `graph`)\n"
+        assert captured.out == ""
+
+    def test_experiment_empty_graph_flag_falls_back_to_config(self, mirror_file, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"graph={mirror_file}\nbudgets=20\nstrategies=s2\ntrials=2\n")
+        assert run_cli(["experiment", "--config", str(cfg), "--graph", ""]) == 0
+        assert ",s2,20,2," in capsys.readouterr().out.splitlines()[1]
+
     def test_experiment_requires_budgets(self, mirror_file, capsys):
         assert run_cli(["experiment", "--graph", mirror_file]) == 3
 

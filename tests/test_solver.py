@@ -20,7 +20,7 @@ from ncgames.graph import (
     reachable,
 )
 from ncgames.play import PositionalStrategy, best_response_gain
-from ncgames.reductions import parse_dimacs, sat_to_ncgame
+from ncgames.reductions import parse_dimacs, restart_double, sat_to_ncgame
 from ncgames.solver import (
     _node_arena,
     extract_optimal_sut,
@@ -357,6 +357,76 @@ class TestLazyTesterChoices:
             with pytest.raises(KeyError):
                 res.tester_move(v, covered)
         assert res._choices == {}
+
+
+def _games(st, sinks: bool):
+    """Hypothesis strategy: games of 1-9 nodes rooted at v0, any share of SUT nodes,
+    gains 0-5 and up to three successors per node, self-loops included (sinks too
+    when `sinks`)."""
+
+    @st.composite
+    def games(draw):
+        ids = [f"v{i}" for i in range(draw(st.integers(1, 9)))]
+        sut = set(draw(st.permutations(ids))[:draw(st.integers(0, len(ids)))])
+        nodes = {v: NodeInfo(SUT if v in sut else TESTER, draw(st.integers(0, 5))) for v in ids}
+        edges = {v: tuple(draw(st.lists(st.sampled_from(ids), min_size=0 if sinks else 1,
+                                        max_size=3, unique=True)))
+                 for v in ids}
+        return GameGraph(nodes, edges, "v0")
+
+    return games()
+
+
+class TestKernelProperties:
+    """The layered kernel against independent facts on small games with
+    self-loops and one-state layers: the brute-force oracle, the restart
+    doubling identity of ``ncgames.reductions``, and the optimality of every
+    policy move read off the value table."""
+
+    def test_value_equals_the_oracle(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=100)
+        @given(g=_games(st, sinks=False))
+        def prop(g):
+            assert solve_mcg(g, g.init).value == oracle_mcg(g, g.init)
+
+        prop()
+
+    def test_restart_value_is_half_the_doubled_plain_value(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=100)
+        @given(g=_games(st, sinks=True))
+        def prop(g):
+            doubled = restart_double(g)
+            assert 2 * solve_mcg_restart(g, g.init) == solve_mcg(doubled, doubled.init).value
+
+        prop()
+
+    def test_policy_moves_keep_the_value(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=100)
+        @given(g=_games(st, sinks=False))
+        def prop(g):
+            res = solve_mcg(g, g.init)
+
+            def value(v, covered):
+                return res._values[res._pack(v, covered)]
+
+            for (v, covered), u in res.tester_policy().items():
+                assert value(u, covered | {u}) == value(v, covered)
+            for (v, covered), u in res.sut_policy().items():
+                assert value(u, covered | {u}) == min(value(w, covered | {w}) for w in g.edges[v])
+
+        prop()
 
 
 def _product_states(g: GameGraph, r: str, sut) -> int:
