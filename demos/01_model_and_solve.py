@@ -55,15 +55,7 @@ play = simulate_play(g, g.init, tester, committed, max_steps=6)
 print("\nagainst a committed SUT the tester covers:", sorted(set(play)))
 
 # replaying both optimal policies realizes the value exactly
-optimal_sut = extract_optimal_sut(res)
-covered = {g.init}
-state = optimal_sut.transition(optimal_sut.initial_state(), g.init)
-node = g.init
-for _ in range(8):
-    if g.is_tester(node):
-        node = res.tester_move(node, covered)
-    else:
-        node = optimal_sut.choose(state, node)
-    covered.add(node)
-    state = optimal_sut.transition(state, node)
-print("optimal vs optimal covers:", sorted(covered))
+play = simulate_play(
+    g, g.init, lambda prefix: res.tester_move(prefix[-1], prefix), extract_optimal_sut(res), 9
+)
+print("optimal vs optimal covers:", sorted(set(play)))

@@ -71,25 +71,29 @@ def _singleton_case(g: GameGraph, v: str, containment: frozenset[str]) -> bool:
 def check_witness(g: GameGraph, w: Witness) -> list[str]:
     """Check witness consistency; returns violations (empty = consistent).
 
-    Needs a strict graph with every gain >= 1 (apply normalize_gains
-    first otherwise) and an entry for every node reachable from the
-    initial node.  Runs in polynomial time: no subset enumeration, just
-    one pass over entries, containment members, and their edges.
+    Needs a strict graph with every gain >= 1 (else that is the only
+    violation; apply normalize_gains first) and an entry for every node
+    reachable from the initial node (else the missing ones are).  Then one
+    pass over the entries by id checks, for v with containment set P: v is
+    a node; so is every member of P (the first unknown one is named); v is
+    in P; unless the entry is singleton case, every SUT member of P has a
+    successor in P (each one without is named); every bound the case
+    equation reads has an entry (v's successors, or the exits of P in
+    member and successor order, the first without one named); the bound
+    equals the equation.  Each failure but the SUT-member rule ends v's
+    checks.  Polynomial time: no subset enumeration.
     """
     ensure_valid(g, strict=True)
-    violations = []
     if any(info.gain < 1 for info in g.nodes.values()):
-        violations.append("graph has a gain below 1; normalize gains first")
-        return violations
-    for v in sorted(reachable(g, g.init)):
-        if v not in w.entries:
-            violations.append(f"missing entry for reachable node `{v}`")
-    if violations:
-        return violations
+        return ["graph has a gain below 1; normalize gains first"]
+    absent = sorted(reachable(g, g.init) - w.entries.keys())
+    if absent:
+        return [f"missing entry for reachable node `{v}`" for v in absent]
 
+    violations = []
+    bound = {v: entry.bound for v, entry in w.entries.items()}
     for v in sorted(w.entries):
-        entry = w.entries[v]
-        p = entry.containment
+        p = w.entries[v].containment
         if v not in g.nodes:
             violations.append(f"entry for unknown node `{v}`")
             continue
@@ -100,47 +104,27 @@ def check_witness(g: GameGraph, w: Witness) -> list[str]:
         if v not in p:
             violations.append(f"{v}: node missing from its own containment set")
             continue
-        singleton_sut = p == frozenset([v]) and g.owner(v) == SUT
-        if not singleton_sut:
-            for u in sorted(p):
-                if g.owner(u) == SUT and not any(x in p for x in g.edges[u]):
-                    violations.append(
-                        f"{v}: SUT node `{u}` has no successor inside the containment set"
-                    )
         if _singleton_case(g, v, p):
-            needed = [w.entries[u].bound for u in g.edges[v] if u in w.entries]
-            if len(needed) != len(g.edges[v]):
+            if any(u not in bound for u in g.edges[v]):
                 violations.append(f"{v}: successor lacks a witness entry")
                 continue
-            expected = g.gain(v) + min(needed)
-            if entry.bound != expected:
-                violations.append(
-                    f"{v}: singleton case expects bound {expected}, got {entry.bound}"
-                )
+            case, expected = "singleton", g.gain(v) + min(bound[u] for u in g.edges[v])
         else:
-            exit_bounds = []
-            missing = False
-            for u in sorted(p):
-                if g.owner(u) != SUT:
-                    for x in g.edges[u]:
-                        if x in p:
-                            continue
-                        if x not in w.entries:
-                            violations.append(
-                                f"{v}: exit node `{x}` lacks a witness entry"
-                            )
-                            missing = True
-                            break
-                        exit_bounds.append(w.entries[x].bound)
-                if missing:
-                    break
-            if missing:
+            members = sorted(p)
+            violations += (
+                f"{v}: SUT node `{u}` has no successor inside the containment set"
+                for u in members
+                if g.owner(u) == SUT and p.isdisjoint(g.edges[u])
+            )
+            exits = [x for u in members if g.owner(u) != SUT for x in g.edges[u] if x not in p]
+            lacking = [x for x in exits if x not in bound]
+            if lacking:
+                violations.append(f"{v}: exit node `{lacking[0]}` lacks a witness entry")
                 continue
-            expected = coverage_gain(g, p) + (max(exit_bounds) if exit_bounds else 0)
-            if entry.bound != expected:
-                violations.append(
-                    f"{v}: containment case expects bound {expected}, got {entry.bound}"
-                )
+            case = "containment"
+            expected = coverage_gain(g, p) + max((bound[x] for x in exits), default=0)
+        if bound[v] != expected:
+            violations.append(f"{v}: {case} case expects bound {expected}, got {bound[v]}")
     return violations
 
 
@@ -169,7 +153,12 @@ class WitnessSutStrategy(StateMachineStrategy):
     def transition(self, state: frozenset[str], node: str) -> frozenset[str]:
         if node in state:
             return state
-        entry = self._w.entries[node]
+        entry = self._w.entries.get(node)
+        if entry is None:
+            raise StrategyError(
+                f"no witness entry for node `{node}`; the certificate covers the nodes "
+                f"reachable from `{self._g.init}`"
+            )
         if _singleton_case(self._g, node, entry.containment):
             return frozenset()
         return entry.containment

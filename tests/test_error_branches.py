@@ -100,10 +100,13 @@ CHECK_GRAPH = _graph_text(
     "node s owner=sut gain=1",
     "node t owner=tester gain=1",
     "node x owner=tester gain=1",
+    "node y owner=sut gain=1",
     "edge r r",
     "edge s x",
     "edge t x",
     "edge x x",
+    "edge y x",
+    "edge y y",
     "init r",
 )
 ROOT_ENTRY = "entry r c=1 P=r"
@@ -114,6 +117,17 @@ WITNESS_VIOLATIONS = {
     "unknown containment member": (["entry t c=2 P=t,zz"], "t: containment names unknown node `zz`"),
     "missing successor entry": (["entry s c=2 P=s"], "s: successor lacks a witness entry"),
     "missing exit entry": (["entry t c=2 P=t"], "t: exit node `x` lacks a witness entry"),
+    "node outside its own set": (["entry t c=2 P=x"],
+                                 "t: node missing from its own containment set"),
+    "SUT member with no move inside": (
+        ["entry x c=1 P=x", "entry t c=3 P=s,t"],
+        "t: SUT node `s` has no successor inside the containment set",
+    ),
+    "singleton bound": (["entry x c=1 P=x", "entry s c=5 P=s"],
+                        "s: singleton case expects bound 2, got 5"),
+    # {y} with y's self-loop is containment case: y may stay, so no exit is forced
+    "self-loop SUT singleton bound": (["entry y c=2 P=y"],
+                                      "y: containment case expects bound 1, got 2"),
 }
 
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import MIRROR_WITNESS_TEXT, first_consistent, graph_of
-from ncgames.errors import ExtractionError, ParseError, ValidationError
+from ncgames.errors import ExtractionError, ParseError, StrategyError, ValidationError
 from ncgames.graph import SUT, TESTER, coverage_gain, generate_random, reachable
 from ncgames.play import PositionalStrategy, best_response_gain, simulate_play
 from ncgames.solver import solve_mcg
@@ -84,6 +84,13 @@ class TestCheckWitness:
         assert check_witness(g, w) == []
 
 
+# a <-> b is all the certificate covers; c, which leads into it, is unreachable from a
+UNCOVERED = graph_of(
+    {"a": (TESTER, 1, ("b",)), "b": (SUT, 1, ("a",)), "c": (TESTER, 1, ("a",))},
+    init="a",
+)
+
+
 class TestGuidedSut:
     def test_mirror_branch_left(self, mirror):
         guided = witness_guided_sut(mirror, mirror_witness())
@@ -116,6 +123,22 @@ class TestGuidedSut:
             guided = witness_guided_sut(g, w)
             for v in sorted(reachable(g, g.init)):
                 assert best_response_gain(g, v, guided) <= w.entries[v].bound
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda g, sut: simulate_play(g, "c", lambda prefix: "a", sut, 5),
+            lambda g, sut: best_response_gain(g, "c", sut),
+        ],
+        ids=["simulate_play", "best_response_gain"],
+    )
+    def test_uncovered_node_is_strategy_error(self, run):
+        guided = witness_guided_sut(UNCOVERED, extract_witness(UNCOVERED, UNCOVERED.init))
+        with pytest.raises(StrategyError) as info:
+            run(UNCOVERED, guided)
+        assert str(info.value) == (
+            "no witness entry for node `c`; the certificate covers the nodes reachable from `a`"
+        )
 
 
 class TestExtractWitness:
