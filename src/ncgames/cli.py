@@ -96,9 +96,10 @@ def _load_graph(path: str) -> graph.GameGraph:
 def _to_int(value: str, key: str, line: int | None = None) -> int:
     """An integer setting; ASCII digits only, else a ParseError naming the key."""
     text = value.strip()
-    if not graph.INT_RE.fullmatch(text):
+    number = graph.read_int(text)
+    if number is None:
         raise ParseError(f"`{key}` must be an integer, got `{text}`", line)
-    return int(text)
+    return number
 
 
 def _to_decimal(value: str, key: str) -> float:

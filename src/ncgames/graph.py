@@ -61,11 +61,22 @@ def read_lines(text: str, header: str | None) -> Iterator[tuple[int, str]]:
         raise ParseError(f"empty input: expected `{header}` header", None)
 
 
+def read_int(text: str) -> int | None:
+    """The integer that `text` spells in ``INT_RE`` form, else None (also past int()'s limit)."""
+    if INT_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() converts
+            pass
+    return None
+
+
 def read_uint(text: str, what: str, lineno: int) -> int:
     """A nonnegative integer of ASCII digits, else a ParseError naming `what`."""
-    if not (text.isascii() and text.isdigit()):
+    value = None if text.startswith("-") else read_int(text)
+    if value is None:
         raise ParseError(f"{what} must be a nonnegative integer, got `{text}`", lineno)
-    return int(text)
+    return value
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, ParseError
-from .graph import INT_RE, SUT, TESTER, GameGraph, NodeInfo, ensure_valid
+from .graph import SUT, TESTER, GameGraph, NodeInfo, ensure_valid, read_int
 
 MAX_GAME_NODES = 65_536  # largest game sat_to_ncgame builds (m + 3n + 1 nodes)
 
@@ -58,18 +58,18 @@ def parse_dimacs(text: str) -> Cnf:
             tokens = line.split()
             if len(tokens) != 4 or tokens[1] != "cnf":
                 raise ParseError("expected `p cnf <vars> <clauses>`", lineno)
-            if not all(INT_RE.fullmatch(t) for t in tokens[2:]):
+            header = read_int(tokens[2]), read_int(tokens[3])
+            if None in header:
                 raise ParseError("header counts must be integers", lineno)
-            header = (int(tokens[2]), int(tokens[3]))
             if header[0] < 0 or header[1] < 0:
                 raise ParseError("header counts must be nonnegative", lineno)
             continue
         if header is None:
             raise ParseError("clause data before `p cnf` header", lineno)
         for token in line.split():
-            if not INT_RE.fullmatch(token):
+            lit = read_int(token)
+            if lit is None:
                 raise ParseError(f"bad literal `{token}`", lineno)
-            lit = int(token)
             if lit == 0:
                 if not current:
                     raise ParseError("empty clause", lineno)

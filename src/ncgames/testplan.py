@@ -40,12 +40,11 @@ concurrently without coordination.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ParseError, ValidationError
-from .graph import ID_RE, SUT, GameGraph, ensure_valid, reachable, read_lines
+from .graph import ID_RE, SUT, GameGraph, ensure_valid, read_lines
 
 PGAIN_STRATEGIES = ("s1.5", "s2", "s3", "s4")
 
@@ -61,10 +60,7 @@ class TestSuite:
     cases: tuple[TestCase, ...]
 
     def node_union(self) -> frozenset[str]:
-        out: set[str] = set()
-        for tc in self.cases:
-            out.update(tc.path)
-        return frozenset(out)
+        return frozenset(self._targets[1])
 
     @cached_property
     def _targets(self) -> tuple[tuple[int, ...], dict[str, tuple[int, ...]]]:
@@ -153,24 +149,29 @@ def generate_static_suite(g: GameGraph) -> TestSuite:
     Nodes are targeted in lexicographic order; each still-uncovered target
     gets the shortest initial-node path to it (lexicographic tie-break on
     every step), greedily extended while the smallest successor of the
-    path's end still adds an uncovered node.  Cases that end up as a
+    path's end still adds an uncovered node.  One breadth-first search from
+    the initial node gives every target's path: successors are sorted, so
+    it reaches each node first along that path.  Cases that end up as a
     prefix of another case are dropped.  The suite prescribes every
     reachable node.
     """
     ensure_valid(g, strict=True)
-    reach = reachable(g, g.init)
+    parent = {g.init: g.init}
+    order = [g.init]
+    for v in order:
+        for w in g.edges[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
     covered: set[str] = set()
     paths: list[tuple[str, ...]] = []
-    for target in sorted(reach):
+    for target in sorted(parent):
         if target in covered:
             continue
-        dist = _distances_to(g, target, reach)
-        path = [g.init]
-        while path[-1] != target:
-            step = min(
-                w for w in g.edges[path[-1]] if dist.get(w, -1) == dist[path[-1]] - 1
-            )
-            path.append(step)
+        path = [target]
+        while path[-1] != g.init:
+            path.append(parent[path[-1]])
+        path.reverse()
         while True:
             nxt = min(g.edges[path[-1]])
             if nxt in covered or nxt in path:
@@ -184,24 +185,6 @@ def generate_static_suite(g: GameGraph) -> TestSuite:
         if not any(q != p and q[: len(p)] == p for q in paths)
     ]
     return TestSuite(tuple(TestCase(f"t{i}", p) for i, p in enumerate(kept)))
-
-
-def _distances_to(g: GameGraph, target: str, universe: frozenset[str]) -> dict[str, int]:
-    """BFS distance to `target` over reversed edges, within `universe`."""
-    preds: dict[str, list[str]] = {v: [] for v in universe}
-    for v in universe:
-        for w in g.edges[v]:
-            if w in universe:
-                preds[w].append(v)
-    dist = {target: 0}
-    queue = deque([target])
-    while queue:
-        v = queue.popleft()
-        for u in preds[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
 
 
 def alpha(tc: TestCase, g: GameGraph) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import input_argv
-from ncgames.cli import run_cli
+from ncgames.cli import _to_int, run_cli
 from ncgames.errors import ParseError
 from ncgames.graph import SUT, TESTER, GameGraph, NodeInfo, parse_game_graph, validate
 from ncgames.reductions import parse_dimacs
@@ -21,6 +21,9 @@ from ncgames.witness import check_witness, parse_witness
 
 def _graph_text(*lines: str) -> str:
     return "\n".join(("ncgame 1",) + lines) + "\n"
+
+
+BIG = "7" * 5000  # past int()'s default limit of 4,300 digits, where it raises ValueError
 
 
 # (text, line, reason) for parse_game_graph
@@ -42,6 +45,8 @@ GRAPH_ERRORS = {
                             "unknown node `b`"),
     "unknown init": (_graph_text("node a owner=tester gain=1", "edge a a", "", "init z"), 5,
                      "unknown node `z` in init"),
+    "gain past the digit limit": (_graph_text(f"node a owner=tester gain={BIG}"), 2,
+                                  f"gain must be a nonnegative integer, got `{BIG}`"),
 }
 
 # (text, line, reason) for parse_witness
@@ -56,6 +61,8 @@ WITNESS_ERRORS = {
                    "containment set must list node ids separated by commas"),
     "bad member": ("ncwitness 1\nentry v0 c=1 P=v0,v-1\n", 2,
                    "containment set must list node ids separated by commas"),
+    "bound past the digit limit": (f"ncwitness 1\nentry v0 c={BIG} P=v0\n", 2,
+                                   f"bound must be a nonnegative integer, got `{BIG}`"),
 }
 
 # (text, line, reason) for parse_suite
@@ -70,6 +77,8 @@ SUITE_ERRORS = {
 DIMACS_ERRORS = {
     "negative variable count": ("c comment\np cnf -1 0\n", 2, "header counts must be nonnegative"),
     "negative clause count": ("p cnf 1 -2\n1 0\n", 1, "header counts must be nonnegative"),
+    "count past the digit limit": (f"p cnf 1 {BIG}\n1 0\n", 1, "header counts must be integers"),
+    "literal past the digit limit": (f"p cnf 1 1\n1 -{BIG} 0\n", 2, f"bad literal `-{BIG}`"),
 }
 
 
@@ -91,6 +100,30 @@ def test_parse_errors(kind, case, mirror_file, tmp_path, capsys):
     path.write_text(text)
     assert run_cli(input_argv(kind, str(path), mirror_file)) == 2
     assert capsys.readouterr().err == f"error: line {line}: {reason}\n"
+
+
+# (command line without --graph and --config, config text or None, key, line) for cli._to_int
+INT_SETTING_ERRORS = {
+    "solve --cap": (["solve", "--cap", BIG], None, "cap", None),
+    "config reset_cost": (["experiment", "--budgets", "5", "--trials", "1"],
+                          f"# campaign\nreset_cost={BIG}\n", "reset_cost", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INT_SETTING_ERRORS))
+def test_int_setting_errors(case, mirror_file, tmp_path, capsys):
+    argv, config, key, line = INT_SETTING_ERRORS[case]
+    reason = f"`{key}` must be an integer, got `{BIG}`"
+    with pytest.raises(ParseError) as info:
+        _to_int(BIG, key, line)
+    assert (info.value.line, info.value.reason) == (line, reason)
+    argv = argv + ["--graph", mirror_file]
+    if config is not None:
+        path = tmp_path / "bad.config"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 # A graph whose init loops on itself and whose other nodes are unreachable,

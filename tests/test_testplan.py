@@ -1,13 +1,14 @@
 """Suite generation, case execution semantics, budgeted planners, baselines."""
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from conftest import graph_of
+from conftest import MIRROR_TEXT, graph_of
 from ncgames.errors import ParseError, ValidationError
-from ncgames.graph import SUT, TESTER, generate_random, reachable
+from ncgames.graph import SUT, TESTER, generate_random, parse_game_graph, reachable
 from ncgames.testplan import TestCase as Case, TestSuite as Suite
 from ncgames.testplan import (
     PGAIN_STRATEGIES,
@@ -26,17 +27,55 @@ from ncgames.testplan import (
 )
 
 
+# (graph, case paths in suite order) for generate_static_suite
+EXACT_SUITES = {
+    # target v0 extends v0-v1-v3 and stops (v3's smallest successor v1 is
+    # already on the path); v2 then gets its own shortest path
+    "mirror": (parse_game_graph(MIRROR_TEXT), (("v0", "v1", "v3"), ("v0", "v2"))),
+    # target a extends to a-b and stops at b's self-loop; c's shortest path
+    # leaves a through its larger successor (a-b-d-c is longer), and d's
+    # passes b, which drops the first case a-b as a prefix of a-b-d
+    "larger first step": (
+        graph_of(
+            {
+                "a": (TESTER, 1, ("b", "c")),
+                "b": (TESTER, 1, ("b", "d")),
+                "c": (SUT, 1, ("c",)),
+                "d": (TESTER, 1, ("c",)),
+            },
+            init="a",
+        ),
+        (("a", "c"), ("a", "b", "d")),
+    ),
+}
+
+# sha256 of the serialized suite of each trend campaign graph
+# generate_random(n, 0.3, 1, 2, seed) (TREND_PICKS in test_acceptance.py)
+TREND_SUITE_DIGESTS = {
+    (19, 7): "cdf3bdcbb17655ea292802ec2b73b95876e30bb627bb153f88e873571595cc26",
+    (30, 2): "afa4f34e927bd631f0a8b46eee7fdbc3368a55fd7ef865c22e1a539bb9fa2031",
+    (40, 11): "47da68aefdbbbea4929660c7ad1812320a280b3a56a406698f8fc73ec5e02d71",
+    (46, 0): "e45094e8171eeda798839fc2dc9bdd9fc1d70faed0776986c65e39830e234959",
+    (60, 20): "07fa978a03ba0907d62be5800decb73383961aea252af64d7cc3a2d13b2839f0",
+    (75, 7): "9d66712e241deda4e77f557f555e8e26789314cd372f722bb492f70f86e8218c",
+    (95, 4): "9e29361c3cccdfe07c5507954b84d258efbec2e2230e83d1a1d06c530c36eca4",
+    (100, 10): "43dc21c9b3dc4f0c541b420589863cd0804bbd5de6c6c51e542e4c3e690be5ff",
+}
+
+
 class TestStaticSuite:
-    def test_mirror_suite(self, mirror):
-        suite = generate_static_suite(mirror)
-        # target v0 extends v0-v1-v3 and stops (v3's smallest successor v1 is
-        # already on the path); v2 then gets its own shortest path
-        assert suite.cases == (
-            Case("t0", ("v0", "v1", "v3")),
-            Case("t1", ("v0", "v2")),
-        )
-        assert suite.node_union() == reachable(mirror, "v0")
-        assert validate_suite(mirror, suite) == []
+    @pytest.mark.parametrize("case", sorted(EXACT_SUITES))
+    def test_exact_suite(self, case):
+        g, paths = EXACT_SUITES[case]
+        suite = generate_static_suite(g)
+        assert suite.cases == tuple(Case(f"t{i}", p) for i, p in enumerate(paths))
+        assert suite.node_union() == reachable(g, g.init)
+        assert validate_suite(g, suite) == []
+
+    def test_trend_graph_suites(self):
+        for (n, seed), digest in TREND_SUITE_DIGESTS.items():
+            text = serialize_suite(generate_static_suite(generate_random(n, 0.3, 1, 2, seed)))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, seed)
 
     def test_single_self_loop(self):
         g = graph_of({"a": (TESTER, 1, ("a",))}, init="a")
