@@ -6,9 +6,13 @@ the max-min coverage value on the product of nodes and covered sets: a
 move along an edge (v, v') adds v' to the covered set, and an infinite
 play whose covered set stops growing at C pays ν(C).  ``solve_mcg`` also
 keeps the value table, from which its result reads the optimal policies;
-``solve_mcg_restart`` runs the same kernel with the tester's restart move.
-``oracle_mcg`` shares only the indexing and searches the game tree
-independently.
+``solve_mcg_restart`` runs the same kernel with the tester's restart move,
+and gives each set S of tester nodes that reach each other through tester
+nodes alone one cover bit: at s in S, value(s, C) = value(s, C ∪ S), as the
+tester alone can walk S and return to s (≥) and ν grows with C (≤).
+``solve_mcg`` keeps a bit per node, as its policies must answer at covered
+sets that hold part of S.  ``oracle_mcg`` shares only the indexing and
+searches the game tree independently.
 
 Solving one instance is single-threaded; distinct instances share no
 mutable state and may be solved concurrently.
@@ -39,6 +43,30 @@ def _node_arena(g: GameGraph, r: str, cap: int) -> _Arena:
         gains=[g.gain(v) for v in ids],
         root=index[r],
     )
+
+
+def _grouped(arena: _Arena) -> _Arena:
+    """A node arena whose tester-only strongly connected sets share one cover bit.
+
+    Positions p and q are grouped when each reaches the other by tester-to-tester
+    moves; a group's bit is its least position and carries the group's summed gain.
+    """
+    n, succ, is_tester = len(arena.succ), arena.succ, arena.is_tester
+    reach = [0] * n  # tester positions reached by tester-only paths
+    for p in range(n):
+        if is_tester[p]:
+            for u in succ[p]:
+                if is_tester[u]:
+                    reach[p] |= 1 << u
+    for k in range(n):  # Warshall's closure
+        for p in range(n):
+            if reach[p] >> k & 1:
+                reach[p] |= reach[k]
+    cover = [next((q for q in range(p) if reach[p] >> q & reach[q] >> p & 1), p) for p in range(n)]
+    gains = [0] * n
+    for p, c in enumerate(cover):
+        gains[c] += arena.gains[p]
+    return replace(arena, cover=cover, gains=gains)
 
 
 @dataclass
@@ -137,10 +165,13 @@ def solve_mcg_restart(g: GameGraph, r: str, cap: int = 20) -> int:
     send the pebble back to r (keeping the covered set).  Sinks are
     allowed: a play stuck in a sink pays the covered set's gain unless
     restarted.  The accumulated set always contains r, so the restart
-    option never leaves the current layer.
+    option never leaves the current layer.  Each set S of tester nodes that
+    reach each other through tester nodes alone is covered as one node of
+    gain ν(S): at s in S, value(s, C) = value(s, C ∪ S), as the tester alone
+    can walk S and return to s, restart or not (≥), and ν grows with C (≤).
     """
     ensure_valid(g, strict=False)
-    return replace(_node_arena(g, r, cap), restart=True).solve()[0]
+    return replace(_grouped(_node_arena(g, r, cap)), restart=True).solve()[0]
 
 
 class OptimalSutStrategy(StateMachineStrategy):

@@ -230,7 +230,7 @@ def _first_containment_set(
     of candidates whose gain plus a certain exit already exceeds v's bound
     are ruled out untested but still counted against the cap.
     """
-    order =sorted(reachable(g, v), key=lambda u: (bounds[u], u))
+    order = sorted(reachable(g, v), key=lambda u: (bounds[u], u))
     bit = {u: 1 << i for i, u in enumerate(order)}
     top_bound = [0] + [bounds[u] for u in order]  # indexed by an exit mask's bit_length()
     succ = {u: sum(bit[x] for x in g.edges[u]) for u in order}

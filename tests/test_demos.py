@@ -1,4 +1,4 @@
-"""The demos run as scripts, and demos 01 and 05 print fixed texts."""
+"""The demos run as scripts, and demos 01, 04 and 05 print fixed texts."""
 from __future__ import annotations
 
 import os
@@ -23,6 +23,22 @@ SUT policy (node, covered so far) -> move:
 
 against a committed SUT the tester covers: ['v0', 'v1', 'v2', 'v3']
 optimal vs optimal covers: ['v0', 'v1', 'v3']
+"""
+
+DEMO_04_STDOUT = """\
+plain value: 3  (the SUT traps the play in one branch)
+with restart: 4  (restart after the trap, take the other branch)
+
+doubled graph: 8 nodes, init v0__in
+plain value of the doubled graph: 8
+twice the restart value:          8
+
+the identity holds on random graphs:
+  seed 0: doubled 12 == 2 x restart 6 -> True
+  seed 1: doubled 6 == 2 x restart 3 -> True
+  seed 2: doubled 12 == 2 x restart 6 -> True
+  seed 3: doubled 12 == 2 x restart 6 -> True
+  seed 4: doubled 4 == 2 x restart 2 -> True
 """
 
 DEMO_05_STDOUT = """\
@@ -81,6 +97,12 @@ def test_demo_01_stdout_is_pinned():
     proc = _run(ROOT / "demos" / "01_model_and_solve.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == DEMO_01_STDOUT
+
+
+def test_demo_04_stdout_is_pinned():
+    proc = _run(ROOT / "demos" / "04_restart_games.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == DEMO_04_STDOUT
 
 
 def test_demo_05_stdout_is_pinned():

@@ -22,12 +22,19 @@ from ncgames.graph import (
 from ncgames.play import PositionalStrategy, best_response_gain
 from ncgames.reductions import parse_dimacs, restart_double, sat_to_ncgame
 from ncgames.solver import (
+    _grouped,
     _node_arena,
     extract_optimal_sut,
     oracle_mcg,
     solve_mcg,
     solve_mcg_restart,
 )
+
+
+def _tester_ring(n: int) -> GameGraph:
+    nodes = {f"n{i:02d}": NodeInfo(TESTER, 1) for i in range(n)}
+    edges = {f"n{i:02d}": (f"n{(i + 1) % n:02d}",) for i in range(n)}
+    return GameGraph(nodes, edges, "n00")
 
 
 class TestSolveValue:
@@ -72,10 +79,7 @@ class TestSolveValue:
 
     def test_cap_governs_above_64_nodes(self):
         # states are packed into Python ints, so no fixed width limits the node count
-        n = 70
-        nodes = {f"n{i:02d}": NodeInfo(TESTER, 1) for i in range(n)}
-        edges = {f"n{i:02d}": (f"n{(i + 1) % n:02d}",) for i in range(n)}
-        ring = GameGraph(nodes, edges, "n00")
+        ring = _tester_ring(70)
         res = solve_mcg(ring, "n00", cap=70)
         assert (res.value, res.states_explored) == (70, 139)
         assert solve_mcg_restart(ring, "n00", cap=70) == oracle_mcg(ring, "n00") == 70
@@ -139,6 +143,44 @@ class TestRestart:
             n = rng.randint(1, 6)
             g = generate_random(n, 0.5, 1, min(3, n), seed=600 + i)
             assert solve_mcg_restart(g, g.init) >= solve_mcg(g, g.init).value
+
+    @pytest.mark.parametrize("n, seed, value", [(18, 1, 17), (20, 0, 19)])
+    def test_benchmark_reference_values(self, n, seed, value):
+        g = generate_random(n, 0.3, 1, 2, seed)
+        assert solve_mcg_restart(g, g.init, cap=64) == value
+
+
+class TestGrouping:
+    """Tester-only strongly connected sets share one cover bit, worth their summed gain."""
+
+    def test_tester_ring_is_one_group(self):
+        ring = _tester_ring(70)
+        grouped = _grouped(_node_arena(ring, "n00", 70))
+        assert (list(grouped.cover), grouped.gains) == ([0] * 70, [70] + [0] * 69)
+        with pytest.raises(CapacityError, match="70 reachable nodes exceed the solver cap 69"):
+            solve_mcg_restart(ring, "n00", cap=69)
+
+    def test_mirror_has_no_group(self, mirror):
+        arena = _node_arena(mirror, "v0", 20)
+        grouped = _grouped(arena)
+        assert (list(grouped.cover), grouped.gains) == ([0, 1, 2, 3], arena.gains)
+
+    def test_cycle_through_an_sut_node_is_not_a_group(self):
+        g = graph_of(
+            {"a": (TESTER, 1, ("b",)), "b": (TESTER, 2, ("s",)), "s": (SUT, 4, ("a",))},
+            init="a",
+        )
+        grouped = _grouped(_node_arena(g, "a", 20))
+        assert (list(grouped.cover), grouped.gains) == ([0, 1, 2], [1, 2, 4])
+
+    def test_tester_sink_stays_alone(self):
+        g = graph_of(
+            {"a": (TESTER, 1, ("b", "t")), "b": (TESTER, 2, ("a",)), "t": (TESTER, 4, ())},
+            init="a",
+        )
+        grouped = _grouped(_node_arena(g, "a", 20))
+        assert (list(grouped.cover), grouped.gains) == ([0, 0, 2], [3, 0, 4])
+        assert solve_mcg_restart(g, "a") == 7
 
 
 class TestInvariants:
@@ -392,6 +434,31 @@ class TestKernelProperties:
         @given(g=_games(st, sinks=False))
         def prop(g):
             assert solve_mcg(g, g.init).value == oracle_mcg(g, g.init)
+
+        prop()
+
+    def test_grouped_value_equals_the_oracle(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=100)
+        @given(g=_games(st, sinks=False))
+        def prop(g):
+            assert _grouped(_node_arena(g, g.init, 20)).solve()[0] == oracle_mcg(g, g.init)
+
+        prop()
+
+    def test_grouped_restart_value_equals_the_per_node_one(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=100)
+        @given(g=_games(st, sinks=True))
+        def prop(g):
+            per_node = replace(_node_arena(g, g.init, 20), restart=True).solve()[0]
+            assert solve_mcg_restart(g, g.init) == per_node
 
         prop()
 
