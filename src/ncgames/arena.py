@@ -21,27 +21,43 @@ raising values only.  The floor is ν(C), or the root's value in a
 restarting arena (the tester's restart move keeps C), and a sink moves
 only to it.
 
-Round 1 reads ν(C) in every in-layer state, so it runs while the layer's
-rows are built: a tester takes the larger of its floor and its best exit,
-and an SUT state takes its floor if it has an in-layer move, else the
-larger of the floor and its least exit.  A one-state layer needs no more:
-its in-layer moves are self-loops, worth the floor (in a restarting arena
-that state is the root, and the same holds).  Every later round reads the
-previous round's values and applies its raises afterwards.  It
-re-evaluates an SUT state whose in-layer successor rose and a tester whose
-in-layer successor rose above it (every state, when the floor rose),
-since no other state can rise; a tester's exits are already in its value,
-so it reads only its in-layer successors.
+Some states are settled before their layer is solved.  A tester group S
+(``_tester_groups``) is a set of two or more tester positions that reach
+each other by tester-to-tester moves, and cov(S) is the mask of their
+cover bits.  At p in S, value(p, C) = value(p, C ∪ cov(S)): the tester
+alone can walk S from p and back to p (≥), and a larger covered set never
+lowers the pay (≤), restart or not.  So a state (p, C) whose C covers S
+only in part copies the value of (p, C ∪ cov(S)), which the walk reaches,
+so it is in the table, and which has a higher popcount, so it is already
+solved.  The layer's other states are solved as below, where a move to a
+settled state counts as an exit and is read from the table; a layer with
+no other state is skipped, and in a restarting arena whose root was
+settled the floor is the root's settled value.
+
+Round 1 reads the floor in every in-layer state, so it runs while the
+layer's rows are built: a tester takes the larger of its floor and its
+best exit, and an SUT state takes its floor if it has an in-layer move,
+else the larger of the floor and its least exit.  A one-state layer needs
+no more: its in-layer moves are self-loops, worth the floor (in a
+restarting arena that state is the root or the root was settled, and the
+same holds).  Every later round reads the previous round's values and
+applies its raises afterwards.  It re-evaluates an SUT state whose
+in-layer successor rose and a tester whose in-layer successor rose above
+it (every state, when the floor rose), since no other state can rise; a
+tester's exits are already in its value, so it reads only its in-layer
+successors.
 
 Tester policies must avoid value-preserving cycles inside a layer, so a
 tester choice is the option that strictly raised the state's value in the
 round its final value was reached, judged against the previous round's
 table (``succ[p][0]`` if it never rose); an SUT state moves to its first
 successor of least value, which is always safe for the minimizer.  The
-solve keeps values only: a layer's rounds read just its floor and settled
-exits, so running ``solve_layer`` again on a solved layer repeats them and
-returns the same choices, which ``ncgames.solver.SolveResult`` does on
-lookup.
+solve keeps values only, and ``ncgames.solver.SolveResult`` reads a
+tester choice by running ``solve_layer`` again on all members of the
+looked-up layer.  With all of them, every move inside the layer is a move
+to a member, so these are the rounds of a solve that settles nothing; they
+read only the floor and the exits, whose values settling leaves unchanged,
+so they rewrite the same values and name the same choices.
 """
 from __future__ import annotations
 
@@ -50,6 +66,51 @@ from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 from .errors import CapacityError
+
+
+def _tester_groups(succ: Sequence[Sequence[int]], is_tester: Sequence[bool]) -> list[list[int]]:
+    """The sets of two or more tester positions that reach each other by tester-to-tester
+    moves, each sorted: the strongly connected components of those moves, found by an
+    iterative Tarjan pass in time linear in positions and moves.
+    """
+    done = len(succ) + 1
+    low = [0] * len(succ)  # 0 unvisited, else the least visit number reached; done when finished
+    stack: list[int] = []  # visited positions not yet in a finished component
+    groups = []
+    count = 0
+    for s in range(len(succ)):
+        if not is_tester[s] or low[s]:
+            continue
+        count += 1
+        low[s] = count
+        # position, visit number, stack height at its visit, moves left
+        work = [(s, count, len(stack), iter(succ[s]))]
+        stack.append(s)
+        while work:
+            p, number, height, moves = work[-1]
+            for u in moves:
+                if not is_tester[u]:
+                    continue
+                if not low[u]:
+                    count += 1
+                    low[u] = count
+                    work.append((u, count, len(stack), iter(succ[u])))
+                    stack.append(u)
+                    break
+                if low[u] < low[p]:
+                    low[p] = low[u]
+            else:
+                work.pop()
+                if work and low[p] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[p]
+                if low[p] == number:
+                    component = stack[height:]
+                    del stack[height:]
+                    for u in component:
+                        low[u] = done
+                    if len(component) > 1:
+                        groups.append(sorted(component))
+    return groups
 
 
 @dataclass
@@ -114,37 +175,63 @@ class _Arena:
     def solve(self, state_cap: float = math.inf):
         """Root value, number of reachable states and the value table of every packed state."""
         layers, mask_gain = self.explore(state_cap)
+        full = [0] * len(self.succ)  # cov(S) at p in a tester group S of two or more cover bits
+        for group in _tester_groups(self.succ, self.is_tester):
+            f = 0
+            for p in group:
+                f |= self.bits[p]
+            if f & (f - 1):
+                for p in group:
+                    full[p] = f
+        grouped = any(full)
         values: dict[int, int] = {}
+        shift, root = self.shift, self.root
         for mask in reversed(layers):
-            self.solve_layer(mask, layers[mask], mask_gain[mask], values)
-        return values[self.step[self.root]], len(values), values
+            members = layers[mask]
+            if grouped:  # (p, C) with C partly covering p's group is worth (p, C ∪ cov(S))
+                unsettled = [p for p in members if mask & full[p] == full[p]]
+                if len(unsettled) < len(members):
+                    for p in members:
+                        f = full[p]
+                        if mask & f != f:
+                            values[mask << shift | p] = values[(mask | f) << shift | p]
+                    if not unsettled:
+                        continue
+                    members = unsettled
+            base = mask_gain[mask]
+            if self.restart and mask << shift | root in values:  # the root was settled
+                base = values[mask << shift | root]
+            self.solve_layer(mask, members, base, values)
+        return values[self.step[root]], len(values), values
 
     def solve_layer(self, mask: int, members: list[int], base: int, values: dict):
-        """Solve the layer of ``mask`` (sorted ``members``) into ``values``, which holds its
-        exits.  The floor is ``base`` = ν(mask), or the root's value in a restarting arena.
-        Round 1 runs while the rows are built, and a one-state layer is solved outright.
-        Returns each member's tester choice: the successor position that last raised it,
-        or None.
+        """Solve ``members`` (sorted positions) of the layer of ``mask`` into ``values``.
+        A move to a member is in-layer; any other move, to a later layer or to a settled
+        state of this one, is an exit, whose value ``values`` holds.  The floor is
+        ``base``: ν(mask), or in a restarting arena the root's value, read from the root's
+        slot when the root is a member.  Round 1 runs while the rows are built, and a
+        one-state layer is solved outright.  Returns each member's tester choice: the
+        successor position that last raised it, or None.
         """
         succ, is_tester, step, inf = self.succ, self.is_tester, self.step, math.inf
-        here = mask << self.shift  # a move to u stays in the layer iff here & step[u]
+        here = mask << self.shift  # a move to u lands in here | step[u]
         n = len(members)
         if n == 1:  # its in-layer moves are self-loops, worth the floor like a sink
             p = members[0]
             best, arg = base, None
             if is_tester[p]:
                 for u in succ[p]:
-                    if not here & step[u]:
+                    if u != p:
                         v = values[here | step[u]]
                         if v > best:
                             best, arg = v, u
-            elif succ[p] and not any(here & step[u] for u in succ[p]):
+            elif succ[p] and p not in succ[p]:
                 best = max(base, min(values[here | step[u]] for u in succ[p]))
             values[here | p] = best
             return [arg]
         slot = dict(zip(members, range(n)))
-        table = [base] * (n + 1)  # table[:n] holds the layer's values, table[n] = ν(mask)
-        home = slot[self.root] if self.restart else n  # the floor's slot
+        table = [base] * (n + 1)  # table[:n] holds the layer's values, table[n] = base
+        home = slot.get(self.root, n) if self.restart else n  # the floor's slot
         rows: list[list[int]] = []  # in-layer successors' slots
         lows: list[float] = []  # an SUT state's least exit value (a sink's: base)
         spreds: list[list[int]] = [[] for _ in members]  # in-layer SUT predecessors
@@ -155,7 +242,7 @@ class _Arena:
             preds = tpreds if tester else spreds
             best, arg, low = base, None, inf if moves else base  # a sink only reaches its floor
             for u in moves:
-                if here & step[u]:
+                if u in slot:
                     k = slot[u]
                     row.append(k)
                     preds[k].append(i)

@@ -6,13 +6,15 @@ the max-min coverage value on the product of nodes and covered sets: a
 move along an edge (v, v') adds v' to the covered set, and an infinite
 play whose covered set stops growing at C pays ν(C).  ``solve_mcg`` also
 keeps the value table, from which its result reads the optimal policies;
-``solve_mcg_restart`` runs the same kernel with the tester's restart move,
-and gives each set S of tester nodes that reach each other through tester
-nodes alone one cover bit: at s in S, value(s, C) = value(s, C ∪ S), as the
-tester alone can walk S and return to s (≥) and ν grows with C (≤).
-``solve_mcg`` keeps a bit per node, as its policies must answer at covered
-sets that hold part of S.  ``oracle_mcg`` shares only the indexing and
-searches the game tree independently.
+``solve_mcg_restart`` runs the same kernel with the tester's restart move.
+A tester group is a set S of two or more tester nodes that reach each
+other through tester nodes alone, and value(s, C) = value(s, C ∪ S) at s
+in S (``ncgames.arena`` states the rule and why it holds).  The restart
+arena covers each group as one node of gain ν(S).  ``solve_mcg`` keeps a
+bit per node, as its policies must answer at covered sets that hold part
+of S; its kernel copies those states' values from C ∪ S instead of solving
+them.  ``oracle_mcg`` shares only the indexing and searches the game tree
+independently.
 
 Solving one instance is single-threaded; distinct instances share no
 mutable state and may be solved concurrently.
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from .arena import _Arena
+from .arena import _Arena, _tester_groups
 from .errors import CapacityError, StrategyError
 from .graph import TESTER, GameGraph, ensure_valid, reachable
 from .play import StateMachineStrategy
@@ -46,26 +48,16 @@ def _node_arena(g: GameGraph, r: str, cap: int) -> _Arena:
 
 
 def _grouped(arena: _Arena) -> _Arena:
-    """A node arena whose tester-only strongly connected sets share one cover bit.
-
-    Positions p and q are grouped when each reaches the other by tester-to-tester
-    moves; a group's bit is its least position and carries the group's summed gain.
+    """A node arena whose tester groups (``ncgames.arena._tester_groups``) share one cover
+    bit: the group's least position, carrying the group's summed gain.  Every state of
+    a group then covers all of it, so the kernel settles none of them.
     """
-    n, succ, is_tester = len(arena.succ), arena.succ, arena.is_tester
-    reach = [0] * n  # tester positions reached by tester-only paths
-    for p in range(n):
-        if is_tester[p]:
-            for u in succ[p]:
-                if is_tester[u]:
-                    reach[p] |= 1 << u
-    for k in range(n):  # Warshall's closure
-        for p in range(n):
-            if reach[p] >> k & 1:
-                reach[p] |= reach[k]
-    cover = [next((q for q in range(p) if reach[p] >> q & reach[q] >> p & 1), p) for p in range(n)]
-    gains = [0] * n
-    for p, c in enumerate(cover):
-        gains[c] += arena.gains[p]
+    cover, gains = list(arena.cover), list(arena.gains)
+    for least, *rest in _tester_groups(arena.succ, arena.is_tester):
+        for p in rest:
+            cover[p] = least
+            gains[least] += gains[p]
+            gains[p] = 0
     return replace(arena, cover=cover, gains=gains)
 
 
@@ -165,10 +157,8 @@ def solve_mcg_restart(g: GameGraph, r: str, cap: int = 20) -> int:
     send the pebble back to r (keeping the covered set).  Sinks are
     allowed: a play stuck in a sink pays the covered set's gain unless
     restarted.  The accumulated set always contains r, so the restart
-    option never leaves the current layer.  Each set S of tester nodes that
-    reach each other through tester nodes alone is covered as one node of
-    gain ν(S): at s in S, value(s, C) = value(s, C ∪ S), as the tester alone
-    can walk S and return to s, restart or not (≥), and ν grows with C (≤).
+    option never leaves the current layer.  Each tester group is covered
+    as one node (``_grouped``).
     """
     ensure_valid(g, strict=False)
     return replace(_grouped(_node_arena(g, r, cap)), restart=True).solve()[0]

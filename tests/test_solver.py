@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import graph_of
-from ncgames.arena import _Arena
+from ncgames.arena import _Arena, _tester_groups
 from ncgames.errors import CapacityError, StrategyError, ValidationError
 from ncgames.graph import (
     SUT,
@@ -172,6 +172,15 @@ class TestGrouping:
         )
         grouped = _grouped(_node_arena(g, "a", 20))
         assert (list(grouped.cover), grouped.gains) == ([0, 1, 2], [1, 2, 4])
+
+    def test_long_tester_ring_is_one_group(self):
+        n = 5000  # a best-response arena may have this many positions
+        ring = [((p + 1) % n,) for p in range(n)]
+        assert _tester_groups(ring, [True] * n) == [list(range(n))]
+        assert _tester_groups(ring, [p != 2500 for p in range(n)]) == []
+
+    def test_tester_self_loop_is_not_a_group(self):
+        assert _tester_groups([(0,)], [True]) == []
 
     def test_tester_sink_stays_alone(self):
         g = graph_of(
@@ -459,6 +468,54 @@ class TestKernelProperties:
         def prop(g):
             per_node = replace(_node_arena(g, g.init, 20), restart=True).solve()[0]
             assert solve_mcg_restart(g, g.init) == per_node
+
+        prop()
+
+    def test_settled_tables_equal_the_layer_by_layer_ones(self, monkeypatch):
+        """Plain, restart and best-response solves settle the states of partly covered
+        tester groups: their full tables must equal a solve of every layer with all of
+        its members, and every entry must keep value(p, C) = value(p, C ∪ cov(S))."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        solved = []
+        solve = _Arena.solve
+
+        def recorded(arena, *args, **kwargs):
+            solved.append(arena)
+            return solve(arena, *args, **kwargs)
+
+        monkeypatch.setattr(_Arena, "solve", recorded)
+
+        def layer_by_layer(arena):
+            layers, mask_gain = arena.explore()
+            values = {}
+            for mask in reversed(layers):
+                arena.solve_layer(mask, layers[mask], mask_gain[mask], values)
+            return values
+
+        @settings(max_examples=100)
+        @given(h=_games(st, sinks=True))
+        def prop(h):
+            g = GameGraph(h.nodes, {v: moves or (v,) for v, moves in h.edges.items()}, h.init)
+            optimal = extract_optimal_sut(solve_mcg(g, g.init))
+            last = PositionalStrategy(2, {v: g.edges[v][-1] for v in g.nodes if g.owner(v) == SUT})
+            solved.clear()
+            best_response_gain(g, g.init, optimal)
+            best_response_gain(g, g.init, last)
+            plain = _node_arena(g, g.init, 20)
+            restart = replace(_node_arena(h, h.init, 20), restart=True)
+            for arena in [plain, replace(plain, restart=True), restart, *solved]:
+                values = solve(arena)[2]
+                assert values == layer_by_layer(arena)
+                for group in _tester_groups(arena.succ, arena.is_tester):
+                    cov = 0
+                    for p in group:
+                        cov |= arena.bits[p]
+                    for packed, value in values.items():
+                        if packed & ((1 << arena.shift) - 1) in group:
+                            assert values[packed | cov << arena.shift] == value
 
         prop()
 
