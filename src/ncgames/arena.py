@@ -27,12 +27,15 @@ each other by tester-to-tester moves, and cov(S) is the mask of their
 cover bits.  At p in S, value(p, C) = value(p, C ∪ cov(S)): the tester
 alone can walk S from p and back to p (≥), and a larger covered set never
 lowers the pay (≤), restart or not.  So a state (p, C) whose C covers S
-only in part copies the value of (p, C ∪ cov(S)), which the walk reaches,
-so it is in the table, and which has a higher popcount, so it is already
-solved.  The layer's other states are solved as below, where a move to a
-settled state counts as an exit and is read from the table; a layer with
-no other state is skipped, and in a restarting arena whose root was
-settled the floor is the root's settled value.
+only in part is settled: it is never stored, and is worth the value of
+(p, C ∪ cov(S)), which the walk reaches, so it is in the table, and which
+covers S, so it is unsettled.  A move to u from mask C is therefore read
+at (C << shift) | ``jump[u]``, that is (u, C ∪ cov(S)) in a group and
+(u, C | 1 << cover[u]) elsewhere: the target itself, or a state of higher
+popcount that is already solved.  The layer's unsettled states are solved
+as below, where a move to a settled state counts as an exit; a layer with
+no unsettled state is skipped, and in a restarting arena whose root is
+settled the floor is read at ``jump[root]``.
 
 Round 1 reads the floor in every in-layer state, so it runs while the
 layer's rows are built: a tester takes the larger of its floor and its
@@ -57,7 +60,9 @@ tester choice by running ``solve_layer`` again on all members of the
 looked-up layer.  With all of them, every move inside the layer is a move
 to a member, so these are the rounds of a solve that settles nothing; they
 read only the floor and the exits, whose values settling leaves unchanged,
-so they rewrite the same values and name the same choices.
+so they recompute the same values and name the same choices.  The replay
+writes into a ``collections.ChainMap`` over the table, so the settled
+members it solves are not stored.
 """
 from __future__ import annotations
 
@@ -126,11 +131,20 @@ class _Arena:
     shift: int = field(init=False)
     bits: list[int] = field(init=False)  # 1 << cover[p]
     step: list[int] = field(init=False)  # a move to p from any mask lands in (mask << shift) | step[p]
+    jump: list[int] = field(init=False)  # ... and is worth the value at (mask << shift) | jump[p]
 
     def __post_init__(self):
         self.shift = len(self.succ).bit_length()
         self.bits = [1 << c for c in self.cover]
         self.step = [(b << self.shift) | p for p, b in enumerate(self.bits)]
+        full = list(self.bits)  # cov(S) at p in a tester group S, else bits[p]
+        for group in _tester_groups(self.succ, self.is_tester):
+            f = 0
+            for p in group:
+                f |= self.bits[p]
+            for p in group:
+                full[p] = f
+        self.jump = [(f << self.shift) | p for p, f in enumerate(full)]
 
     def explore(self, state_cap: float = math.inf):
         """Product states reachable from (root, {root}), layered by mask.
@@ -173,48 +187,38 @@ class _Arena:
         return layers, mask_gain
 
     def solve(self, state_cap: float = math.inf):
-        """Root value, number of reachable states and the value table of every packed state."""
+        """Root value, number of reachable states, the value table and explore's layers.
+        The table holds the unsettled states only; a settled state (p, C) is worth the
+        value at (C << shift) | jump[p], and so is the root state, read at jump[root].
+        """
         layers, mask_gain = self.explore(state_cap)
-        full = [0] * len(self.succ)  # cov(S) at p in a tester group S of two or more cover bits
-        for group in _tester_groups(self.succ, self.is_tester):
-            f = 0
-            for p in group:
-                f |= self.bits[p]
-            if f & (f - 1):
-                for p in group:
-                    full[p] = f
-        grouped = any(full)
         values: dict[int, int] = {}
-        shift, root = self.shift, self.root
+        shift, jump, root = self.shift, self.jump, self.root
+        grouped = jump != self.step
         for mask in reversed(layers):
-            members = layers[mask]
-            if grouped:  # (p, C) with C partly covering p's group is worth (p, C ∪ cov(S))
-                unsettled = [p for p in members if mask & full[p] == full[p]]
-                if len(unsettled) < len(members):
-                    for p in members:
-                        f = full[p]
-                        if mask & f != f:
-                            values[mask << shift | p] = values[(mask | f) << shift | p]
-                    if not unsettled:
-                        continue
-                    members = unsettled
+            members, here = layers[mask], mask << shift
+            if grouped:  # (p, C) with C partly covering p's group is settled: it is not stored
+                members = [p for p in members if here | jump[p] == here | p]
+                if not members:
+                    continue
             base = mask_gain[mask]
-            if self.restart and mask << shift | root in values:  # the root was settled
-                base = values[mask << shift | root]
+            if self.restart and here | jump[root] in values:  # the root is settled
+                base = values[here | jump[root]]
             self.solve_layer(mask, members, base, values)
-        return values[self.step[root]], len(values), values
+        return values[jump[root]], sum(map(len, layers.values())), values, layers
 
     def solve_layer(self, mask: int, members: list[int], base: int, values: dict):
         """Solve ``members`` (sorted positions) of the layer of ``mask`` into ``values``.
         A move to a member is in-layer; any other move, to a later layer or to a settled
-        state of this one, is an exit, whose value ``values`` holds.  The floor is
+        state of this one, is an exit to u, whose value ``values`` holds at
+        ``(mask << shift) | jump[u]``.  The floor is
         ``base``: ν(mask), or in a restarting arena the root's value, read from the root's
         slot when the root is a member.  Round 1 runs while the rows are built, and a
         one-state layer is solved outright.  Returns each member's tester choice: the
         successor position that last raised it, or None.
         """
-        succ, is_tester, step, inf = self.succ, self.is_tester, self.step, math.inf
-        here = mask << self.shift  # a move to u lands in here | step[u]
+        succ, is_tester, jump, inf = self.succ, self.is_tester, self.jump, math.inf
+        here = mask << self.shift  # an exit to u is worth values[here | jump[u]]
         n = len(members)
         if n == 1:  # its in-layer moves are self-loops, worth the floor like a sink
             p = members[0]
@@ -222,11 +226,11 @@ class _Arena:
             if is_tester[p]:
                 for u in succ[p]:
                     if u != p:
-                        v = values[here | step[u]]
+                        v = values[here | jump[u]]
                         if v > best:
                             best, arg = v, u
             elif succ[p] and p not in succ[p]:
-                best = max(base, min(values[here | step[u]] for u in succ[p]))
+                best = max(base, min(values[here | jump[u]] for u in succ[p]))
             values[here | p] = best
             return [arg]
         slot = dict(zip(members, range(n)))
@@ -247,7 +251,7 @@ class _Arena:
                     row.append(k)
                     preds[k].append(i)
                 else:
-                    v = values[here | step[u]]
+                    v = values[here | jump[u]]
                     if tester:
                         if v > best:
                             best, arg = v, u  # the first exit of the largest value

@@ -5,22 +5,24 @@ The nodes reachable from the root become the positions of an arena
 the max-min coverage value on the product of nodes and covered sets: a
 move along an edge (v, v') adds v' to the covered set, and an infinite
 play whose covered set stops growing at C pays ν(C).  ``solve_mcg`` also
-keeps the value table, from which its result reads the optimal policies;
+keeps the value table and the explored layers, which say which states are
+reachable; its result reads the optimal policies from them;
 ``solve_mcg_restart`` runs the same kernel with the tester's restart move.
 A tester group is a set S of two or more tester nodes that reach each
 other through tester nodes alone, and value(s, C) = value(s, C ∪ S) at s
 in S (``ncgames.arena`` states the rule and why it holds).  The restart
 arena covers each group as one node of gain ν(S).  ``solve_mcg`` keeps a
 bit per node, as its policies must answer at covered sets that hold part
-of S; its kernel copies those states' values from C ∪ S instead of solving
-them.  ``oracle_mcg`` shares only the indexing and searches the game tree
-independently.
+of S; its kernel neither solves nor stores those states, and a move into
+one reads the value at C ∪ S.  ``oracle_mcg`` shares only the indexing and
+searches the game tree independently.
 
 Solving one instance is single-threaded; distinct instances share no
 mutable state and may be solved concurrently.
 """
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -67,12 +69,14 @@ class SolveResult:
 
     Policies map (node, covered set) to the chosen successor; they are
     defined for every product state reachable from the solved root, which
-    covers every position an opponent can force.  The solve keeps values
-    only: an SUT state moves to its first successor of least value, and the
+    covers every position an opponent can force, and explore's layers say
+    which those are.  The solve keeps values only, of the unsettled states,
+    and a move is read at ``jump`` of its target (``ncgames.arena``): an SUT
+    state moves to its first successor of least value, and the
     first tester lookup in a covered set replays that layer, which names the
     successor that last raised each state, and caches those choices
     (``ncgames.arena`` says why they are exact and cycle-free).  A
-    state with no value, or of the other owner, raises ``KeyError`` at once.
+    state that is not reached, or of the other owner, raises ``KeyError`` at once.
     ``tester_move`` / ``sut_move`` give single lookups; ``tester_policy`` /
     ``sut_policy`` materialize readable dictionaries (small graphs only).
     """
@@ -82,6 +86,7 @@ class SolveResult:
     root: str
     _arena: _Arena = field(repr=False)
     _values: dict[int, int] = field(repr=False)
+    _layers: dict[int, list[int]] = field(repr=False)
     _choices: dict[int, dict] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _pack(self, node: str, covered: Iterable[str]) -> int:
@@ -93,17 +98,16 @@ class SolveResult:
 
     def _move(self, packed: int, tester: bool) -> int:
         arena = self._arena
-        p = packed & ((1 << arena.shift) - 1)
-        if packed not in self._values or arena.is_tester[p] != tester:
+        p, mask = packed & ((1 << arena.shift) - 1), packed >> arena.shift
+        if p not in self._layers.get(mask, ()) or arena.is_tester[p] != tester:
             raise KeyError(packed)
-        here, values, step = packed - p, self._values, arena.step  # here = mask << shift
+        here, values, jump = packed - p, self._values, arena.jump  # here = mask << shift
         if not tester:
-            return min(arena.succ[p], key=lambda u: values[here | step[u]])
-        mask = packed >> arena.shift
-        if mask not in self._choices:  # replay the layer; its rounds rewrite the same values
-            members = [q for q in range(len(arena.succ)) if here | q in values]
+            return min(arena.succ[p], key=lambda u: values[here | jump[u]])
+        if mask not in self._choices:  # replay the layer; its writes stay out of the table
+            members = self._layers[mask]
             base = sum(gain for c, gain in enumerate(arena.gains) if mask >> c & 1)
-            last = arena.solve_layer(mask, members, base, values)
+            last = arena.solve_layer(mask, members, base, ChainMap({}, values))
             self._choices[mask] = {q: u for q, u in zip(members, last) if u is not None}
         return self._choices[mask].get(p, arena.succ[p][0])
 
@@ -116,12 +120,11 @@ class SolveResult:
     def _policy(self, tester: bool) -> dict[tuple[str, frozenset[str]], str]:
         ids, shift, is_tester = self._arena.ids, self._arena.shift, self._arena.is_tester
         out = {}
-        for packed in self._values:
-            p = packed & ((1 << shift) - 1)
-            if is_tester[p] == tester:
-                mask = packed >> shift
-                covered = frozenset(ids[i] for i in range(len(ids)) if mask & (1 << i))
-                out[(ids[p], covered)] = ids[self._move(packed, tester)]
+        for mask, members in self._layers.items():
+            covered = frozenset(ids[i] for i in range(len(ids)) if mask & (1 << i))
+            for p in members:
+                if is_tester[p] == tester:
+                    out[(ids[p], covered)] = ids[self._move(mask << shift | p, tester)]
         return out
 
     def tester_policy(self) -> dict[tuple[str, frozenset[str]], str]:
@@ -140,13 +143,14 @@ def solve_mcg(g: GameGraph, r: str, cap: int = 20) -> SolveResult:
     """
     ensure_valid(g, strict=True)
     arena = _node_arena(g, r, cap)
-    value, states, values = arena.solve()
+    value, states, values, layers = arena.solve()
     return SolveResult(
         value=value,
         states_explored=states,
         root=r,
         _arena=arena,
         _values=values,
+        _layers=layers,
     )
 
 

@@ -86,6 +86,12 @@ class TestSolveValue:
         with pytest.raises(CapacityError, match="70 reachable nodes exceed the solver cap 69"):
             solve_mcg(ring, "n00", cap=69)
 
+    def test_table_holds_only_unsettled_states(self):
+        # a 4-node tester group: states that cover it in part are counted, not stored
+        g = generate_random(18, 0.3, 1, 2, 1)
+        res = solve_mcg(g, g.init, cap=64)
+        assert (res.value, res.states_explored, len(res._values)) == (17, 19_591, 17_023)
+
     @pytest.mark.parametrize("solve", [solve_mcg, solve_mcg_restart, oracle_mcg])
     def test_unknown_root(self, mirror, solve):
         with pytest.raises(ValueError, match="unknown node `zz`"):
@@ -155,8 +161,12 @@ class TestGrouping:
 
     def test_tester_ring_is_one_group(self):
         ring = _tester_ring(70)
-        grouped = _grouped(_node_arena(ring, "n00", 70))
+        arena = _node_arena(ring, "n00", 70)
+        grouped = _grouped(arena)
         assert (list(grouped.cover), grouped.gains) == ([0] * 70, [70] + [0] * 69)
+        # a move into the ring reads the whole-ring state, except where the ring is one bit
+        assert arena.jump == [((1 << 70) - 1) << arena.shift | p for p in range(70)]
+        assert grouped.jump == grouped.step
         with pytest.raises(CapacityError, match="70 reachable nodes exceed the solver cap 69"):
             solve_mcg_restart(ring, "n00", cap=69)
 
@@ -473,8 +483,11 @@ class TestKernelProperties:
 
     def test_settled_tables_equal_the_layer_by_layer_ones(self, monkeypatch):
         """Plain, restart and best-response solves settle the states of partly covered
-        tester groups: their full tables must equal a solve of every layer with all of
-        its members, and every entry must keep value(p, C) = value(p, C ∪ cov(S))."""
+        tester groups and do not store them.  Against a solve of every layer with all of
+        its members and exits read through ``step`` (no settling), the table must hold
+        exactly the reachable unsettled states with the same values, and every settled
+        state (p, C) must be worth the value the table holds at ``jump[p]``, which is
+        (p, C ∪ cov(S))."""
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings
         from hypothesis import strategies as st
@@ -489,10 +502,12 @@ class TestKernelProperties:
         monkeypatch.setattr(_Arena, "solve", recorded)
 
         def layer_by_layer(arena):
-            layers, mask_gain = arena.explore()
+            no_settling = replace(arena)
+            no_settling.jump = no_settling.step
+            layers, mask_gain = no_settling.explore()
             values = {}
             for mask in reversed(layers):
-                arena.solve_layer(mask, layers[mask], mask_gain[mask], values)
+                no_settling.solve_layer(mask, layers[mask], mask_gain[mask], values)
             return values
 
         @settings(max_examples=100)
@@ -508,14 +523,24 @@ class TestKernelProperties:
             restart = replace(_node_arena(h, h.init, 20), restart=True)
             for arena in [plain, replace(plain, restart=True), restart, *solved]:
                 values = solve(arena)[2]
-                assert values == layer_by_layer(arena)
+                reference = layer_by_layer(arena)
+                cov = list(arena.bits)  # cov(S) at a position of tester group S
                 for group in _tester_groups(arena.succ, arena.is_tester):
-                    cov = 0
+                    f = 0
                     for p in group:
-                        cov |= arena.bits[p]
-                    for packed, value in values.items():
-                        if packed & ((1 << arena.shift) - 1) in group:
-                            assert values[packed | cov << arena.shift] == value
+                        f |= arena.bits[p]
+                    for p in group:
+                        cov[p] = f
+                position = (1 << arena.shift) - 1
+                unsettled = {packed for packed in reference
+                             if packed >> arena.shift & cov[packed & position] == cov[packed & position]}
+                assert values.keys() == unsettled
+                for packed, value in reference.items():
+                    if packed in unsettled:
+                        assert values[packed] == value
+                    else:
+                        p = packed & position
+                        assert values[(packed - p) | arena.jump[p]] == value
 
         prop()
 
@@ -542,8 +567,10 @@ class TestKernelProperties:
         def prop(g):
             res = solve_mcg(g, g.init)
 
-            def value(v, covered):
-                return res._values[res._pack(v, covered)]
+            def value(v, covered):  # a settled state reads its value through jump
+                packed = res._pack(v, covered)
+                p = packed & ((1 << res._arena.shift) - 1)
+                return res._values[(packed - p) | res._arena.jump[p]]
 
             for (v, covered), u in res.tester_policy().items():
                 assert value(u, covered | {u}) == value(v, covered)
