@@ -10,16 +10,16 @@ pays ν(C), the summed gain of C.
 
 Covered sets only grow, so the states reachable from the root split into
 layers, one per mask, and a move either stays in its layer or enters a
-mask of popcount one higher.  Exploration therefore visits the masks in
-nondecreasing popcount order and finds each layer by a search inside its
-mask, started from the positions entered from smaller masks; the solve
-walks the layers in the reverse order.  Within a layer, moves that leave
-it have settled values and every state is worth at least its floor ν(C),
-so the layer's max-min value is the least fixed point of the one-step
-operator started at ν(C) everywhere, which synchronous rounds reach by
-raising values only.  The floor is ν(C), or the root's value in a
-restarting arena (the tester's restart move keeps C), and a sink moves
-only to it.
+strictly larger mask, of higher popcount.  Exploration keeps the masks
+entered so far in buckets by popcount and takes them in nondecreasing
+popcount order; it finds each layer by a search inside its mask, started
+from the positions entered from smaller masks, and the solve walks the
+layers in the reverse order.  Within a layer, moves that leave it have
+settled values and every state is worth at least its floor ν(C), so the
+layer's max-min value is the least fixed point of the one-step operator
+started at ν(C) everywhere, which synchronous rounds reach by raising
+values only.  The floor is ν(C), or the root's value in a restarting
+arena (the tester's restart move keeps C), and a sink moves only to it.
 
 Some states are settled before their layer is solved.  A tester group S
 (``_tester_groups``) is a set of two or more tester positions that reach
@@ -27,15 +27,26 @@ each other by tester-to-tester moves, and cov(S) is the mask of their
 cover bits.  At p in S, value(p, C) = value(p, C ∪ cov(S)): the tester
 alone can walk S from p and back to p (≥), and a larger covered set never
 lowers the pay (≤), restart or not.  So a state (p, C) whose C covers S
-only in part is settled: it is never stored, and is worth the value of
-(p, C ∪ cov(S)), which the walk reaches, so it is in the table, and which
-covers S, so it is unsettled.  A move to u from mask C is therefore read
-at (C << shift) | ``jump[u]``, that is (u, C ∪ cov(S)) in a group and
-(u, C | 1 << cover[u]) elsewhere: the target itself, or a state of higher
-popcount that is already solved.  The layer's unsettled states are solved
-as below, where a move to a settled state counts as an exit; a layer with
-no unsettled state is skipped, and in a restarting arena whose root is
-settled the floor is read at ``jump[root]``.
+only in part is settled, and is worth the value of (p, C ∪ cov(S)), which
+the walk reaches and which covers S, so it is unsettled.  A move to u from
+mask C is therefore read at (C << shift) | ``jump[u]``, that is
+(u, C ∪ cov(S)) in a group and (u, C | 1 << cover[u]) elsewhere: the
+target itself, or a state of higher popcount.
+
+The full solve explores every reachable state, a move to u adding
+``bits[u]``, and solves only the unsettled ones: a move to a settled state
+counts as an exit, a layer with no unsettled state is skipped, and in a
+restarting arena whose root is settled the floor is read at ``jump[root]``.
+The reduced solve explores along ``jump`` instead: a move to u adds the
+entry mask ``jump[u] >> shift``, cov(S) in a group and ``bits[u]``
+elsewhere, so one move may add several bits, and the root is entered as it
+is.  It enters no settled state but the root's, and its values are exact.
+Each state it enters is reachable, by the walk of S after the move.  Each
+of its layers is a set of the full layer's unsettled states that is closed
+under the moves staying in the mask, and reads every other move at the
+same ``jump`` state as the full solve; the least fixed point of such a
+closed set is the full one restricted to it.  A settled root state is
+solved in its layer like any other, and its exits are exact, so it is too.
 
 Round 1 reads the floor in every in-layer state, so it runs while the
 layer's rows are built: a tester takes the larger of its floor and its
@@ -62,7 +73,8 @@ to a member, so these are the rounds of a solve that settles nothing; they
 read only the floor and the exits, whose values settling leaves unchanged,
 so they recompute the same values and name the same choices.  The replay
 writes into a ``collections.ChainMap`` over the table, so the settled
-members it solves are not stored.
+members it solves are not stored.  The root's layer is the root alone in
+both explorations, with the same exits, so its replay may read either table.
 """
 from __future__ import annotations
 
@@ -118,6 +130,16 @@ def _tester_groups(succ: Sequence[Sequence[int]], is_tester: Sequence[bool]) -> 
     return groups
 
 
+def _gain(gains: Sequence[int], mask: int) -> int:
+    """ν(mask): the summed gains of its cover bits."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += gains[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
 @dataclass
 class _Arena:
     ids: list[Hashable]  # position labels
@@ -146,8 +168,9 @@ class _Arena:
                 full[p] = f
         self.jump = [(f << self.shift) | p for p, f in enumerate(full)]
 
-    def explore(self, state_cap: float = math.inf):
-        """Product states reachable from (root, {root}), layered by mask.
+    def explore(self, enter: Sequence[int], state_cap: float = math.inf):
+        """Product states reachable from (root, {root}) when a move to u adds the mask
+        ``enter[u]``, layered by mask.
 
         Returns (layers, mask_gain): layers maps each mask, in nondecreasing
         popcount order, to the sorted positions present with it; mask_gain
@@ -155,49 +178,54 @@ class _Arena:
         Only a count above max(state_cap, 1) raises, since the root state is
         always admitted.
         """
-        succ, cover, gains, bits, root = self.succ, self.cover, self.gains, self.bits, self.root
-        mask_gain = {bits[root]: gains[cover[root]]}
+        succ, gains, root = self.succ, self.gains, self.root
+        start = self.bits[root]
+        mask_gain = {start: _gain(gains, start)}
         layers: dict[int, list[int]] = {}
-        level = {bits[root]: {root}}  # masks of one popcount -> positions reached so far
+        entered = {start: {root}}  # mask -> positions entered with it, not yet searched
+        buckets = {start.bit_count(): [start]}  # popcount -> the masks entered with it
         count = 0
-        while level:
-            entered: dict[int, set[int]] = {}  # the next popcount's masks
-            for mask, seen in level.items():
+        while buckets:
+            for mask in buckets.pop(min(buckets)):
+                seen = entered.pop(mask)
                 if self.restart:
                     seen.add(root)
                 stack = list(seen)
                 while stack:
                     for u in succ[stack.pop()]:
-                        if mask & bits[u]:
+                        m2 = mask | enter[u]
+                        if m2 == mask:
                             if u not in seen:
                                 seen.add(u)
                                 stack.append(u)
+                        elif m2 in entered:
+                            entered[m2].add(u)
                         else:
-                            m2 = mask | bits[u]
-                            if m2 in entered:
-                                entered[m2].add(u)
-                            else:
-                                entered[m2] = {u}
-                                mask_gain[m2] = mask_gain[mask] + gains[cover[u]]
+                            entered[m2] = {u}
+                            buckets.setdefault(m2.bit_count(), []).append(m2)
+                            mask_gain[m2] = mask_gain[mask] + _gain(gains, m2 ^ mask)
                 count += len(seen)
                 if count > state_cap and count > 1:
                     raise CapacityError(f"search state space exceeds cap {state_cap}")
                 layers[mask] = sorted(seen)
-            level = entered
         return layers, mask_gain
 
-    def solve(self, state_cap: float = math.inf):
-        """Root value, number of reachable states, the value table and explore's layers.
-        The table holds the unsettled states only; a settled state (p, C) is worth the
-        value at (C << shift) | jump[p], and so is the root state, read at jump[root].
+    def solve(self, state_cap: float = math.inf, reduced: bool = False):
+        """Root value, number of explored states, the value table and explore's layers.
+
+        By default every reachable state is explored and the table holds the unsettled
+        ones only; a settled state (p, C) is worth the value at (C << shift) | jump[p],
+        and so is the root state, read at jump[root].  ``reduced`` explores along the
+        entry masks (jump[u] >> shift) instead, so the only settled state it enters is
+        the root's, which it solves like any other.
         """
-        layers, mask_gain = self.explore(state_cap)
-        values: dict[int, int] = {}
         shift, jump, root = self.shift, self.jump, self.root
-        grouped = jump != self.step
+        layers, mask_gain = self.explore([j >> shift for j in jump] if reduced else self.bits, state_cap)
+        values: dict[int, int] = {}
+        settle = not reduced and jump != self.step
         for mask in reversed(layers):
             members, here = layers[mask], mask << shift
-            if grouped:  # (p, C) with C partly covering p's group is settled: it is not stored
+            if settle:  # (p, C) with C partly covering p's group is settled: it is not stored
                 members = [p for p in members if here | jump[p] == here | p]
                 if not members:
                     continue

@@ -4,18 +4,16 @@ The nodes reachable from the root become the positions of an arena
 (``ncgames.arena``), and its layered least-fixed-point kernel evaluates
 the max-min coverage value on the product of nodes and covered sets: a
 move along an edge (v, v') adds v' to the covered set, and an infinite
-play whose covered set stops growing at C pays ν(C).  ``solve_mcg`` also
-keeps the value table and the explored layers, which say which states are
-reachable; its result reads the optimal policies from them;
-``solve_mcg_restart`` runs the same kernel with the tester's restart move.
-A tester group is a set S of two or more tester nodes that reach each
-other through tester nodes alone, and value(s, C) = value(s, C ∪ S) at s
-in S (``ncgames.arena`` states the rule and why it holds).  The restart
-arena covers each group as one node of gain ν(S).  ``solve_mcg`` keeps a
-bit per node, as its policies must answer at covered sets that hold part
-of S; its kernel neither solves nor stores those states, and a move into
-one reads the value at C ∪ S.  ``oracle_mcg`` shares only the indexing and
-searches the game tree independently.
+play whose covered set stops growing at C pays ν(C).  A tester group is a
+set S of two or more tester nodes that reach each other through tester
+nodes alone, and value(s, C) = value(s, C ∪ S) at s in S
+(``ncgames.arena`` states the rule and why it holds).  ``solve_mcg`` and
+``solve_mcg_restart`` value the game on the kernel's reduced exploration,
+in which a move into a group covers all of it, so the states that cover a
+group in part are not entered.  Policies must answer at those states too,
+so ``SolveResult`` builds the full table, over every reachable state, the
+first time a policy or a state count needs it.  ``oracle_mcg`` shares only
+the indexing and searches the game tree independently.
 
 Solving one instance is single-threaded; distinct instances share no
 mutable state and may be solved concurrently.
@@ -24,9 +22,10 @@ from __future__ import annotations
 
 from collections import ChainMap
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable
 
-from .arena import _Arena, _tester_groups
+from .arena import _Arena, _gain
 from .errors import CapacityError, StrategyError
 from .graph import TESTER, GameGraph, ensure_valid, reachable
 from .play import StateMachineStrategy
@@ -49,45 +48,55 @@ def _node_arena(g: GameGraph, r: str, cap: int) -> _Arena:
     )
 
 
-def _grouped(arena: _Arena) -> _Arena:
-    """A node arena whose tester groups (``ncgames.arena._tester_groups``) share one cover
-    bit: the group's least position, carrying the group's summed gain.  Every state of
-    a group then covers all of it, so the kernel settles none of them.
-    """
-    cover, gains = list(arena.cover), list(arena.gains)
-    for least, *rest in _tester_groups(arena.succ, arena.is_tester):
-        for p in rest:
-            cover[p] = least
-            gains[least] += gains[p]
-            gains[p] = 0
-    return replace(arena, cover=cover, gains=gains)
-
-
 @dataclass
 class SolveResult:
     """Game value plus optimal policies on the product arena.
 
+    The value comes from the reduced exploration (``_Arena.solve`` with
+    ``reduced``), whose table also answers the tester's move at the root state:
+    the root's layer is the root alone in both explorations, so its replay reads
+    the same exits.  Every other answer reads the full table, which explores every
+    reachable state and keeps the unsettled ones.  It is built once, on first use
+    of ``states_explored``, ``_values``, ``_layers``, an SUT move, a policy, or a
+    tester lookup elsewhere, and takes no part in equality.
+
     Policies map (node, covered set) to the chosen successor; they are
     defined for every product state reachable from the solved root, which
-    covers every position an opponent can force, and explore's layers say
-    which those are.  The solve keeps values only, of the unsettled states,
-    and a move is read at ``jump`` of its target (``ncgames.arena``): an SUT
-    state moves to its first successor of least value, and the
-    first tester lookup in a covered set replays that layer, which names the
-    successor that last raised each state, and caches those choices
-    (``ncgames.arena`` says why they are exact and cycle-free).  A
-    state that is not reached, or of the other owner, raises ``KeyError`` at once.
-    ``tester_move`` / ``sut_move`` give single lookups; ``tester_policy`` /
-    ``sut_policy`` materialize readable dictionaries (small graphs only).
+    covers every position an opponent can force, and the full table's layers
+    say which those are.  A move is read at ``jump`` of its target
+    (``ncgames.arena``): an SUT state moves to its first successor of least
+    value, and the first tester lookup in a covered set replays that layer,
+    which names the successor that last raised each state, and caches those
+    choices (``ncgames.arena`` says why they are exact and cycle-free).  A
+    state that is not reached, or of the other owner, raises ``KeyError``
+    without a replay.  ``tester_move`` / ``sut_move`` give single lookups;
+    ``tester_policy`` / ``sut_policy`` materialize readable dictionaries
+    (small graphs only).
     """
 
     value: int
-    states_explored: int
     root: str
     _arena: _Arena = field(repr=False)
-    _values: dict[int, int] = field(repr=False)
-    _layers: dict[int, list[int]] = field(repr=False)
+    _reduced: tuple[dict[int, int], dict[int, list[int]]] = field(repr=False)  # values, layers
     _choices: dict[int, dict] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _full(self) -> tuple[int, dict[int, int], dict[int, list[int]]]:
+        """States explored, values and layers of the full table."""
+        return self._arena.solve()[1:]
+
+    @property
+    def states_explored(self) -> int:
+        """Product states reachable from the root."""
+        return self._full[0]
+
+    @property
+    def _values(self) -> dict[int, int]:
+        return self._full[1]
+
+    @property
+    def _layers(self) -> dict[int, list[int]]:
+        return self._full[2]
 
     def _pack(self, node: str, covered: Iterable[str]) -> int:
         idx = self._arena.index
@@ -99,15 +108,17 @@ class SolveResult:
     def _move(self, packed: int, tester: bool) -> int:
         arena = self._arena
         p, mask = packed & ((1 << arena.shift) - 1), packed >> arena.shift
-        if p not in self._layers.get(mask, ()) or arena.is_tester[p] != tester:
+        if arena.is_tester[p] != tester:
             raise KeyError(packed)
-        here, values, jump = packed - p, self._values, arena.jump  # here = mask << shift
+        values, layers = self._reduced if tester and packed == arena.step[arena.root] else self._full[1:]
+        if p not in layers.get(mask, ()):
+            raise KeyError(packed)
+        here, jump = packed - p, arena.jump  # here = mask << shift
         if not tester:
             return min(arena.succ[p], key=lambda u: values[here | jump[u]])
         if mask not in self._choices:  # replay the layer; its writes stay out of the table
-            members = self._layers[mask]
-            base = sum(gain for c, gain in enumerate(arena.gains) if mask >> c & 1)
-            last = arena.solve_layer(mask, members, base, ChainMap({}, values))
+            members = layers[mask]
+            last = arena.solve_layer(mask, members, _gain(arena.gains, mask), ChainMap({}, values))
             self._choices[mask] = {q: u for q, u in zip(members, last) if u is not None}
         return self._choices[mask].get(p, arena.succ[p][0])
 
@@ -143,15 +154,8 @@ def solve_mcg(g: GameGraph, r: str, cap: int = 20) -> SolveResult:
     """
     ensure_valid(g, strict=True)
     arena = _node_arena(g, r, cap)
-    value, states, values, layers = arena.solve()
-    return SolveResult(
-        value=value,
-        states_explored=states,
-        root=r,
-        _arena=arena,
-        _values=values,
-        _layers=layers,
-    )
+    value, _states, values, layers = arena.solve(reduced=True)
+    return SolveResult(value=value, root=r, _arena=arena, _reduced=(values, layers))
 
 
 def solve_mcg_restart(g: GameGraph, r: str, cap: int = 20) -> int:
@@ -161,11 +165,11 @@ def solve_mcg_restart(g: GameGraph, r: str, cap: int = 20) -> int:
     send the pebble back to r (keeping the covered set).  Sinks are
     allowed: a play stuck in a sink pays the covered set's gain unless
     restarted.  The accumulated set always contains r, so the restart
-    option never leaves the current layer.  Each tester group is covered
-    as one node (``_grouped``).
+    option never leaves the current layer.  The solve is the reduced one:
+    a move into a tester group covers all of it.
     """
     ensure_valid(g, strict=False)
-    return replace(_grouped(_node_arena(g, r, cap)), restart=True).solve()[0]
+    return replace(_node_arena(g, r, cap), restart=True).solve(reduced=True)[0]
 
 
 class OptimalSutStrategy(StateMachineStrategy):

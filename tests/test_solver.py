@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import ChainMap
 from dataclasses import replace
 
 import pytest
@@ -22,7 +23,6 @@ from ncgames.graph import (
 from ncgames.play import PositionalStrategy, best_response_gain
 from ncgames.reductions import parse_dimacs, restart_double, sat_to_ncgame
 from ncgames.solver import (
-    _grouped,
     _node_arena,
     extract_optimal_sut,
     oracle_mcg,
@@ -156,32 +156,40 @@ class TestRestart:
         assert solve_mcg_restart(g, g.init, cap=64) == value
 
 
+def _entry_masks(arena: _Arena) -> list[int]:
+    """The mask a reduced exploration adds on a move to each position."""
+    return [j >> arena.shift for j in arena.jump]
+
+
 class TestGrouping:
-    """Tester-only strongly connected sets share one cover bit, worth their summed gain."""
+    """Tester-only strongly connected sets are covered whole by a move into them,
+    worth their summed gain."""
 
     def test_tester_ring_is_one_group(self):
         ring = _tester_ring(70)
         arena = _node_arena(ring, "n00", 70)
-        grouped = _grouped(arena)
-        assert (list(grouped.cover), grouped.gains) == ([0] * 70, [70] + [0] * 69)
-        # a move into the ring reads the whole-ring state, except where the ring is one bit
+        (group,) = _tester_groups(arena.succ, arena.is_tester)
+        assert (group, sum(arena.gains[p] for p in group)) == (list(range(70)), 70)
+        # a move into the ring reads the whole-ring state, and the reduced solve enters
+        # only it after the root state
         assert arena.jump == [((1 << 70) - 1) << arena.shift | p for p in range(70)]
-        assert grouped.jump == grouped.step
+        assert replace(arena, restart=True).solve(reduced=True)[:2] == (70, 71)
         with pytest.raises(CapacityError, match="70 reachable nodes exceed the solver cap 69"):
             solve_mcg_restart(ring, "n00", cap=69)
 
     def test_mirror_has_no_group(self, mirror):
         arena = _node_arena(mirror, "v0", 20)
-        grouped = _grouped(arena)
-        assert (list(grouped.cover), grouped.gains) == ([0, 1, 2, 3], arena.gains)
+        assert _tester_groups(arena.succ, arena.is_tester) == []
+        assert (_entry_masks(arena), arena.gains) == ([1, 2, 4, 8], [1, 1, 1, 1])
 
     def test_cycle_through_an_sut_node_is_not_a_group(self):
         g = graph_of(
             {"a": (TESTER, 1, ("b",)), "b": (TESTER, 2, ("s",)), "s": (SUT, 4, ("a",))},
             init="a",
         )
-        grouped = _grouped(_node_arena(g, "a", 20))
-        assert (list(grouped.cover), grouped.gains) == ([0, 1, 2], [1, 2, 4])
+        arena = _node_arena(g, "a", 20)
+        assert _tester_groups(arena.succ, arena.is_tester) == []
+        assert (_entry_masks(arena), arena.gains) == ([1, 2, 4], [1, 2, 4])
 
     def test_long_tester_ring_is_one_group(self):
         n = 5000  # a best-response arena may have this many positions
@@ -197,8 +205,9 @@ class TestGrouping:
             {"a": (TESTER, 1, ("b", "t")), "b": (TESTER, 2, ("a",)), "t": (TESTER, 4, ())},
             init="a",
         )
-        grouped = _grouped(_node_arena(g, "a", 20))
-        assert (list(grouped.cover), grouped.gains) == ([0, 0, 2], [3, 0, 4])
+        arena = _node_arena(g, "a", 20)
+        assert _tester_groups(arena.succ, arena.is_tester) == [[0, 1]]
+        assert (_entry_masks(arena), arena.gains) == ([3, 3, 4], [1, 2, 4])
         assert solve_mcg_restart(g, "a") == 7
 
 
@@ -405,15 +414,15 @@ class TestLazyTesterChoices:
     def test_bad_lookups_raise_before_any_replay(self, mirror, name, monkeypatch):
         g = _golden_graphs(mirror)[name]
         res = solve_mcg(g, g.init)
+        # every reached covered set holds the root, so an empty one is never reached
+        bad = [(g.init, set())] + [(v, covered) for v, covered in res.sut_policy()]
+        if name == "mirror":
+            bad.append(("v1", {"v1"}))  # both successor states reached, this one not
 
         def no_replay(*args):
             raise AssertionError("layer replayed")
 
         monkeypatch.setattr(_Arena, "solve_layer", no_replay)
-        # every reached covered set holds the root, so an empty one is never reached
-        bad = [(g.init, set())] + [(v, covered) for v, covered in res.sut_policy()]
-        if name == "mirror":
-            bad.append(("v1", {"v1"}))  # both successor states reached, this one not
         for v, covered in bad:
             with pytest.raises(KeyError):
                 res.tester_move(v, covered)
@@ -456,7 +465,7 @@ class TestKernelProperties:
 
         prop()
 
-    def test_grouped_value_equals_the_oracle(self):
+    def test_reduced_value_equals_the_oracle(self):
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings
         from hypothesis import strategies as st
@@ -464,7 +473,7 @@ class TestKernelProperties:
         @settings(max_examples=100)
         @given(g=_games(st, sinks=False))
         def prop(g):
-            assert _grouped(_node_arena(g, g.init, 20)).solve()[0] == oracle_mcg(g, g.init)
+            assert _node_arena(g, g.init, 20).solve(reduced=True)[0] == oracle_mcg(g, g.init)
 
         prop()
 
@@ -504,7 +513,7 @@ class TestKernelProperties:
         def layer_by_layer(arena):
             no_settling = replace(arena)
             no_settling.jump = no_settling.step
-            layers, mask_gain = no_settling.explore()
+            layers, mask_gain = no_settling.explore(no_settling.bits)
             values = {}
             for mask in reversed(layers):
                 no_settling.solve_layer(mask, layers[mask], mask_gain[mask], values)
@@ -578,6 +587,97 @@ class TestKernelProperties:
                 assert value(u, covered | {u}) == min(value(w, covered | {w}) for w in g.edges[v])
 
         prop()
+
+
+class TestReducedSolve:
+    """``solve_mcg`` takes its value from the reduced exploration, in which a move into
+    a tester group covers the whole group, and builds the full table once, only for
+    the answers that need it."""
+
+    def test_reduced_tables_agree_with_the_full_ones(self):
+        """Plain and restart arenas with sinks and self-loops: the reduced solve gives the
+        full solve's value and root tester choice, each of its entries equals the full
+        solve's value at that state (read through ``jump``), and it enters only
+        reachable states."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        def states(arena, layers):
+            return {mask << arena.shift | p for mask, members in layers.items() for p in members}
+
+        @settings(max_examples=100)
+        @given(h=_games(st, sinks=True))
+        def prop(h):
+            g = GameGraph(h.nodes, {v: moves or (v,) for v, moves in h.edges.items()}, h.init)
+            plain = _node_arena(g, g.init, 20)
+            restart = replace(_node_arena(h, h.init, 20), restart=True)
+            for arena in [plain, replace(plain, restart=True), restart]:
+                value, _states, full, full_layers = arena.solve()
+                reduced_value, _states, reduced, layers = arena.solve(reduced=True)
+                assert reduced_value == value
+                root, mask = arena.root, arena.bits[arena.root]
+                assert layers[mask] == full_layers[mask] == [root]
+                choices = [arena.solve_layer(mask, [root], arena.gains[root], ChainMap({}, table))
+                           for table in (reduced, full)]
+                assert choices[0] == choices[1]
+                position = (1 << arena.shift) - 1
+                for packed, v in reduced.items():
+                    p = packed & position
+                    assert full[(packed - p) | arena.jump[p]] == v
+                assert states(arena, layers) <= states(arena, full_layers)
+                if arena is plain and g.is_tester(g.init):
+                    choice = choices[1][0]
+                    expected = arena.ids[arena.succ[root][0] if choice is None else choice]
+                    assert solve_mcg(g, g.init).tester_move(g.init, {g.init}) == expected
+
+        prop()
+
+    def test_reduced_states_with_the_root_in_a_tester_group(self):
+        # the full exploration of this graph has 321,853 states
+        g = generate_random(26, 0.3, 1, 2, 2)
+        res = solve_mcg(g, g.init, cap=64)
+        _values, layers = res._reduced
+        assert (res.value, sum(map(len, layers.values()))) == (20, 8_069)
+        assert res.tester_move(g.init, {g.init}) == "n01"
+        assert "_full" not in vars(res)
+
+    @pytest.mark.parametrize("use", [
+        lambda res: res.states_explored,
+        lambda res: res._values,
+        lambda res: res._layers,
+        lambda res: res.tester_policy(),
+        lambda res: res.sut_policy(),
+        lambda res: res.sut_move("v3", {"v0", "v1", "v3"}),
+        lambda res: res.tester_move("v1", {"v0", "v1"}),
+        lambda res: pytest.raises(KeyError, res.tester_move, "v1", {"v1"}),
+    ], ids=["states_explored", "values", "layers", "tester_policy", "sut_policy", "sut_move",
+            "tester_move", "unreached_state"])
+    def test_full_table_is_built_once_on_first_use(self, mirror, monkeypatch, use):
+        calls = []
+        explore = _Arena.explore
+
+        def spy(arena, *args, **kwargs):
+            calls.append(arena)
+            return explore(arena, *args, **kwargs)
+
+        monkeypatch.setattr(_Arena, "explore", spy)
+        res = solve_mcg(mirror, "v0")
+        assert (res.value, res.tester_move("v0", {"v0"})) == (3, "v1")
+        assert len(calls) == 1
+        use(res)
+        assert len(calls) == 2
+        assert res.states_explored > 0
+        res.tester_policy()
+        res.sut_policy()
+        assert len(calls) == 2
+
+    def test_lookups_and_the_full_table_take_no_part_in_equality(self, mirror):
+        res = solve_mcg(mirror, "v0")
+        res.tester_move("v0", {"v0"})
+        assert res == solve_mcg(mirror, "v0")
+        res.sut_policy()
+        assert res == solve_mcg(mirror, "v0") == res
 
 
 def _product_states(g: GameGraph, r: str, sut) -> int:
