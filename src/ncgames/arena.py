@@ -21,45 +21,69 @@ started at ν(C) everywhere, which synchronous rounds reach by raising
 values only.  The floor is ν(C), or the root's value in a restarting
 arena (the tester's restart move keeps C), and a sink moves only to it.
 
-Some states are settled before their layer is solved.  A tester group S
-(``_tester_groups``) is a set of two or more tester positions that reach
-each other by tester-to-tester moves, and cov(S) is the mask of their
-cover bits.  At p in S, value(p, C) = value(p, C ∪ cov(S)): the tester
-alone can walk S from p and back to p (≥), and a larger covered set never
-lowers the pay (≤), restart or not.  So a state (p, C) whose C covers S
-only in part is settled, and is worth the value of (p, C ∪ cov(S)), which
-the walk reaches and which covers S, so it is unsettled.  A move to u from
-mask C is therefore read at (C << shift) | ``jump[u]``, that is
-(u, C ∪ cov(S)) in a group and (u, C | 1 << cover[u]) elsewhere: the
-target itself, or a state of higher popcount.
+Some states are settled before their layer is solved, by two rules.  A
+position is forced when it has exactly one successor, that successor is
+not itself, and it is not the root.  At a forced p moving to u,
+value(p, C) = value(u, C ∪ {u}): in a layer the least fixed point gives p
+the value of u, and under restart p's restart is worth value(root, C),
+which is no more, since the tester may restart at u too.  Following forced
+positions from u ends at the first position t that is not forced, with
+every position on the way covered.  A walk that closes a cycle of forced
+positions ends at the cycle's least position, with the whole cycle
+covered: that position's only move comes back to it inside its layer, so
+it is worth the floor, as every state of the cycle is.  The root is never
+forced: a restarting arena whose root state (root, C) is settled reads the
+floor of layer C at (C << shift) | jump[root], which must be solved before
+layer C is, so it may not lie in it.  A tester group
+S (``_tester_groups``) is a set of two or more positions that the tester
+controls (its own, and those with one successor, where nobody chooses)
+and that reach each other through such positions; cov(S) is the mask of
+their cover bits.  At p in S, value(p, C) = value(p, C ∪ cov(S)): the
+tester alone can walk S from p and back to p (≥), and a larger covered set
+never lowers the pay (≤), restart or not.
 
-The full solve explores every reachable state, a move to u adding
-``bits[u]``, and solves only the unsettled ones: a move to a settled state
-counts as an exit, a layer with no unsettled state is skipped, and in a
+So ``jump[u]`` packs the state that a move to u is worth, with the mask
+it adds: the chain's end t (u itself when u is not forced), and the
+chain's cover bits with cov(S) if t is in a group S.  A move to u from
+mask C is worth the value at (C << shift) | ``jump[u]``.  A state (p, C)
+is unsettled when that state is (p, C) itself, that is when p is not
+forced, or is the position its cycle keeps, and C covers its group and
+cycle; every other state is settled, and is worth the unsettled state
+(C << shift) | ``jump[p]``, which the chain and the walk of S reach.
+
+The full solve explores every reachable state, a move to u entering
+``step[u]``, that is u with ``bits[u]`` added, and solves only the
+unsettled ones: a layer with no unsettled state is skipped, and in a
 restarting arena whose root is settled the floor is read at ``jump[root]``.
-The reduced solve explores along ``jump`` instead: a move to u adds the
-entry mask ``jump[u] >> shift``, cov(S) in a group and ``bits[u]``
-elsewhere, so one move may add several bits, and the root is entered as it
-is.  It enters no settled state but the root's, and its values are exact.
-Each state it enters is reachable, by the walk of S after the move.  Each
-of its layers is a set of the full layer's unsettled states that is closed
-under the moves staying in the mask, and reads every other move at the
-same ``jump`` state as the full solve; the least fixed point of such a
-closed set is the full one restricted to it.  A settled root state is
-solved in its layer like any other, and its exits are exact, so it is too.
+The reduced solve explores along ``jump`` instead: a move to u enters the
+chain's end with jump[u]'s mask added, so one move may add several bits,
+and the root is entered as it is.  It enters no settled state but the
+root's, and its values are exact.  Each state it enters is reachable, by
+the chain and the walk of S after the move.  Each of its layers is a set
+of the full layer's unsettled states that is closed under the moves
+staying in the mask, and reads every other move at the same ``jump``
+state as the full solve; the least fixed point of such a closed set is the
+full one restricted to it.  A settled root state is solved in its layer
+like any other, and its exits are exact, so it is too.
+
+In a layer of mask C, ``solve_layer`` takes a move to u as in-layer when
+u is a member.  Otherwise, when (C << shift) | jump[u] has mask C, the
+chain stays in the layer and the move goes to its end, which both
+explorations have entered into the layer, so it is a member; and
+otherwise the move is an exit, read at that state.
 
 Round 1 reads the floor in every in-layer state, so it runs while the
 layer's rows are built: a tester takes the larger of its floor and its
 best exit, and an SUT state takes its floor if it has an in-layer move,
 else the larger of the floor and its least exit.  A one-state layer needs
-no more: its in-layer moves are self-loops, worth the floor (in a
-restarting arena that state is the root or the root was settled, and the
-same holds).  Every later round reads the previous round's values and
-applies its raises afterwards.  It re-evaluates an SUT state whose
-in-layer successor rose and a tester whose in-layer successor rose above
-it (every state, when the floor rose), since no other state can rise; a
-tester's exits are already in its value, so it reads only its in-layer
-successors.
+no more: its in-layer moves are self-loops or chains back to it, worth
+the floor (in a restarting arena that state is the root or the root was
+settled, and the same holds).  Every later round reads the previous
+round's values and applies its raises afterwards.  It re-evaluates an SUT
+state whose in-layer successor rose and a tester whose in-layer successor
+rose above it (every state, when the floor rose), since no other state can
+rise; a tester's exits are already in its value, so it reads only its
+in-layer successors.
 
 Tester policies must avoid value-preserving cycles inside a layer, so a
 tester choice is the option that strictly raised the state's value in the
@@ -69,12 +93,14 @@ successor of least value, which is always safe for the minimizer.  The
 solve keeps values only, and ``ncgames.solver.SolveResult`` reads a
 tester choice by running ``solve_layer`` again on all members of the
 looked-up layer.  With all of them, every move inside the layer is a move
-to a member, so these are the rounds of a solve that settles nothing; they
-read only the floor and the exits, whose values settling leaves unchanged,
-so they recompute the same values and name the same choices.  The replay
-writes into a ``collections.ChainMap`` over the table, so the settled
-members it solves are not stored.  The root's layer is the root alone in
-both explorations, with the same exits, so its replay may read either table.
+to a member, which takes its own slot before any chain is followed, so
+these are the rounds of a solve that settles nothing; they read only the
+floor and the exits, at states of larger masks whose values settling
+leaves unchanged, so they recompute the same values and name the same
+choices.  The replay writes into a ``collections.ChainMap`` over the
+table, so the settled members it solves are not stored.  The root's layer
+is the root alone in both explorations, with the same exits, so its
+replay may read either table.
 """
 from __future__ import annotations
 
@@ -86,17 +112,19 @@ from .errors import CapacityError
 
 
 def _tester_groups(succ: Sequence[Sequence[int]], is_tester: Sequence[bool]) -> list[list[int]]:
-    """The sets of two or more tester positions that reach each other by tester-to-tester
-    moves, each sorted: the strongly connected components of those moves, found by an
-    iterative Tarjan pass in time linear in positions and moves.
+    """The sets of two or more positions that the tester controls, its own and those with
+    exactly one successor, and that reach each other by moves between such positions, each
+    sorted: the strongly connected components of those moves, found by an iterative Tarjan
+    pass in time linear in positions and moves.
     """
+    owned = [tester or len(moves) == 1 for tester, moves in zip(is_tester, succ)]
     done = len(succ) + 1
     low = [0] * len(succ)  # 0 unvisited, else the least visit number reached; done when finished
     stack: list[int] = []  # visited positions not yet in a finished component
     groups = []
     count = 0
     for s in range(len(succ)):
-        if not is_tester[s] or low[s]:
+        if not owned[s] or low[s]:
             continue
         count += 1
         low[s] = count
@@ -106,7 +134,7 @@ def _tester_groups(succ: Sequence[Sequence[int]], is_tester: Sequence[bool]) -> 
         while work:
             p, number, height, moves = work[-1]
             for u in moves:
-                if not is_tester[u]:
+                if not owned[u]:
                     continue
                 if not low[u]:
                     count += 1
@@ -156,21 +184,41 @@ class _Arena:
     jump: list[int] = field(init=False)  # ... and is worth the value at (mask << shift) | jump[p]
 
     def __post_init__(self):
-        self.shift = len(self.succ).bit_length()
-        self.bits = [1 << c for c in self.cover]
-        self.step = [(b << self.shift) | p for p, b in enumerate(self.bits)]
-        full = list(self.bits)  # cov(S) at p in a tester group S, else bits[p]
-        for group in _tester_groups(self.succ, self.is_tester):
+        succ, root = self.succ, self.root
+        self.shift = shift = len(succ).bit_length()
+        self.bits = bits = [1 << c for c in self.cover]
+        self.step = [(b << shift) | p for p, b in enumerate(bits)]
+        full = list(bits)  # cov(S) at p in a tester group S, else bits[p]
+        for group in _tester_groups(succ, self.is_tester):
             f = 0
             for p in group:
-                f |= self.bits[p]
+                f |= bits[p]
             for p in group:
                 full[p] = f
-        self.jump = [(f << self.shift) | p for p, f in enumerate(full)]
+        # Each position is resolved once: a walk stops at a resolved position, so the
+        # table takes time linear in the positions.
+        jump: list = [None] * len(succ)  # -1 on the current walk
+        for s in range(len(succ)):
+            path = []  # the forced positions walked from s
+            p = s
+            while jump[p] is None and len(succ[p]) == 1 and succ[p][0] != p and p != root:
+                jump[p] = -1
+                path.append(p)
+                p = succ[p][0]
+            if jump[p] is None:  # not forced: the chain ends at p
+                jump[p] = (full[p] << shift) | p
+            elif jump[p] < 0:  # the walk closed a forced cycle, kept at its least position
+                t = min(path[path.index(p):])
+                jump[p] = (full[t] << shift) | t  # the cycle is a tester group
+            e = jump[p]
+            for q in reversed(path):
+                e |= bits[q] << shift
+                jump[q] = e
+        self.jump = jump
 
     def explore(self, enter: Sequence[int], state_cap: float = math.inf):
-        """Product states reachable from (root, {root}) when a move to u adds the mask
-        ``enter[u]``, layered by mask.
+        """Product states reachable from (root, {root}) when a move to u from mask C
+        enters the packed state ``enter[u]`` or'ed with C, layered by mask.
 
         Returns (layers, mask_gain): layers maps each mask, in nondecreasing
         popcount order, to the sorted positions present with it; mask_gain
@@ -178,7 +226,9 @@ class _Arena:
         Only a count above max(state_cap, 1) raises, since the root state is
         always admitted.
         """
-        succ, gains, root = self.succ, self.gains, self.root
+        gains, root, shift = self.gains, self.root, self.shift
+        position = (1 << shift) - 1
+        moves = [[(enter[u] >> shift, enter[u] & position) for u in s] for s in self.succ]
         start = self.bits[root]
         mask_gain = {start: _gain(gains, start)}
         layers: dict[int, list[int]] = {}
@@ -192,16 +242,16 @@ class _Arena:
                     seen.add(root)
                 stack = list(seen)
                 while stack:
-                    for u in succ[stack.pop()]:
-                        m2 = mask | enter[u]
+                    for m, t in moves[stack.pop()]:
+                        m2 = mask | m
                         if m2 == mask:
-                            if u not in seen:
-                                seen.add(u)
-                                stack.append(u)
+                            if t not in seen:
+                                seen.add(t)
+                                stack.append(t)
                         elif m2 in entered:
-                            entered[m2].add(u)
+                            entered[m2].add(t)
                         else:
-                            entered[m2] = {u}
+                            entered[m2] = {t}
                             buckets.setdefault(m2.bit_count(), []).append(m2)
                             mask_gain[m2] = mask_gain[mask] + _gain(gains, m2 ^ mask)
                 count += len(seen)
@@ -213,19 +263,18 @@ class _Arena:
     def solve(self, state_cap: float = math.inf, reduced: bool = False):
         """Root value, number of explored states, the value table and explore's layers.
 
-        By default every reachable state is explored and the table holds the unsettled
-        ones only; a settled state (p, C) is worth the value at (C << shift) | jump[p],
-        and so is the root state, read at jump[root].  ``reduced`` explores along the
-        entry masks (jump[u] >> shift) instead, so the only settled state it enters is
-        the root's, which it solves like any other.
+        By default every reachable state is explored, entering ``step``, and the table
+        holds the unsettled ones only; a settled state (p, C), forced or of a partly
+        covered group, is worth the value at (C << shift) | jump[p], and so is the root
+        state, read at jump[root].  ``reduced`` explores along ``jump`` instead, so the
+        only settled state it enters is the root's, which it solves like any other.
         """
         shift, jump, root = self.shift, self.jump, self.root
-        layers, mask_gain = self.explore([j >> shift for j in jump] if reduced else self.bits, state_cap)
+        layers, mask_gain = self.explore(jump if reduced else self.step, state_cap)
         values: dict[int, int] = {}
-        settle = not reduced and jump != self.step
         for mask in reversed(layers):
             members, here = layers[mask], mask << shift
-            if settle:  # (p, C) with C partly covering p's group is settled: it is not stored
+            if not reduced:  # a settled state is not stored
                 members = [p for p in members if here | jump[p] == here | p]
                 if not members:
                     continue
@@ -237,27 +286,29 @@ class _Arena:
 
     def solve_layer(self, mask: int, members: list[int], base: int, values: dict):
         """Solve ``members`` (sorted positions) of the layer of ``mask`` into ``values``.
-        A move to a member is in-layer; any other move, to a later layer or to a settled
-        state of this one, is an exit to u, whose value ``values`` holds at
-        ``(mask << shift) | jump[u]``.  The floor is
-        ``base``: ν(mask), or in a restarting arena the root's value, read from the root's
-        slot when the root is a member.  Round 1 runs while the rows are built, and a
-        one-state layer is solved outright.  Returns each member's tester choice: the
-        successor position that last raised it, or None.
+        A move to u is in-layer to u's slot when u is a member, else to the slot of the
+        chain's end when ``(mask << shift) | jump[u]`` has this mask; any other move is an
+        exit, whose value ``values`` holds at that state.  The floor is ``base``: ν(mask),
+        or in a restarting arena the root's value, read from the root's slot when the root
+        is a member.  Round 1 runs while the rows are built, and a one-state layer is
+        solved outright.  Returns each member's tester choice: the position that last
+        raised it, a successor when all of the layer's members are given, or None.
         """
         succ, is_tester, jump, inf = self.succ, self.is_tester, self.jump, math.inf
         here = mask << self.shift  # an exit to u is worth values[here | jump[u]]
+        top = here + (1 << self.shift)  # here | jump[u] < top: the move stays in the layer
         n = len(members)
-        if n == 1:  # its in-layer moves are self-loops, worth the floor like a sink
+        if n == 1:  # its in-layer moves are self-loops or chains back to it, worth the floor
             p = members[0]
             best, arg = base, None
             if is_tester[p]:
                 for u in succ[p]:
-                    if u != p:
-                        v = values[here | jump[u]]
+                    j = here | jump[u]
+                    if u != p and j >= top:
+                        v = values[j]
                         if v > best:
                             best, arg = v, u
-            elif succ[p] and p not in succ[p]:
+            elif succ[p] and all(u != p and here | jump[u] >= top for u in succ[p]):
                 best = max(base, min(values[here | jump[u]] for u in succ[p]))
             values[here | p] = best
             return [arg]
@@ -274,17 +325,20 @@ class _Arena:
             preds = tpreds if tester else spreds
             best, arg, low = base, None, inf if moves else base  # a sink only reaches its floor
             for u in moves:
-                if u in slot:
-                    k = slot[u]
-                    row.append(k)
-                    preds[k].append(i)
-                else:
-                    v = values[here | jump[u]]
-                    if tester:
-                        if v > best:
-                            best, arg = v, u  # the first exit of the largest value
-                    elif v < low:
-                        low = v
+                k = slot.get(u)
+                if k is None:
+                    j = here | jump[u]
+                    if j >= top:
+                        v = values[j]
+                        if tester:
+                            if v > best:
+                                best, arg = v, u  # the first exit of the largest value
+                        elif v < low:
+                            low = v
+                        continue
+                    k = slot[j - here]  # a forced chain that ends in the layer
+                row.append(k)
+                preds[k].append(i)
             if not (tester or row) and low > base:
                 best = low
             rows.append(row)

@@ -4,13 +4,17 @@ The nodes reachable from the root become the positions of an arena
 (``ncgames.arena``), and its layered least-fixed-point kernel evaluates
 the max-min coverage value on the product of nodes and covered sets: a
 move along an edge (v, v') adds v' to the covered set, and an infinite
-play whose covered set stops growing at C pays ν(C).  A tester group is a
-set S of two or more tester nodes that reach each other through tester
-nodes alone, and value(s, C) = value(s, C ∪ S) at s in S
-(``ncgames.arena`` states the rule and why it holds).  ``solve_mcg`` and
+play whose covered set stops growing at C pays ν(C).  Two rules settle
+states before they are solved (``ncgames.arena`` states them and why they
+hold).  A forced node has one successor, not itself, and is not the root,
+so a move into a chain of forced nodes is worth the state at the chain's
+end with the whole chain covered.  A tester group is a set S of two or
+more nodes that the tester controls (its own, and those with one
+successor) and that reach each other through such nodes, and
+value(s, C) = value(s, C ∪ S) at s in S.  ``solve_mcg`` and
 ``solve_mcg_restart`` value the game on the kernel's reduced exploration,
-in which a move into a group covers all of it, so the states that cover a
-group in part are not entered.  Policies must answer at those states too,
+which follows both rules, so it enters no state of a forced node and none
+that covers a group in part.  Policies must answer at those states too,
 so ``SolveResult`` builds the full table, over every reachable state, the
 first time a policy or a state count needs it.  ``oracle_mcg`` shares only
 the indexing and searches the game tree independently.
@@ -63,15 +67,16 @@ class SolveResult:
     Policies map (node, covered set) to the chosen successor; they are
     defined for every product state reachable from the solved root, which
     covers every position an opponent can force, and the full table's layers
-    say which those are.  A move is read at ``jump`` of its target
-    (``ncgames.arena``): an SUT state moves to its first successor of least
-    value, and the first tester lookup in a covered set replays that layer,
-    which names the successor that last raised each state, and caches those
-    choices (``ncgames.arena`` says why they are exact and cycle-free).  A
-    state that is not reached, or of the other owner, raises ``KeyError``
-    without a replay.  ``tester_move`` / ``sut_move`` give single lookups;
-    ``tester_policy`` / ``sut_policy`` materialize readable dictionaries
-    (small graphs only).
+    say which those are.  A move is read at ``jump`` of its target, the end of
+    its forced chain (``ncgames.arena``): an SUT state moves to its first
+    successor of least value, and the first tester lookup in a covered set
+    replays that layer, which names the successor that last raised each state,
+    and caches those choices (``ncgames.arena`` says why they are exact and
+    cycle-free).  A state that is not reached, or of the other owner, raises
+    ``KeyError`` without a replay, and a covered set that lacks the root or the
+    looked-up node raises it before the full table is built.  ``tester_move`` /
+    ``sut_move`` give single lookups; ``tester_policy`` / ``sut_policy``
+    materialize readable dictionaries (small graphs only).
     """
 
     value: int
@@ -108,7 +113,8 @@ class SolveResult:
     def _move(self, packed: int, tester: bool) -> int:
         arena = self._arena
         p, mask = packed & ((1 << arena.shift) - 1), packed >> arena.shift
-        if arena.is_tester[p] != tester:
+        need = arena.bits[arena.root] | arena.bits[p]  # every reached state covers both
+        if arena.is_tester[p] != tester or mask & need != need:
             raise KeyError(packed)
         values, layers = self._reduced if tester and packed == arena.step[arena.root] else self._full[1:]
         if p not in layers.get(mask, ()):
@@ -166,7 +172,7 @@ def solve_mcg_restart(g: GameGraph, r: str, cap: int = 20) -> int:
     allowed: a play stuck in a sink pays the covered set's gain unless
     restarted.  The accumulated set always contains r, so the restart
     option never leaves the current layer.  The solve is the reduced one:
-    a move into a tester group covers all of it.
+    a move into a forced chain or a tester group covers all of it.
     """
     ensure_valid(g, strict=False)
     return replace(_node_arena(g, r, cap), restart=True).solve(reduced=True)[0]

@@ -87,10 +87,11 @@ class TestSolveValue:
             solve_mcg(ring, "n00", cap=69)
 
     def test_table_holds_only_unsettled_states(self):
-        # a 4-node tester group: states that cover it in part are counted, not stored
+        # a 4-node tester group and forced positions: states that cover the group in
+        # part, and those of forced positions, are counted, not stored
         g = generate_random(18, 0.3, 1, 2, 1)
         res = solve_mcg(g, g.init, cap=64)
-        assert (res.value, res.states_explored, len(res._values)) == (17, 19_591, 17_023)
+        assert (res.value, res.states_explored, len(res._values)) == (17, 19_591, 15_185)
 
     @pytest.mark.parametrize("solve", [solve_mcg, solve_mcg_restart, oracle_mcg])
     def test_unknown_root(self, mirror, solve):
@@ -170,32 +171,40 @@ class TestGrouping:
         arena = _node_arena(ring, "n00", 70)
         (group,) = _tester_groups(arena.succ, arena.is_tester)
         assert (group, sum(arena.gains[p] for p in group)) == (list(range(70)), 70)
-        # a move into the ring reads the whole-ring state, and the reduced solve enters
-        # only it after the root state
-        assert arena.jump == [((1 << 70) - 1) << arena.shift | p for p in range(70)]
-        assert replace(arena, restart=True).solve(reduced=True)[:2] == (70, 71)
+        # every position but the root is forced, so a move into the ring reads the
+        # whole-ring state at the root, and the reduced solve enters only it after the
+        # root state
+        assert arena.jump == [((1 << 70) - 1) << arena.shift] * 70
+        assert replace(arena, restart=True).solve(reduced=True)[:2] == (70, 2)
         with pytest.raises(CapacityError, match="70 reachable nodes exceed the solver cap 69"):
             solve_mcg_restart(ring, "n00", cap=69)
 
     def test_mirror_has_no_group(self, mirror):
         arena = _node_arena(mirror, "v0", 20)
         assert _tester_groups(arena.succ, arena.is_tester) == []
-        assert (_entry_masks(arena), arena.gains) == ([1, 2, 4, 8], [1, 1, 1, 1])
+        # v1 and v2 are forced to the hub v3, so a move to either also covers v3
+        assert (_entry_masks(arena), arena.gains) == ([1, 10, 12, 8], [1, 1, 1, 1])
+        assert [j & ((1 << arena.shift) - 1) for j in arena.jump] == [0, 3, 3, 3]
 
     def test_cycle_through_an_sut_node_is_not_a_group(self):
+        # s has a second successor, off the cycle, so the SUT chooses there
         g = graph_of(
-            {"a": (TESTER, 1, ("b",)), "b": (TESTER, 2, ("s",)), "s": (SUT, 4, ("a",))},
+            {"a": (TESTER, 1, ("b",)), "b": (TESTER, 2, ("s",)), "s": (SUT, 4, ("a", "c")),
+             "c": (TESTER, 8, ("c",))},
             init="a",
         )
         arena = _node_arena(g, "a", 20)
         assert _tester_groups(arena.succ, arena.is_tester) == []
-        assert (_entry_masks(arena), arena.gains) == ([1, 2, 4], [1, 2, 4])
+        # no group mask; b is forced to s, so a move to b also covers s
+        assert (_entry_masks(arena), arena.gains) == ([1, 10, 4, 8], [1, 2, 8, 4])
 
     def test_long_tester_ring_is_one_group(self):
         n = 5000  # a best-response arena may have this many positions
         ring = [((p + 1) % n,) for p in range(n)]
         assert _tester_groups(ring, [True] * n) == [list(range(n))]
-        assert _tester_groups(ring, [p != 2500 for p in range(n)]) == []
+        # an SUT position with a second successor, off the ring, breaks it
+        ring[2500] = (2501, n)
+        assert _tester_groups(ring + [(n,)], [p != 2500 for p in range(n + 1)]) == []
 
     def test_tester_self_loop_is_not_a_group(self):
         assert _tester_groups([(0,)], [True]) == []
@@ -209,6 +218,43 @@ class TestGrouping:
         assert _tester_groups(arena.succ, arena.is_tester) == [[0, 1]]
         assert (_entry_masks(arena), arena.gains) == ([3, 3, 4], [1, 2, 4])
         assert solve_mcg_restart(g, "a") == 7
+
+
+class TestForcedChains:
+    """A move into a chain of positions with one successor each reads the state at the
+    chain's end, with every position of the chain covered."""
+
+    def test_forced_cycle_is_kept_at_its_least_position(self):
+        # the chain from a enters the cycle c1 -> c2 -> c3 at c2
+        g = graph_of(
+            {"r": (TESTER, 1, ("a", "r")), "a": (TESTER, 1, ("c2",)), "c1": (TESTER, 1, ("c2",)),
+             "c2": (SUT, 1, ("c3",)), "c3": (TESTER, 1, ("c1",))},
+            init="r",
+        )
+        arena = _node_arena(g, "r", 20)  # a, c1, c2, c3, r
+        cycle = 0b1110 << arena.shift | 1
+        root = 0b10000 << arena.shift | 4
+        assert arena.jump == [cycle | 1 << arena.shift, cycle, cycle, cycle, root]
+        # the root state, then the chain and the cycle at c1, whose move stays at c1
+        assert arena.solve(reduced=True)[:2] == (5, 2)
+        assert solve_mcg(g, "r").tester_move("r", {"r"}) == "a"
+
+    def test_root_with_one_successor_is_not_forced(self):
+        g = graph_of({"a": (SUT, 1, ("r",)), "r": (TESTER, 2, ("a",))}, init="r")
+        arena = _node_arena(g, "r", 20)  # a, r: one group, and a is forced to r
+        assert arena.jump == [0b11 << arena.shift | 1] * 2
+        assert solve_mcg_restart(g, "r") == solve_mcg(g, "r").value == 3
+
+    def test_sat_game_reduced_states(self):
+        # no tester group; the forced positions are the whole saving
+        f = parse_dimacs("p cnf 4 5\n1 2 -3 0\n-1 3 4 0\n-2 -4 0\n2 3 0\n-1 -3 -4 0\n")
+        g, threshold = sat_to_ncgame(f)
+        arena = _node_arena(g, g.init, 64)
+        assert _tester_groups(arena.succ, arena.is_tester) == []
+        res = solve_mcg(g, g.init, cap=64)
+        _values, layers = res._reduced
+        assert (res.value, threshold, sum(map(len, layers.values()))) == (14, 14, 12_953)
+        assert res.states_explored == 22_804
 
 
 class TestInvariants:
@@ -429,22 +475,38 @@ class TestLazyTesterChoices:
         assert res._choices == {}
 
 
-def _games(st, sinks: bool):
+def _games(st, sinks: bool, forced: bool = False):
     """Hypothesis strategy: games of 1-9 nodes rooted at v0, any share of SUT nodes,
     gains 0-5 and up to three successors per node, self-loops included (sinks too
-    when `sinks`)."""
+    when `sinks`).  With `forced`, a drawn share of the nodes get exactly one
+    successor, so forced chains and cycles, a root with one successor and chains
+    into sinks are common."""
 
     @st.composite
     def games(draw):
         ids = [f"v{i}" for i in range(draw(st.integers(1, 9)))]
         sut = set(draw(st.permutations(ids))[:draw(st.integers(0, len(ids)))])
+        one = set(draw(st.permutations(ids))[:draw(st.integers(0, len(ids)))]) if forced else set()
         nodes = {v: NodeInfo(SUT if v in sut else TESTER, draw(st.integers(0, 5))) for v in ids}
-        edges = {v: tuple(draw(st.lists(st.sampled_from(ids), min_size=0 if sinks else 1,
-                                        max_size=3, unique=True)))
+        edges = {v: (draw(st.sampled_from(ids)),) if v in one
+                 else tuple(draw(st.lists(st.sampled_from(ids), min_size=0 if sinks else 1,
+                                          max_size=3, unique=True)))
                  for v in ids}
         return GameGraph(nodes, edges, "v0")
 
     return games()
+
+
+def _layer_by_layer(arena: _Arena) -> dict[int, int]:
+    """The value of every reachable state, from a solve of each layer with all of its
+    members and every exit read through ``step``: nothing settled, forced or grouped."""
+    no_settling = replace(arena)
+    no_settling.jump = no_settling.step
+    layers, mask_gain = no_settling.explore(no_settling.step)
+    values: dict[int, int] = {}
+    for mask in reversed(layers):  # a restarting arena has the root in every layer
+        no_settling.solve_layer(mask, layers[mask], mask_gain[mask], values)
+    return values
 
 
 class TestKernelProperties:
@@ -485,18 +547,45 @@ class TestKernelProperties:
         @settings(max_examples=100)
         @given(g=_games(st, sinks=True))
         def prop(g):
-            per_node = replace(_node_arena(g, g.init, 20), restart=True).solve()[0]
-            assert solve_mcg_restart(g, g.init) == per_node
+            arena = replace(_node_arena(g, g.init, 20), restart=True)
+            assert solve_mcg_restart(g, g.init) == _layer_by_layer(arena)[arena.step[arena.root]]
+
+        prop()
+
+    def test_forced_chains_keep_the_oracle_value(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=200)
+        @given(g=_games(st, sinks=False, forced=True))
+        def prop(g):
+            assert _node_arena(g, g.init, 20).solve(reduced=True)[0] == oracle_mcg(g, g.init)
+
+        prop()
+
+    def test_forced_chains_keep_the_per_node_restart_value(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=200)
+        @given(g=_games(st, sinks=True, forced=True))
+        def prop(g):
+            arena = replace(_node_arena(g, g.init, 20), restart=True)
+            assert solve_mcg_restart(g, g.init) == _layer_by_layer(arena)[arena.step[arena.root]]
 
         prop()
 
     def test_settled_tables_equal_the_layer_by_layer_ones(self, monkeypatch):
-        """Plain, restart and best-response solves settle the states of partly covered
-        tester groups and do not store them.  Against a solve of every layer with all of
+        """Plain, restart and best-response solves settle the states of forced positions
+        and of partly covered tester groups, and do not store them.  A forced position
+        has one successor, not itself, and is not the root; of a cycle of forced
+        positions only the least is kept.  Against a solve of every layer with all of
         its members and exits read through ``step`` (no settling), the table must hold
         exactly the reachable unsettled states with the same values, and every settled
-        state (p, C) must be worth the value the table holds at ``jump[p]``, which is
-        (p, C ∪ cov(S))."""
+        state (p, C) must be worth the value the table holds at ``jump[p]``: the end
+        of p's forced chain, with the chain and the end's group covered."""
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings
         from hypothesis import strategies as st
@@ -509,15 +598,6 @@ class TestKernelProperties:
             return solve(arena, *args, **kwargs)
 
         monkeypatch.setattr(_Arena, "solve", recorded)
-
-        def layer_by_layer(arena):
-            no_settling = replace(arena)
-            no_settling.jump = no_settling.step
-            layers, mask_gain = no_settling.explore(no_settling.bits)
-            values = {}
-            for mask in reversed(layers):
-                no_settling.solve_layer(mask, layers[mask], mask_gain[mask], values)
-            return values
 
         @settings(max_examples=100)
         @given(h=_games(st, sinks=True))
@@ -532,17 +612,33 @@ class TestKernelProperties:
             restart = replace(_node_arena(h, h.init, 20), restart=True)
             for arena in [plain, replace(plain, restart=True), restart, *solved]:
                 values = solve(arena)[2]
-                reference = layer_by_layer(arena)
+                reference = _layer_by_layer(arena)
+                succ = arena.succ
                 cov = list(arena.bits)  # cov(S) at a position of tester group S
-                for group in _tester_groups(arena.succ, arena.is_tester):
+                for group in _tester_groups(succ, arena.is_tester):
                     f = 0
                     for p in group:
                         f |= arena.bits[p]
                     for p in group:
                         cov[p] = f
+                forced = [len(m) == 1 and m[0] != p and p != arena.root for p, m in enumerate(succ)]
+
+                def kept(p):  # not forced, or the least position of a cycle of forced ones
+                    cycle, q = [], p
+                    while forced[q] and len(cycle) < len(succ):
+                        cycle.append(q)
+                        q = succ[q][0]
+                        if q == p:
+                            return p == min(cycle)
+                    return not forced[p]
+
                 position = (1 << arena.shift) - 1
-                unsettled = {packed for packed in reference
-                             if packed >> arena.shift & cov[packed & position] == cov[packed & position]}
+
+                def unsettled_state(packed):
+                    p = packed & position
+                    return kept(p) and packed >> arena.shift & cov[p] == cov[p]
+
+                unsettled = set(filter(unsettled_state, reference))
                 assert values.keys() == unsettled
                 for packed, value in reference.items():
                     if packed in unsettled:
@@ -638,7 +734,7 @@ class TestReducedSolve:
         g = generate_random(26, 0.3, 1, 2, 2)
         res = solve_mcg(g, g.init, cap=64)
         _values, layers = res._reduced
-        assert (res.value, sum(map(len, layers.values()))) == (20, 8_069)
+        assert (res.value, sum(map(len, layers.values()))) == (20, 2_414)
         assert res.tester_move(g.init, {g.init}) == "n01"
         assert "_full" not in vars(res)
 
@@ -650,7 +746,8 @@ class TestReducedSolve:
         lambda res: res.sut_policy(),
         lambda res: res.sut_move("v3", {"v0", "v1", "v3"}),
         lambda res: res.tester_move("v1", {"v0", "v1"}),
-        lambda res: pytest.raises(KeyError, res.tester_move, "v1", {"v1"}),
+        # covers the root and v1, but no play reaches v1 with v2 and not v3
+        lambda res: pytest.raises(KeyError, res.tester_move, "v1", {"v0", "v1", "v2"}),
     ], ids=["states_explored", "values", "layers", "tester_policy", "sut_policy", "sut_move",
             "tester_move", "unreached_state"])
     def test_full_table_is_built_once_on_first_use(self, mirror, monkeypatch, use):
@@ -671,6 +768,24 @@ class TestReducedSolve:
         res.tester_policy()
         res.sut_policy()
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("node, covered", [("v1", {"v1"}), ("v0", set()), ("v3", {"v0", "v1"})])
+    def test_lookup_without_the_root_or_the_node_raises_at_once(self, mirror, monkeypatch,
+                                                                 node, covered):
+        calls = []
+        explore = _Arena.explore
+
+        def spy(arena, *args, **kwargs):
+            calls.append(arena)
+            return explore(arena, *args, **kwargs)
+
+        monkeypatch.setattr(_Arena, "explore", spy)
+        res = solve_mcg(mirror, "v0")
+        move = res.tester_move if mirror.is_tester(node) else res.sut_move
+        with pytest.raises(KeyError):
+            move(node, covered)
+        assert len(calls) == 1
+        assert "_full" not in vars(res)
 
     def test_lookups_and_the_full_table_take_no_part_in_equality(self, mirror):
         res = solve_mcg(mirror, "v0")
