@@ -138,6 +138,8 @@ def run_experiment(
         raise ValueError("budgets must be >= 1")
     if cfg.reset_cost < 0:
         raise ValueError("reset_cost must be >= 0")
+    if cfg.base_seed < 0:  # Random seeds on abs(): base seeds s and -s would share streams
+        raise ValueError("base_seed must be >= 0")
     if cfg.denominator not in ("total", "reachable"):
         raise ValueError("denominator must be `total` or `reachable`")
     if cfg.spread not in ("stderr", "stddev"):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .errors import ParseError, ValidationError
@@ -120,6 +121,16 @@ class GameGraph:
 
     def is_tester(self, v: str) -> bool:
         return self.nodes[v].owner == TESTER
+
+    @cached_property
+    def _draws(self) -> dict[str, tuple[tuple[str, ...], int, int, bool]]:
+        """node -> (successors, their count n, n.bit_length(), SUT-owned): what a uniform
+        pick among a node's successors reads.  Built on first use."""
+        table = {}
+        for v, info in self.nodes.items():
+            succs = self.edges[v]
+            table[v] = (succs, len(succs), len(succs).bit_length(), info.owner == SUT)
+        return table
 
     def map_gains(self, fn: Callable[[str, int], int]) -> "GameGraph":
         """Return a copy with every gain replaced by ``fn(node, gain)``."""

@@ -33,6 +33,9 @@ written in the ``ncsuite 1`` format::
 A uniform pick among n options is this package's k-bit rejection draw, not ``randrange``'s:
 ``getrandbits(k)``, k = n.bit_length(), until below n (``randrange(n)``'s stream on CPython
 3.10-3.13).  A ``random.Random`` subclass feeds the picks through its ``getrandbits``.
+The runners take each node's successors, n, k and owner from the graph's draw table
+(``GameGraph._draws``, built on first use) and draw inline; an execution draws only at
+SUT positions and returns a slice of the prescribed path.
 
 Each run owns its responder and RNG; independent runs execute
 concurrently without coordination.
@@ -42,9 +45,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
-from .graph import ID_RE, SUT, GameGraph, ensure_valid, read_lines
+from .graph import ID_RE, GameGraph, ensure_valid, read_lines
 
 PGAIN_STRATEGIES = ("s1.5", "s2", "s3", "s4")
 
@@ -72,8 +76,9 @@ class TestSuite:
         return tuple(len(set(tc.path)) for tc in self.cases), holders
 
 
-@dataclass(frozen=True)
-class ExecutionRecord:
+class ExecutionRecord(NamedTuple):
+    """One execution: the case run, the prefix it realized, whether the SUT left the path."""
+
     case_id: str
     realized: tuple[str, ...]
     diverged: bool
@@ -114,8 +119,8 @@ class SutResponder:
         self._bits = random.Random(seed).getrandbits
 
     def choose(self, g: GameGraph, v: str) -> str:
-        succs = g.edges[v]
-        return succs[_below(self._bits, len(succs))]
+        succs, n, _, _ = g._draws[v]
+        return succs[_below(self._bits, n)]
 
 
 def validate_suite(g: GameGraph, suite: TestSuite) -> list[str]:
@@ -189,8 +194,8 @@ def generate_static_suite(g: GameGraph) -> TestSuite:
 
 def alpha(tc: TestCase, g: GameGraph) -> int:
     """Number of SUT-owned positions in the case's path (positions, not nodes)."""
-    nodes = g.nodes
-    return [nodes[v].owner for v in tc.path].count(SUT)
+    draws = g._draws
+    return [draws[v][3] for v in tc.path].count(True)
 
 
 def pgain(
@@ -229,19 +234,22 @@ def execute_case(
     """
     if budget < 1:
         return (), False, 0
-    nodes, path = g.nodes, tc.path
-    realized = [path[0]]
-    diverged = False
-    for cur, prescribed in zip(path, path[1:budget]):  # the budget pays budget-1 more visits
-        if nodes[cur].owner == SUT:
-            actual = sut.choose(g, cur)
-            realized.append(actual)
-            if actual != prescribed:
-                diverged = True
-                break
-        else:
-            realized.append(prescribed)
-    return tuple(realized), diverged, len(realized)
+    path = tc.path
+    if not path:
+        raise IndexError("empty test case path")
+    draws, bits = g._draws, sut._bits
+    stop = min(len(path), budget)  # the first visit, then budget-1 more
+    for i in range(stop - 1):
+        succs, n, k, sut_owned = draws[path[i]]
+        if sut_owned:  # the responder's pick, as SutResponder.choose draws it
+            if not n:
+                raise ValueError("empty range")
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            if succs[r] != path[i + 1]:
+                return path[: i + 1] + (succs[r],), True, i + 2
+    return path[:stop], False, stop
 
 
 def _check_run(suite: TestSuite, budget: int, reset_cost: int) -> None:
@@ -276,6 +284,9 @@ def nt_plan(
         raise ValueError(f"unknown strategy `{strategy}`")
 
     cases, (counts, holders) = suite.cases, suite._targets  # shared by all runs: read only
+    ids = [tc.id for tc in cases]
+    unique_ids = len(set(ids)) == len(ids)
+    every_case = range(len(cases))
     uncovered = list(counts)  # per case: distinct prescribed nodes not yet covered
     sut_positions = [alpha(tc, g) for tc in cases] if strategy == "s4" else []
     target_left = len(holders)  # prescribed nodes not yet covered
@@ -283,6 +294,7 @@ def nt_plan(
     pending: list[int] = []  # s1.5: cases whose id has not run in this pass
     covered: set[str] = set()
     log: list[ExecutionRecord] = []
+    bits = rng.getrandbits
     spent = 0
     while target_left:
         start_cost = reset_cost if log else 0
@@ -291,15 +303,24 @@ def nt_plan(
         if strategy == "s2":
             candidates = live
         elif strategy == "s1.5":
-            candidates = pending = pending or list(range(len(cases)))  # new pass
+            candidates = pending = pending or list(every_case)  # new pass
         else:
             scores = pgain(strategy, live, uncovered, sut_positions, rng)
             top = max(scores)
-            ties = [j for j, x in zip(live, scores) if x == top]
-            candidates = ties if top else range(len(cases))  # all 0.0: dead cases tie too
-        tc = cases[candidates[_below(rng.getrandbits, len(candidates))]]
+            if not top:  # all 0.0: dead cases tie too
+                candidates = every_case
+            elif scores.count(top) == 1:
+                candidates = (live[scores.index(top)],)
+            else:
+                candidates = [j for j, x in zip(live, scores) if x == top]
+        n = len(candidates)  # the round's pick, as _below draws it
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        i = candidates[r]
         spent += start_cost
-        realized, diverged, cost = execute_case(g, tc, budget - spent, sut)
+        realized, diverged, cost = execute_case(g, cases[i], budget - spent, sut)
         spent += cost
         emptied = False
         for v in realized:
@@ -312,9 +333,13 @@ def nt_plan(
                         emptied = emptied or not uncovered[j]
         if emptied:
             live = [j for j in live if uncovered[j]]
+        case_id = ids[i]
         if pending:
-            pending = [j for j in pending if cases[j].id != tc.id]
-        log.append(ExecutionRecord(tc.id, realized, diverged))
+            if unique_ids:
+                pending.remove(i)
+            else:
+                pending = [j for j in pending if ids[j] != case_id]
+        log.append(ExecutionRecord(case_id, realized, diverged))
     return RunResult(frozenset(covered), spent, tuple(log))
 
 
@@ -358,17 +383,18 @@ def random_walk(
     choices come from the responder.  Never resets on strict graphs: no reset fee."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    nodes, edges, bits = g.nodes, g.edges, rng.getrandbits
+    draws, tester_bits, sut_bits = g._draws, rng.getrandbits, sut._bits
     v = g.init
     realized = [v]
     for _ in range(budget - 1):
-        succs = edges[v]
-        if not succs:
+        succs, n, k, sut_owned = draws[v]
+        if not n:
             raise ValidationError(f"sink: {v}")
-        if nodes[v].owner == SUT:
-            v = sut.choose(g, v)
-        else:
-            v = succs[_below(bits, len(succs))]
+        bits = sut_bits if sut_owned else tester_bits
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        v = succs[r]
         realized.append(v)
     record = ExecutionRecord("walk", tuple(realized), False)
     return RunResult(frozenset(realized), len(realized), (record,))

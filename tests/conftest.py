@@ -1,4 +1,5 @@
-"""Shared fixtures: the 4-node mirror graph, small helpers, and the hypothesis profile.
+"""Shared fixtures: the 4-node mirror graph, small helpers, the hypothesis profile,
+and the reference test-plan runners.
 
 The mirror graph is the smallest game where the SUT needs memory: from
 the hub it must return to whichever branch the tester already took, or
@@ -6,11 +7,23 @@ the tester collects all four nodes instead of three.
 """
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
 
+from ncgames.errors import ValidationError
 from ncgames.graph import GameGraph, NodeInfo, SUT, TESTER, reachable
+from ncgames.testplan import (
+    PGAIN_STRATEGIES,
+    ExecutionRecord,
+    RunResult,
+    SutResponder,
+    TestCase,
+    TestSuite,
+    _check_run,
+    pgain,
+)
 from ncgames.witness import Witness, WitnessEntry, check_witness
 
 try:
@@ -103,3 +116,169 @@ def first_consistent(g: GameGraph, w: Witness, v: str) -> tuple[int, frozenset[s
             if not check_witness(g, Witness({**w.entries, v: WitnessEntry(w.entries[v].bound, p)})):
                 return number, p
     return None
+
+
+# Reference runners: the test-plan runners as they were before they read the
+# graph's draw table (one attribute lookup, one ``_below`` call and one append
+# per visit).  Kept verbatim, apart from the names they call one another by, as
+# the oracle of the differential property in test_testplan.py.
+
+
+def oracle_below(getrandbits, n: int) -> int:
+    """Uniform pick in [0, n), as CPython's ``Random._randbelow_with_getrandbits``."""
+    if n < 1:
+        raise ValueError("empty range")  # getrandbits(0) is 0: the loop would never end
+    r = getrandbits(k := n.bit_length())
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def oracle_choose(sut: SutResponder, g: GameGraph, v: str) -> str:
+    succs = g.edges[v]
+    return succs[oracle_below(sut._bits, len(succs))]
+
+
+def oracle_alpha(tc: TestCase, g: GameGraph) -> int:
+    nodes = g.nodes
+    return [nodes[v].owner for v in tc.path].count(SUT)
+
+
+def oracle_execute_case(
+    g: GameGraph, tc: TestCase, budget: int, sut: SutResponder
+) -> tuple[tuple[str, ...], bool, int]:
+    if budget < 1:
+        return (), False, 0
+    nodes, path = g.nodes, tc.path
+    realized = [path[0]]
+    diverged = False
+    for cur, prescribed in zip(path, path[1:budget]):  # the budget pays budget-1 more visits
+        if nodes[cur].owner == SUT:
+            actual = oracle_choose(sut, g, cur)
+            realized.append(actual)
+            if actual != prescribed:
+                diverged = True
+                break
+        else:
+            realized.append(prescribed)
+    return tuple(realized), diverged, len(realized)
+
+
+def oracle_nt_plan(
+    g: GameGraph,
+    suite: TestSuite,
+    budget: int,
+    strategy: str,
+    reset_cost: int,
+    sut: SutResponder,
+    rng: random.Random,
+) -> RunResult:
+    _check_run(suite, budget, reset_cost)
+    if strategy not in PGAIN_STRATEGIES:
+        raise ValueError(f"unknown strategy `{strategy}`")
+
+    cases, (counts, holders) = suite.cases, suite._targets  # shared by all runs: read only
+    uncovered = list(counts)  # per case: distinct prescribed nodes not yet covered
+    sut_positions = [oracle_alpha(tc, g) for tc in cases] if strategy == "s4" else []
+    target_left = len(holders)  # prescribed nodes not yet covered
+    live = [i for i, u in enumerate(uncovered) if u]  # cases that can add coverage
+    pending: list[int] = []  # s1.5: cases whose id has not run in this pass
+    covered: set[str] = set()
+    log: list[ExecutionRecord] = []
+    spent = 0
+    while target_left:
+        start_cost = reset_cost if log else 0
+        if spent + start_cost + 1 > budget:
+            break
+        if strategy == "s2":
+            candidates = live
+        elif strategy == "s1.5":
+            candidates = pending = pending or list(range(len(cases)))  # new pass
+        else:
+            scores = pgain(strategy, live, uncovered, sut_positions, rng)
+            top = max(scores)
+            ties = [j for j, x in zip(live, scores) if x == top]
+            candidates = ties if top else range(len(cases))  # all 0.0: dead cases tie too
+        tc = cases[candidates[oracle_below(rng.getrandbits, len(candidates))]]
+        spent += start_cost
+        realized, diverged, cost = oracle_execute_case(g, tc, budget - spent, sut)
+        spent += cost
+        emptied = False
+        for v in realized:
+            if v not in covered:
+                covered.add(v)
+                if v in holders:
+                    target_left -= 1
+                    for j in holders[v]:
+                        uncovered[j] -= 1
+                        emptied = emptied or not uncovered[j]
+        if emptied:
+            live = [j for j in live if uncovered[j]]
+        if pending:
+            pending = [j for j in pending if cases[j].id != tc.id]
+        log.append(ExecutionRecord(tc.id, realized, diverged))
+    return RunResult(frozenset(covered), spent, tuple(log))
+
+
+def oracle_static_once(
+    g: GameGraph,
+    suite: TestSuite,
+    budget: int,
+    reset_cost: int,
+    sut: SutResponder,
+) -> RunResult:
+    _check_run(suite, budget, reset_cost)
+    covered: set[str] = set()
+    log: list[ExecutionRecord] = []
+    spent = 0
+    for tc in suite.cases:
+        start_cost = reset_cost if log else 0
+        if spent + start_cost + 1 > budget:
+            break
+        spent += start_cost
+        realized, diverged, cost = oracle_execute_case(g, tc, budget - spent, sut)
+        spent += cost
+        covered.update(realized)
+        log.append(ExecutionRecord(tc.id, realized, diverged))
+    return RunResult(frozenset(covered), spent, tuple(log))
+
+
+def oracle_random_walk(
+    g: GameGraph,
+    budget: int,
+    sut: SutResponder,
+    rng: random.Random,
+) -> RunResult:
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    nodes, edges, bits = g.nodes, g.edges, rng.getrandbits
+    v = g.init
+    realized = [v]
+    for _ in range(budget - 1):
+        succs = edges[v]
+        if not succs:
+            raise ValidationError(f"sink: {v}")
+        if nodes[v].owner == SUT:
+            v = oracle_choose(sut, g, v)
+        else:
+            v = succs[oracle_below(bits, len(succs))]
+        realized.append(v)
+    record = ExecutionRecord("walk", tuple(realized), False)
+    return RunResult(frozenset(realized), len(realized), (record,))
+
+
+def oracle_run(
+    g: GameGraph,
+    suite: TestSuite,
+    strategy: str,
+    budget: int,
+    reset_cost: int,
+    sut: SutResponder,
+    rng: random.Random,
+) -> RunResult:
+    """One run of `strategy` on the reference runners, as ``experiments.run_one`` dispatches."""
+    if strategy == "rdm":
+        return oracle_random_walk(g, budget, sut, rng)
+    if strategy == "GMU-static":
+        return oracle_static_once(g, suite, budget, reset_cost, sut)
+    return oracle_nt_plan(g, suite, budget, strategy, reset_cost, sut, rng)

@@ -181,6 +181,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="reset_cost must be >= 0"):
             run_experiment(mirror, cfg)
 
+    def test_negative_base_seed_rejected_before_any_cell(self, mirror, monkeypatch):
+        """Random seeds on abs(), so base seeds 1 and -1 would share trial streams."""
+        def no_trial(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "run_one", no_trial)
+        cfg = ExperimentConfig(graph_name="m", budgets=(5,), base_seed=-1)
+        with pytest.raises(ValueError, match="base_seed must be >= 0"):
+            run_experiment(mirror, cfg)
+
     @pytest.mark.parametrize(
         "path, problem",
         [(("v0", "v9"), "t0: unknown node `v9`"), (("v0", "v3"), "t0: `v0 v3` is not an edge")],
@@ -212,6 +222,26 @@ class TestRunExperiment:
         assert run_cli(argv) == 3
         captured = capsys.readouterr()
         assert "reset_cost must be >= 0" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("how", ["--base-seed", "--seed", "config"])
+    def test_negative_base_seed_exits_3(self, mirror, tmp_path, capsys, how):
+        path = tmp_path / "mirror.ncgame"
+        path.write_text(serialize_game_graph(mirror))
+        if how == "--seed":
+            argv = ["simulate", "--graph", str(path), "--strategy", "s2", "--budget", "5",
+                    "--seed=-1"]
+        else:
+            argv = ["experiment", "--graph", str(path), "--budgets", "5", "--strategies", "s2"]
+            if how == "config":
+                cfg = tmp_path / "exp.cfg"
+                cfg.write_text("base_seed=-1\n")
+                argv += ["--config", str(cfg)]
+            else:
+                argv += ["--base-seed", "-1"]
+        assert run_cli(argv) == 3
+        captured = capsys.readouterr()
+        assert "base_seed must be >= 0" in captured.err
         assert captured.out == ""
 
 

@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import hashlib
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
-from conftest import MIRROR_TEXT, graph_of
+from conftest import MIRROR_TEXT, graph_of, oracle_run
 from ncgames.errors import ParseError, ValidationError
-from ncgames.graph import SUT, TESTER, generate_random, parse_game_graph, reachable
+from ncgames.experiments import ALL_STRATEGIES, run_one
+from ncgames.graph import SUT, TESTER, GameGraph, NodeInfo, generate_random, parse_game_graph, reachable
 from ncgames.testplan import TestCase as Case, TestSuite as Suite
 from ncgames.testplan import (
     PGAIN_STRATEGIES,
@@ -25,6 +28,26 @@ from ncgames.testplan import (
     static_once,
     validate_suite,
 )
+
+
+@contextmanager
+def _within(seconds: float):
+    """Fail, rather than hang, if the block runs longer than `seconds` (where the
+    platform has interval timers): a pick among zero options would never end."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def timeout(*_):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # (graph, case paths in suite order) for generate_static_suite
@@ -209,6 +232,29 @@ class TestExecuteCase:
         realized, diverged, cost = execute_case(mirror, tc, 2, SutResponder(0))
         assert realized == ("v0", "v1")
         assert not diverged and cost == 2
+
+    def test_empty_path_is_an_index_error(self, mirror):
+        with pytest.raises(IndexError):
+            execute_case(mirror, Case("t", ()), 5, SutResponder(0))
+        assert execute_case(mirror, Case("t", ()), 0, SutResponder(0)) == ((), False, 0)
+
+    def test_unknown_node_is_a_key_error_where_it_is_left(self, mirror):
+        """A node unknown to the graph raises only where execution leaves it: not
+        as the last node, not past the budget."""
+        for path in (("zz", "v1"), ("v0", "zz", "v1"), ("v0", "v1", "zz", "v1")):
+            with pytest.raises(KeyError, match="zz"):
+                execute_case(mirror, Case("t", path), 100, SutResponder(0))
+        assert execute_case(mirror, Case("t", ("v0", "v1", "zz")), 100, SutResponder(0)) == (
+            ("v0", "v1", "zz"), False, 3)
+        assert execute_case(mirror, Case("t", ("v0", "zz", "v1")), 2, SutResponder(0)) == (
+            ("v0", "zz"), False, 2)
+
+    def test_sut_node_without_successors_is_an_error(self):
+        """An unvalidated path through an SUT sink: a pick among zero options
+        raises instead of drawing getrandbits(0) forever."""
+        g = graph_of({"a": (TESTER, 1, ("s",)), "s": (SUT, 1, ())}, init="a")
+        with _within(5), pytest.raises(ValueError, match="empty range"):
+            execute_case(g, Case("t", ("a", "s", "a")), 10, SutResponder(0))
 
 
 class TestNtPlan:
@@ -583,6 +629,12 @@ class TestBaselines:
         with pytest.raises(ValidationError, match="sink"):
             random_walk(g, 10, SutResponder(0), random.Random(0))
 
+    def test_random_walk_rejects_sut_sink(self):
+        """An SUT node with no successors is a sink too, not a pick among zero options."""
+        g = graph_of({"a": (TESTER, 1, ("s",)), "s": (SUT, 1, ())}, init="a")
+        with _within(5), pytest.raises(ValidationError, match="sink: s"):
+            random_walk(g, 10, SutResponder(0), random.Random(0))
+
     def test_static_once_on_deterministic_graph(self):
         g = graph_of(
             {"a": (TESTER, 1, ("b",)), "b": (TESTER, 1, ("c",)), "c": (TESTER, 1, ("a",))},
@@ -646,6 +698,87 @@ class TestAccountingRule:
             with pytest.raises(ValueError, match="reset_cost must be >= 0"):
                 static_once(g, suite, budget, bad_fee, SutResponder(seed))
             check(random_walk(g, budget, SutResponder(seed), random.Random(seed)), budget, 0)
+
+        prop()
+
+
+class SkewedDraws(random.Random):
+    """Picks through its own ``getrandbits`` (every bit flipped) and scores rounded
+    to one decimal, so s3/s4 rounds often tie, all-zero rounds included."""
+
+    def getrandbits(self, k: int) -> int:
+        return super().getrandbits(k) ^ ((1 << k) - 1)
+
+    def random(self) -> float:
+        return round(super().random(), 1)
+
+
+class TestDifferential:
+    """Every runner against the reference runners of conftest.py: whole RunResults,
+    and the same draws taken from both streams."""
+
+    @staticmethod
+    def _plans(st):
+        """Games of 1-10 nodes rooted at v0, any share of SUT nodes, 1-5 successors
+        per node (self-loops included), with the generated static suite or random
+        walks from v0 whose case ids repeat."""
+
+        @st.composite
+        def plans(draw):
+            ids = [f"v{i}" for i in range(draw(st.integers(1, 10)))]
+            sut = set(draw(st.permutations(ids))[:draw(st.integers(0, len(ids)))])
+            nodes = {v: NodeInfo(SUT if v in sut else TESTER, 1) for v in ids}
+            edges = {v: tuple(draw(st.lists(st.sampled_from(ids), min_size=1, max_size=5,
+                                            unique=True)))
+                     for v in ids}
+            g = GameGraph(nodes, edges, "v0")
+            if draw(st.booleans()):
+                return g, generate_static_suite(g)
+            cases = []
+            for _ in range(draw(st.integers(1, 6))):
+                path = ["v0"]
+                for _ in range(draw(st.integers(0, 12))):
+                    path.append(draw(st.sampled_from(g.edges[path[-1]])))
+                cases.append(Case(draw(st.sampled_from(["a", "b", "c"])), tuple(path)))
+            return g, Suite(tuple(cases))
+
+        return plans()
+
+    @staticmethod
+    def _run(g, suite, strategy, budget, fee, sut, rng):
+        """``run_one`` with the responder and the pick stream given."""
+        if strategy == "rdm":
+            return random_walk(g, budget, sut, rng)
+        if strategy == "GMU-static":
+            return static_once(g, suite, budget, fee, sut)
+        return nt_plan(g, suite, budget, strategy, fee, sut, rng)
+
+    def test_runs_equal_the_reference_runs(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=400)
+        @given(
+            plan=self._plans(st),
+            strategy=st.sampled_from(ALL_STRATEGIES),
+            budget=st.integers(1, 150),
+            fee=st.integers(0, 10),
+            seeds=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+            rng_type=st.sampled_from([random.Random, SkewedDraws]),
+        )
+        def prop(plan, strategy, budget, fee, seeds, rng_type):
+            g, suite = plan
+            if rng_type is random.Random:
+                assert run_one(g, suite, strategy, budget, fee, *seeds) == oracle_run(
+                    g, suite, strategy, budget, fee, SutResponder(seeds[0]), random.Random(seeds[1])
+                )
+            sides = []
+            for run in (self._run, oracle_run):
+                sut, rng = SutResponder(seeds[0]), rng_type(seeds[1])
+                res = run(g, suite, strategy, budget, fee, sut, rng)
+                sides.append((res, sut._bits.__self__.getstate(), rng.getstate()))
+            assert sides[0] == sides[1]
 
         prop()
 
