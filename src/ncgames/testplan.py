@@ -33,9 +33,9 @@ written in the ``ncsuite 1`` format::
 A uniform pick among n options is this package's k-bit rejection draw, not ``randrange``'s:
 ``getrandbits(k)``, k = n.bit_length(), until below n (``randrange(n)``'s stream on CPython
 3.10-3.13).  A ``random.Random`` subclass feeds the picks through its ``getrandbits``.
-The runners take each node's successors, n, k and owner from the graph's draw table
-(``GameGraph._draws``, built on first use) and draw inline; an execution draws only at
-SUT positions and returns a slice of the prescribed path.
+``execute_case`` and ``random_walk`` take each node's successors, n, k and owner from the
+graph's draw table (``GameGraph._draws``, built on first use) and draw inline; an execution
+draws only at SUT positions and returns a slice of the prescribed path.
 
 Each run owns its responder and RNG; independent runs execute
 concurrently without coordination.
@@ -75,6 +75,14 @@ class TestSuite:
                 holders[v] = holders.get(v, ()) + (i,)
         return tuple(len(set(tc.path)) for tc in self.cases), holders
 
+    @cached_property
+    def _same_id(self) -> dict[str, tuple[int, ...]]:
+        """Case id -> indices of the cases with that id: an ``s1.5`` pass drops them together."""
+        same: dict[str, tuple[int, ...]] = {}
+        for i, tc in enumerate(self.cases):
+            same[tc.id] = same.get(tc.id, ()) + (i,)
+        return same
+
 
 class ExecutionRecord(NamedTuple):
     """One execution: the case run, the prefix it realized, whether the SUT left the path."""
@@ -113,14 +121,19 @@ def _below(getrandbits, n: int) -> int:
 
 
 class SutResponder:
-    """Seeded resolver of SUT choices: a uniform pick over successors from ``Random(seed)``."""
+    """Seeded resolver of SUT choices: a uniform pick over successors from ``Random(seed)``.
+
+    ``execute_case`` and ``random_walk`` draw straight from its ``getrandbits`` stream
+    (``_bits``), the same draws ``choose`` makes; overriding ``choose`` does not reach
+    them.  ``choose`` is the one-pick convenience.
+    """
 
     def __init__(self, seed: int):
         self._bits = random.Random(seed).getrandbits
 
     def choose(self, g: GameGraph, v: str) -> str:
-        succs, n, _, _ = g._draws[v]
-        return succs[_below(self._bits, n)]
+        succs = g.edges[v]
+        return succs[_below(self._bits, len(succs))]
 
 
 def validate_suite(g: GameGraph, suite: TestSuite) -> list[str]:
@@ -284,9 +297,6 @@ def nt_plan(
         raise ValueError(f"unknown strategy `{strategy}`")
 
     cases, (counts, holders) = suite.cases, suite._targets  # shared by all runs: read only
-    ids = [tc.id for tc in cases]
-    unique_ids = len(set(ids)) == len(ids)
-    every_case = range(len(cases))
     uncovered = list(counts)  # per case: distinct prescribed nodes not yet covered
     sut_positions = [alpha(tc, g) for tc in cases] if strategy == "s4" else []
     target_left = len(holders)  # prescribed nodes not yet covered
@@ -303,24 +313,15 @@ def nt_plan(
         if strategy == "s2":
             candidates = live
         elif strategy == "s1.5":
-            candidates = pending = pending or list(every_case)  # new pass
+            candidates = pending = pending or list(range(len(cases)))  # new pass
         else:
             scores = pgain(strategy, live, uncovered, sut_positions, rng)
             top = max(scores)
-            if not top:  # all 0.0: dead cases tie too
-                candidates = every_case
-            elif scores.count(top) == 1:
-                candidates = (live[scores.index(top)],)
-            else:
-                candidates = [j for j, x in zip(live, scores) if x == top]
-        n = len(candidates)  # the round's pick, as _below draws it
-        k = n.bit_length()
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        i = candidates[r]
+            ties = [j for j, x in zip(live, scores) if x == top]
+            candidates = ties if top else range(len(cases))  # all 0.0: dead cases tie too
+        tc = cases[candidates[_below(bits, len(candidates))]]
         spent += start_cost
-        realized, diverged, cost = execute_case(g, cases[i], budget - spent, sut)
+        realized, diverged, cost = execute_case(g, tc, budget - spent, sut)
         spent += cost
         emptied = False
         for v in realized:
@@ -333,13 +334,10 @@ def nt_plan(
                         emptied = emptied or not uncovered[j]
         if emptied:
             live = [j for j in live if uncovered[j]]
-        case_id = ids[i]
-        if pending:
-            if unique_ids:
-                pending.remove(i)
-            else:
-                pending = [j for j in pending if ids[j] != case_id]
-        log.append(ExecutionRecord(case_id, realized, diverged))
+        if pending:  # tc came from it, and with tc every case that shares its id
+            for j in suite._same_id[tc.id]:
+                pending.remove(j)
+        log.append(ExecutionRecord(tc.id, realized, diverged))
     return RunResult(frozenset(covered), spent, tuple(log))
 
 
