@@ -8,8 +8,9 @@ with ``shift = P.bit_length()``.  A move to u lands in
 (u, mask | 1 << cover[u]); an infinite play whose mask stops growing at C
 pays ν(C), the summed gain of C.
 
-Covered sets only grow, so the states reachable from the root split into
-layers, one per mask, and a move either stays in its layer or enters a
+Covered sets only grow, so the states reachable from the exploration's
+start states, the root state (root, {root}) unless others are given, split
+into layers, one per mask, and a move either stays in its layer or enters a
 strictly larger mask, of higher popcount.  Exploration keeps the masks
 entered so far in buckets by popcount and takes them in nondecreasing
 popcount order; it finds each layer by a search inside its mask, started
@@ -65,6 +66,17 @@ staying in the mask, and reads every other move at the same ``jump``
 state as the full solve; the least fixed point of such a closed set is the
 full one restricted to it.  A settled root state is solved in its layer
 like any other, and its exits are exact, so it is too.
+
+A plain arena values every position at once by starting the reduced
+exploration at jump[v], from the empty mask, for every position v.  That
+is the state a move to v is worth, and so worth value(v, {v}), the value
+of the game rooted at v: in a plain arena both rules hold at the root as
+well, and a state's value does not depend on the root, since its plays
+stay among the positions it reaches.  Each start is unsettled, each move
+enters a ``jump`` state, and each layer is closed as before, so these
+values are exact too.  The one exploration enters each state once, where
+explorations from each root in turn would enter the states they share
+again.
 
 In a layer of mask C, ``solve_layer`` takes a move to u as in-layer when
 u is a member.  Otherwise, when (C << shift) | jump[u] has mask C, the
@@ -216,24 +228,30 @@ class _Arena:
                 jump[q] = e
         self.jump = jump
 
-    def explore(self, enter: Sequence[int], state_cap: float = math.inf):
-        """Product states reachable from (root, {root}) when a move to u from mask C
-        enters the packed state ``enter[u]`` or'ed with C, layered by mask.
+    def explore(self, enter: Sequence[int], starts: Sequence[int], state_cap: float = math.inf):
+        """Product states reachable from the packed states ``starts`` when a move to u
+        from mask C enters the packed state ``enter[u]`` or'ed with C, layered by mask.
 
         Returns (layers, mask_gain): layers maps each mask, in nondecreasing
         popcount order, to the sorted positions present with it; mask_gain
         maps it to ν(mask).  A restarting arena has the root in every layer.
-        Only a count above max(state_cap, 1) raises, since the root state is
+        Only a count above max(state_cap, 1) raises, since a start state is
         always admitted.
         """
         gains, root, shift = self.gains, self.root, self.shift
         position = (1 << shift) - 1
         moves = [[(enter[u] >> shift, enter[u] & position) for u in s] for s in self.succ]
-        start = self.bits[root]
-        mask_gain = {start: _gain(gains, start)}
+        mask_gain: dict[int, int] = {}
         layers: dict[int, list[int]] = {}
-        entered = {start: {root}}  # mask -> positions entered with it, not yet searched
-        buckets = {start.bit_count(): [start]}  # popcount -> the masks entered with it
+        entered: dict[int, set[int]] = {}  # mask -> positions entered with it, not yet searched
+        buckets: dict[int, list[int]] = {}  # popcount -> the masks entered with it
+        for start in starts:
+            mask = start >> shift
+            if mask not in entered:
+                entered[mask] = set()
+                buckets.setdefault(mask.bit_count(), []).append(mask)
+                mask_gain[mask] = _gain(gains, mask)
+            entered[mask].add(start & position)
         count = 0
         while buckets:
             for mask in buckets.pop(min(buckets)):
@@ -260,7 +278,9 @@ class _Arena:
                 layers[mask] = sorted(seen)
         return layers, mask_gain
 
-    def solve(self, state_cap: float = math.inf, reduced: bool = False):
+    def solve(
+        self, state_cap: float = math.inf, reduced: bool = False, starts: Sequence[int] = ()
+    ):
         """Root value, number of explored states, the value table and explore's layers.
 
         By default every reachable state is explored, entering ``step``, and the table
@@ -268,12 +288,20 @@ class _Arena:
         covered group, is worth the value at (C << shift) | jump[p], and so is the root
         state, read at jump[root].  ``reduced`` explores along ``jump`` instead, so the
         only settled state it enters is the root's, which it solves like any other.
+
+        The exploration starts at the root state (root, {root}), or at the packed
+        ``starts`` when given, which must include jump[root].  A solve from given starts
+        is read for its table alone, so it takes each layer out of the returned layers
+        as it solves it, and they end empty.
         """
         shift, jump, root = self.shift, self.jump, self.root
-        layers, mask_gain = self.explore(jump if reduced else self.step, state_cap)
+        enter = jump if reduced else self.step
+        layers, mask_gain = self.explore(enter, starts or (self.step[root],), state_cap)
+        states = sum(map(len, layers.values()))
+        take = layers.pop if starts else layers.get  # a popped layer is freed once solved
         values: dict[int, int] = {}
-        for mask in reversed(layers):
-            members, here = layers[mask], mask << shift
+        for mask in reversed(list(layers)):
+            members, here = take(mask), mask << shift
             if not reduced:  # a settled state is not stored
                 members = [p for p in members if here | jump[p] == here | p]
                 if not members:
@@ -282,7 +310,7 @@ class _Arena:
             if self.restart and here | jump[root] in values:  # the root is settled
                 base = values[here | jump[root]]
             self.solve_layer(mask, members, base, values)
-        return values[jump[root]], sum(map(len, layers.values())), values, layers
+        return values[jump[root]], states, values, layers
 
     def solve_layer(self, mask: int, members: list[int], base: int, values: dict):
         """Solve ``members`` (sorted positions) of the layer of ``mask`` into ``values``.

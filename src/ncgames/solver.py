@@ -16,8 +16,10 @@ value(s, C) = value(s, C ∪ S) at s in S.  ``solve_mcg`` and
 which follows both rules, so it enters no state of a forced node and none
 that covers a group in part.  Policies must answer at those states too,
 so ``SolveResult`` builds the full table, over every reachable state, the
-first time a policy or a state count needs it.  ``oracle_mcg`` shares only
-the indexing and searches the game tree independently.
+first time a policy or a state count needs it.  ``SolveResult.node_values``
+values every node reachable from the root with one more reduced
+exploration, entered at all of them.  ``oracle_mcg`` shares only the
+indexing and searches the game tree independently.
 
 Solving one instance is single-threaded; distinct instances share no
 mutable state and may be solved concurrently.
@@ -77,6 +79,10 @@ class SolveResult:
     looked-up node raises it before the full table is built.  ``tester_move`` /
     ``sut_move`` give single lookups; ``tester_policy`` / ``sut_policy``
     materialize readable dictionaries (small graphs only).
+
+    ``node_values`` gives the value from every reachable node at once, from a
+    third exploration entered at all of them, built on first use and taking no
+    part in equality either.
     """
 
     value: int
@@ -89,6 +95,18 @@ class SolveResult:
     def _full(self) -> tuple[int, dict[int, int], dict[int, list[int]]]:
         """States explored, values and layers of the full table."""
         return self._arena.solve()[1:]
+
+    @cached_property
+    def node_values(self) -> dict[str, int]:
+        """Each reachable node's value, the game value were the node the root.
+
+        One reduced solve enters every node v at ``jump[v]`` from the empty mask, the
+        state a move to v is worth, so forced chains and tester groups settle as in any
+        other move; the value of a state does not depend on the root.
+        """
+        arena = self._arena
+        values = arena.solve(reduced=True, starts=arena.jump)[2]
+        return {v: values[j] for v, j in zip(arena.ids, arena.jump)}
 
     @property
     def states_explored(self) -> int:

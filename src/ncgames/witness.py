@@ -29,7 +29,7 @@ from itertools import accumulate
 from math import comb
 from operator import or_
 
-from .errors import ExtractionError, ParseError, StrategyError, ValidationError
+from .errors import CapacityError, ExtractionError, ParseError, StrategyError, ValidationError
 from .graph import (
     ID_RE,
     SUT,
@@ -190,10 +190,14 @@ def extract_witness(
 ) -> Witness:
     """Build a consistent witness whose bounds are the exact game values.
 
-    For every node v reachable from r the bound is solve_mcg(g, v); the
-    containment set is the first subset of reachable(v) (ascending
-    cardinality, lexicographic order) that contains v and satisfies both
-    the structural rule and its case equation for the fixed bounds.
+    For every node v reachable from r the bound is the game value from v,
+    read from one solve of the game from r whose exploration is entered at
+    every such node (``SolveResult.node_values``).  The node cap `cap`
+    applies to each v: the CapacityError names the reachable count of the
+    first v, in id order, that exceeds it.  The containment set is the
+    first subset of reachable(v) (ascending cardinality, lexicographic
+    order) that contains v and satisfies both the structural rule and its
+    case equation for the fixed bounds.
     Gains must all be >= 1.  At most `subset_cap` candidates are tested
     per node, counted in that order, and ExtractionError (with the
     instance attached) is raised when none of them is consistent.  The
@@ -204,7 +208,12 @@ def extract_witness(
     if any(info.gain < 1 for info in g.nodes.values()):
         raise ValidationError("extraction requires every gain >= 1; normalize first")
 
-    bounds = {v: solve_mcg(g, v, cap=cap).value for v in sorted(reachable(g, r))}
+    try:
+        bounds = solve_mcg(g, r, cap=cap).node_values
+    except CapacityError:  # the count of the first node, in id order, that reaches over cap
+        counts = (len(reachable(g, v)) for v in sorted(reachable(g, r)))
+        count = next(k for k in counts if k > cap)
+        raise CapacityError(f"{count} reachable nodes exceed the solver cap {cap}") from None
     entries: dict[str, WitnessEntry] = {}
     for v in sorted(bounds):
         found = _first_containment_set(g, v, bounds, subset_cap)

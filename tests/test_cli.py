@@ -157,6 +157,16 @@ class TestWitnessCommands:
         assert w.entries["v0"].bound == 3
         assert run_cli(["witness-check", "--graph", mirror_file, "--witness", str(out)]) == 0
 
+    def test_extract_cap_names_the_first_node_over_it(self, tmp_path, capsys):
+        path = tmp_path / "ring.ncgame"
+        path.write_text(
+            "ncgame 1\nnode r owner=tester gain=1\nnode a owner=tester gain=1\n"
+            "node b owner=sut gain=1\nnode c owner=tester gain=1\n"
+            "edge r a\nedge a b\nedge b c\nedge c a\ninit r\n"
+        )
+        assert run_cli(["witness-extract", "--graph", str(path), "--cap", "2"]) == 4
+        assert capsys.readouterr().err == "error: 3 reachable nodes exceed the solver cap 2\n"
+
     def test_extract_without_out_keeps_stdout_parseable(self, mirror_file, capsys):
         assert run_cli(["witness-extract", "--graph", mirror_file]) == 0
         captured = capsys.readouterr()

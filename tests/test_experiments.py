@@ -55,6 +55,32 @@ class TestSeeding:
         c = derive_seed(1, "s2", 100, 1, "sut")
         assert len({a, b, c}) == 3
 
+    def test_continued_hash_equals_derive_seed(self, monkeypatch):
+        # FNV-1a continued from a prefix's state is the hash of the whole key
+        for strategy in ALL_STRATEGIES:
+            for budget in (1, 9, 10, 57, 304, 10**9):
+                cell = fnv1a64(f"{strategy}|{budget}|".encode())
+                for trial in (0, 1, 9, 10, 99, 100, 12345):
+                    for stream in ("sut", "pick"):
+                        assert derive_seed(42, strategy, budget, trial, stream) == (
+                            42 ^ fnv1a64(f"{trial}|{stream}".encode(), cell)
+                        )
+        # and run_experiment hands every trial derive_seed's two seeds
+        seen = []
+        run = experiments.run_one
+
+        def recorded(g, suite, strategy, budget, reset_cost, sut_seed, pick_seed):
+            seen.append((strategy, budget, sut_seed, pick_seed))
+            return run(g, suite, strategy, budget, reset_cost, sut_seed, pick_seed)
+
+        monkeypatch.setattr(experiments, "run_one", recorded)
+        cfg = ExperimentConfig("c", budgets=(3, 12), trials=11, base_seed=7)
+        run_experiment(cycle_graph(), cfg)
+        assert seen == [
+            (s, b, derive_seed(7, s, b, t, "sut"), derive_seed(7, s, b, t, "pick"))
+            for s in sorted(ALL_STRATEGIES) for b in (3, 12) for t in range(11)
+        ]
+
 
 class TestRunExperiment:
     def test_golden_trend_csv(self):

@@ -502,7 +502,7 @@ def _layer_by_layer(arena: _Arena) -> dict[int, int]:
     members and every exit read through ``step``: nothing settled, forced or grouped."""
     no_settling = replace(arena)
     no_settling.jump = no_settling.step
-    layers, mask_gain = no_settling.explore(no_settling.step)
+    layers, mask_gain = no_settling.explore(no_settling.step, [no_settling.step[arena.root]])
     values: dict[int, int] = {}
     for mask in reversed(layers):  # a restarting arena has the root in every layer
         no_settling.solve_layer(mask, layers[mask], mask_gain[mask], values)
@@ -538,6 +538,36 @@ class TestKernelProperties:
             assert _node_arena(g, g.init, 20).solve(reduced=True)[0] == oracle_mcg(g, g.init)
 
         prop()
+
+    def test_node_values_equal_the_per_node_solves(self):
+        """One exploration entered at every reachable node gives each node the value of
+        a solve rooted there, on strict games with self-loops, forced chains and cycles
+        (a forced position has one successor, not itself, and is not the root) and
+        tester groups; each of the four must occur among the examples."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        seen = set()
+
+        @settings(max_examples=300)
+        @given(g=_games(st, sinks=False, forced=True))
+        def prop(g):
+            res = solve_mcg(g, g.init)
+            arena = res._arena
+            assert res.node_values == {v: solve_mcg(g, v).value for v in arena.ids}
+            forced = [p != arena.root and len(s) == 1 and s[0] != p for p, s in enumerate(arena.succ)]
+            ends = [j & ((1 << arena.shift) - 1) for j in arena.jump]
+            seen.update(
+                [("self-loop", any(p in s for p, s in enumerate(arena.succ))),
+                 ("forced chain", any(forced[p] and not forced[t] for p, t in enumerate(ends))),
+                 ("forced cycle", any(forced[t] for t in ends)),
+                 ("tester group", bool(_tester_groups(arena.succ, arena.is_tester)))]
+            )
+
+        prop()
+        assert {name for name, present in seen if present} == {
+            "self-loop", "forced chain", "forced cycle", "tester group"}
 
     def test_grouped_restart_value_equals_the_per_node_one(self):
         pytest.importorskip("hypothesis")

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import MIRROR_WITNESS_TEXT, first_consistent, graph_of
-from ncgames.errors import ExtractionError, ParseError, StrategyError, ValidationError
+from ncgames.errors import CapacityError, ExtractionError, ParseError, StrategyError, ValidationError
 from ncgames.graph import SUT, TESTER, coverage_gain, generate_random, reachable
 from ncgames.play import PositionalStrategy, best_response_gain, simulate_play
 from ncgames.solver import solve_mcg
@@ -177,6 +177,19 @@ class TestExtractWitness:
         g = graph_of({"a": (TESTER, 0, ("a",))}, init="a")
         with pytest.raises(ValidationError, match="normalize"):
             extract_witness(g, "a")
+
+    def test_node_cap_names_the_first_node_over_it(self):
+        # r reaches 4 nodes and a, the first in id order, 3: the cap applies per node
+        g = graph_of(
+            {"r": (TESTER, 1, ("a",)), "a": (TESTER, 1, ("b",)), "b": (SUT, 1, ("c",)),
+             "c": (TESTER, 1, ("a",))},
+            init="r",
+        )
+        with pytest.raises(CapacityError) as exc:
+            extract_witness(g, "r", cap=2)
+        assert str(exc.value) == "3 reachable nodes exceed the solver cap 2"
+        assert not isinstance(exc.value, ExtractionError)
+        assert extract_witness(g, "r", cap=4) == extract_witness(g, "r")
 
     def test_subset_cap_failure_is_reported(self, mirror):
         with pytest.raises(ExtractionError, match="no containment set"):
