@@ -1,12 +1,12 @@
 """The layered least-fixed-point kernel behind every exact coverage value.
 
 An arena numbers its positions 0..P-1.  Position p moves to the positions
-``succ[p]``, covers the graph node with bit index ``cover[p]`` and belongs
-to the tester when ``is_tester[p]``.  A product state pairs a position
-with the mask of covered nodes and is packed as ``(mask << shift) | p``
-with ``shift = P.bit_length()``.  A move to u lands in
-(u, mask | 1 << cover[u]); an infinite play whose mask stops growing at C
-pays ν(C), the summed gain of C.
+``succ[p]``, at least one, covers the graph node with bit index ``cover[p]``
+and belongs to the tester when ``is_tester[p]``.  A product state pairs a
+position with the mask of covered nodes and is packed as
+``(mask << shift) | p`` with ``shift = P.bit_length()``.  A move to u lands
+in (u, mask | 1 << cover[u]); an infinite play whose mask stops growing at
+C pays ν(C), the summed gain of C.
 
 Covered sets only grow, so the states reachable from the exploration's
 start states, the root state (root, {root}) unless others are given, split
@@ -19,29 +19,27 @@ layers in the reverse order.  Within a layer, moves that leave it have
 settled values and every state is worth at least its floor ν(C), so the
 layer's max-min value is the least fixed point of the one-step operator
 started at ν(C) everywhere, which synchronous rounds reach by raising
-values only.  The floor is ν(C), or the root's value in a restarting
-arena (the tester's restart move keeps C), and a sink moves only to it.
+values only.
 
 Some states are settled before their layer is solved, by two rules.  A
 position is forced when it has exactly one successor, that successor is
 not itself, and it is not the root.  At a forced p moving to u,
 value(p, C) = value(u, C ∪ {u}): in a layer the least fixed point gives p
-the value of u, and under restart p's restart is worth value(root, C),
-which is no more, since the tester may restart at u too.  Following forced
-positions from u ends at the first position t that is not forced, with
-every position on the way covered.  A walk that closes a cycle of forced
-positions ends at the cycle's least position, with the whole cycle
-covered: that position's only move comes back to it inside its layer, so
-it is worth the floor, as every state of the cycle is.  The root is never
-forced: a restarting arena whose root state (root, C) is settled reads the
-floor of layer C at (C << shift) | jump[root], which must be solved before
-layer C is, so it may not lie in it.  A tester group
-S (``_tester_groups``) is a set of two or more positions that the tester
+the value of u.  Following forced positions from u ends at the first
+position t that is not forced, with every position on the way covered.  A
+walk that closes a cycle of forced positions ends at the cycle's least
+position, with the whole cycle covered: that position's only move comes
+back to it inside its layer, so it is worth the floor, as every state of
+the cycle is.  The root is never forced, so that its states, the root
+state above all, where a solve from the root starts and reads its value,
+are solved and stored as themselves: forcing it would keep every value
+but drop them from the full table below.  A tester group S
+(``_tester_groups``) is a set of two or more positions that the tester
 controls (its own, and those with one successor, where nobody chooses)
 and that reach each other through such positions; cov(S) is the mask of
 their cover bits.  At p in S, value(p, C) = value(p, C ∪ cov(S)): the
-tester alone can walk S from p and back to p (≥), and a larger covered set
-never lowers the pay (≤), restart or not.
+tester alone can walk S from p and back to p (≥), and a larger covered
+set never lowers the pay (≤).
 
 So ``jump[u]`` packs the state that a move to u is worth, with the mask
 it adds: the chain's end t (u itself when u is not forced), and the
@@ -52,50 +50,44 @@ forced, or is the position its cycle keeps, and C covers its group and
 cycle; every other state is settled, and is worth the unsettled state
 (C << shift) | ``jump[p]``, which the chain and the walk of S reach.
 
-The full solve explores every reachable state, a move to u entering
-``step[u]``, that is u with ``bits[u]`` added, and solves only the
-unsettled ones: a layer with no unsettled state is skipped, and in a
-restarting arena whose root is settled the floor is read at ``jump[root]``.
-The reduced solve explores along ``jump`` instead: a move to u enters the
-chain's end with jump[u]'s mask added, so one move may add several bits,
-and the root is entered as it is.  It enters no settled state but the
-root's, and its values are exact.  Each state it enters is reachable, by
-the chain and the walk of S after the move.  Each of its layers is a set
-of the full layer's unsettled states that is closed under the moves
-staying in the mask, and reads every other move at the same ``jump``
-state as the full solve; the least fixed point of such a closed set is the
-full one restricted to it.  A settled root state is solved in its layer
-like any other, and its exits are exact, so it is too.
+The solve explores along ``jump``: a move to u enters the chain's end with
+jump[u]'s mask added, so one move may add several bits, and a start state
+is entered as it is.  It enters no settled state but its starts, and its
+values are exact.  Each state it enters is reachable from a start, by the
+chain and the walk of S after the move.  Each of its layers is a set of
+unsettled states that is closed under the moves staying in the mask, and
+reads every other move at its ``jump`` state; the least fixed point of
+such a closed set is that of the whole layer restricted to it.  A settled
+start, such as the root state of a root in a tester group, is solved in
+its layer like any other, and its exits are exact, so it is too.
 
-A plain arena values every position at once by starting the reduced
-exploration at jump[v], from the empty mask, for every position v.  That
-is the state a move to v is worth, and so worth value(v, {v}), the value
-of the game rooted at v: in a plain arena both rules hold at the root as
-well, and a state's value does not depend on the root, since its plays
-stay among the positions it reaches.  Each start is unsettled, each move
-enters a ``jump`` state, and each layer is closed as before, so these
-values are exact too.  The one exploration enters each state once, where
-explorations from each root in turn would enter the states they share
-again.
+A solve may start at many states.  Started at jump[v], from the empty
+mask, for every position v, it values every position: that state is worth
+value(v, {v}), the value of the game rooted at v, since both rules hold at
+any root and a state's value does not depend on the root.  The full table
+explores every state reachable from the root state, a move to u entering
+``step[u]`` (u with ``bits[u]`` added), keeps those layers, and takes its
+values from one solve started at the ``jump`` state of each explored
+state: exactly the reachable unsettled states.  Each start is unsettled,
+each move enters a ``jump`` state and each layer is closed as before, so
+these values are exact too.
 
 In a layer of mask C, ``solve_layer`` takes a move to u as in-layer when
 u is a member.  Otherwise, when (C << shift) | jump[u] has mask C, the
-chain stays in the layer and the move goes to its end, which both
-explorations have entered into the layer, so it is a member; and
-otherwise the move is an exit, read at that state.
+chain stays in the layer and the move goes to its end, which an
+exploration along ``jump`` has entered into the layer, so it is a member;
+and otherwise the move is an exit, read at that state.
 
 Round 1 reads the floor in every in-layer state, so it runs while the
 layer's rows are built: a tester takes the larger of its floor and its
 best exit, and an SUT state takes its floor if it has an in-layer move,
 else the larger of the floor and its least exit.  A one-state layer needs
 no more: its in-layer moves are self-loops or chains back to it, worth
-the floor (in a restarting arena that state is the root or the root was
-settled, and the same holds).  Every later round reads the previous
-round's values and applies its raises afterwards.  It re-evaluates an SUT
-state whose in-layer successor rose and a tester whose in-layer successor
-rose above it (every state, when the floor rose), since no other state can
-rise; a tester's exits are already in its value, so it reads only its
-in-layer successors.
+the floor.  Every later round reads the previous round's values and
+applies its raises afterwards.  It re-evaluates an SUT state whose
+in-layer successor rose and a tester whose in-layer successor rose above
+it, since no other state can rise; a tester's exits are already in its
+value, so it reads only its in-layer successors.
 
 Tester policies must avoid value-preserving cycles inside a layer, so a
 tester choice is the option that strictly raised the state's value in the
@@ -104,21 +96,22 @@ table (``succ[p][0]`` if it never rose); an SUT state moves to its first
 successor of least value, which is always safe for the minimizer.  The
 solve keeps values only, and ``ncgames.solver.SolveResult`` reads a
 tester choice by running ``solve_layer`` again on all members of the
-looked-up layer.  With all of them, every move inside the layer is a move
-to a member, which takes its own slot before any chain is followed, so
-these are the rounds of a solve that settles nothing; they read only the
-floor and the exits, at states of larger masks whose values settling
-leaves unchanged, so they recompute the same values and name the same
-choices.  The replay writes into a ``collections.ChainMap`` over the
-table, so the settled members it solves are not stored.  The root's layer
-is the root alone in both explorations, with the same exits, so its
-replay may read either table.
+looked-up layer of the full table.  With all of them, every move inside
+the layer is a move to a member, which takes its own slot before any
+chain is followed, so these are the rounds of a solve that settles
+nothing; they read only the floor and the exits, at states of larger
+masks whose values settling leaves unchanged, so they recompute the same
+values and name the same choices.  The replay writes into a
+``collections.ChainMap`` over the table, so the settled members it solves
+are not stored.  In an arena with one position per cover bit, the root's
+layer is the root alone in the solve from the root and in the full
+table, with the same exits, so its replay may read either table.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 from .errors import CapacityError
 
@@ -189,7 +182,6 @@ class _Arena:
     is_tester: list[bool]
     gains: list[int]  # by cover bit index
     root: int
-    restart: bool = False  # the tester may send the pebble back to the root
     shift: int = field(init=False)
     bits: list[int] = field(init=False)  # 1 << cover[p]
     step: list[int] = field(init=False)  # a move to p from any mask lands in (mask << shift) | step[p]
@@ -228,17 +220,16 @@ class _Arena:
                 jump[q] = e
         self.jump = jump
 
-    def explore(self, enter: Sequence[int], starts: Sequence[int], state_cap: float = math.inf):
+    def explore(self, enter: Sequence[int], starts: Iterable[int], state_cap: float = math.inf):
         """Product states reachable from the packed states ``starts`` when a move to u
         from mask C enters the packed state ``enter[u]`` or'ed with C, layered by mask.
 
         Returns (layers, mask_gain): layers maps each mask, in nondecreasing
         popcount order, to the sorted positions present with it; mask_gain
-        maps it to ν(mask).  A restarting arena has the root in every layer.
-        Only a count above max(state_cap, 1) raises, since a start state is
-        always admitted.
+        maps it to ν(mask).  Only a count above max(state_cap, 1) raises,
+        since a start state is always admitted.
         """
-        gains, root, shift = self.gains, self.root, self.shift
+        gains, shift = self.gains, self.shift
         position = (1 << shift) - 1
         moves = [[(enter[u] >> shift, enter[u] & position) for u in s] for s in self.succ]
         mask_gain: dict[int, int] = {}
@@ -256,8 +247,6 @@ class _Arena:
         while buckets:
             for mask in buckets.pop(min(buckets)):
                 seen = entered.pop(mask)
-                if self.restart:
-                    seen.add(root)
                 stack = list(seen)
                 while stack:
                     for m, t in moves[stack.pop()]:
@@ -278,49 +267,40 @@ class _Arena:
                 layers[mask] = sorted(seen)
         return layers, mask_gain
 
-    def solve(
-        self, state_cap: float = math.inf, reduced: bool = False, starts: Sequence[int] = ()
-    ):
-        """Root value, number of explored states, the value table and explore's layers.
-
-        By default every reachable state is explored, entering ``step``, and the table
-        holds the unsettled ones only; a settled state (p, C), forced or of a partly
-        covered group, is worth the value at (C << shift) | jump[p], and so is the root
-        state, read at jump[root].  ``reduced`` explores along ``jump`` instead, so the
-        only settled state it enters is the root's, which it solves like any other.
-
-        The exploration starts at the root state (root, {root}), or at the packed
+    def solve(self, state_cap: float = math.inf, starts: Collection[int] = ()):
+        """Root value, number of explored states, the value table and explore's layers,
+        exploring along ``jump`` from the root state (root, {root}), or from the packed
         ``starts`` when given, which must include jump[root].  A solve from given starts
         is read for its table alone, so it takes each layer out of the returned layers
         as it solves it, and they end empty.
         """
-        shift, jump, root = self.shift, self.jump, self.root
-        enter = jump if reduced else self.step
-        layers, mask_gain = self.explore(enter, starts or (self.step[root],), state_cap)
+        layers, mask_gain = self.explore(self.jump, starts or (self.step[self.root],), state_cap)
         states = sum(map(len, layers.values()))
         take = layers.pop if starts else layers.get  # a popped layer is freed once solved
         values: dict[int, int] = {}
         for mask in reversed(list(layers)):
-            members, here = take(mask), mask << shift
-            if not reduced:  # a settled state is not stored
-                members = [p for p in members if here | jump[p] == here | p]
-                if not members:
-                    continue
-            base = mask_gain[mask]
-            if self.restart and here | jump[root] in values:  # the root is settled
-                base = values[here | jump[root]]
-            self.solve_layer(mask, members, base, values)
-        return values[jump[root]], states, values, layers
+            self.solve_layer(mask, take(mask), mask_gain[mask], values)
+        return values[self.jump[self.root]], states, values, layers
+
+    def full_table(self, state_cap: float = math.inf):
+        """Root value, number of reachable states, the values of the unsettled ones and
+        the layers of all, explored along ``step`` (``state_cap`` counts them all); the
+        values come from one solve started at the ``jump`` state of each of them.
+        """
+        shift, jump = self.shift, self.jump
+        layers = self.explore(self.step, (self.step[self.root],), state_cap)[0]
+        starts = {mask << shift | jump[p] for mask, members in layers.items() for p in members}
+        value, _states, values, _layers = self.solve(starts=starts)
+        return value, sum(map(len, layers.values())), values, layers
 
     def solve_layer(self, mask: int, members: list[int], base: int, values: dict):
         """Solve ``members`` (sorted positions) of the layer of ``mask`` into ``values``.
         A move to u is in-layer to u's slot when u is a member, else to the slot of the
         chain's end when ``(mask << shift) | jump[u]`` has this mask; any other move is an
-        exit, whose value ``values`` holds at that state.  The floor is ``base``: ν(mask),
-        or in a restarting arena the root's value, read from the root's slot when the root
-        is a member.  Round 1 runs while the rows are built, and a one-state layer is
-        solved outright.  Returns each member's tester choice: the position that last
-        raised it, a successor when all of the layer's members are given, or None.
+        exit, whose value ``values`` holds at that state.  The floor is ``base``, ν(mask).
+        Round 1 runs while the rows are built, and a one-state layer is solved outright.
+        Returns each member's tester choice: the position that last raised it, a
+        successor when all of the layer's members are given, or None.
         """
         succ, is_tester, jump, inf = self.succ, self.is_tester, self.jump, math.inf
         here = mask << self.shift  # an exit to u is worth values[here | jump[u]]
@@ -336,23 +316,22 @@ class _Arena:
                         v = values[j]
                         if v > best:
                             best, arg = v, u
-            elif succ[p] and all(u != p and here | jump[u] >= top for u in succ[p]):
+            elif all(u != p and here | jump[u] >= top for u in succ[p]):
                 best = max(base, min(values[here | jump[u]] for u in succ[p]))
             values[here | p] = best
             return [arg]
         slot = dict(zip(members, range(n)))
-        table = [base] * (n + 1)  # table[:n] holds the layer's values, table[n] = base
-        home = slot.get(self.root, n) if self.restart else n  # the floor's slot
+        table = [base] * n
         rows: list[list[int]] = []  # in-layer successors' slots
-        lows: list[float] = []  # an SUT state's least exit value (a sink's: base)
+        lows: list[float] = []  # an SUT state's least exit value
         spreds: list[list[int]] = [[] for _ in members]  # in-layer SUT predecessors
         tpreds: list[list[int]] = [[] for _ in members]  # in-layer tester predecessors
         raised = []  # round 1: every in-layer slot still holds base
         for i, p in enumerate(members):
-            row, tester, moves = [], is_tester[p], succ[p]
+            row, tester = [], is_tester[p]
             preds = tpreds if tester else spreds
-            best, arg, low = base, None, inf if moves else base  # a sink only reaches its floor
-            for u in moves:
+            best, arg, low = base, None, inf
+            for u in succ[p]:
                 k = slot.get(u)
                 if k is None:
                     j = here | jump[u]
@@ -374,7 +353,6 @@ class _Arena:
             if best > base:
                 raised.append((i, best, arg))
         last: list[int | None] = [None] * n
-        floor = base
         while raised:
             todo = set()
             for i, best, arg in raised:
@@ -384,14 +362,11 @@ class _Arena:
                 for j in tpreds[i]:
                     if table[j] < best:  # a tester at least as high cannot rise by i
                         todo.add(j)
-            if table[home] > floor:
-                todo = range(n)
-            floor = table[home]
             raised = []
             for i in todo:
                 row = rows[i]
                 if is_tester[members[i]]:  # exits are already in its value
-                    best, arg = floor, None
+                    best, arg = base, None
                     for k in row:
                         if table[k] > best:
                             best = table[k]
@@ -401,8 +376,8 @@ class _Arena:
                     for k in row:
                         if table[k] < best:
                             best = table[k]
-                    if best < floor:
-                        best = floor
+                    if best < base:
+                        best = base
                 if best > table[i]:
                     raised.append((i, best, arg if arg is None else members[arg]))
         values.update(zip([here | p for p in members], table))

@@ -167,10 +167,10 @@ def best_response_gain(
 
     The arena's positions are the reachable (node, SUT state) pairs, and
     an SUT position's only successor is the strategy's choice, so the
-    tester is left alone in the game.  Its value under the layered
-    least-fixed-point kernel (``ncgames.arena``) is the best response.
-    ``state_cap`` bounds the number of (node, covered set, SUT state)
-    product states.
+    tester is left alone in the game.  Its value, read from the arena's
+    full table (``_Arena.full_table``, ``ncgames.arena``), is the best
+    response, and ``state_cap`` bounds the number of (node, covered set,
+    SUT state) product states, all of which the full table explores.
     """
     ensure_valid(g, strict=True)
     if r not in g.nodes:
@@ -211,4 +211,4 @@ def best_response_gain(
         gains=[g.gain(v) for v in nodes],
         root=0,
     )
-    return arena.solve(state_cap=state_cap)[0]
+    return arena.full_table(state_cap)[0]

@@ -11,15 +11,14 @@ so a move into a chain of forced nodes is worth the state at the chain's
 end with the whole chain covered.  A tester group is a set S of two or
 more nodes that the tester controls (its own, and those with one
 successor) and that reach each other through such nodes, and
-value(s, C) = value(s, C ∪ S) at s in S.  ``solve_mcg`` and
-``solve_mcg_restart`` value the game on the kernel's reduced exploration,
-which follows both rules, so it enters no state of a forced node and none
-that covers a group in part.  Policies must answer at those states too,
-so ``SolveResult`` builds the full table, over every reachable state, the
-first time a policy or a state count needs it.  ``SolveResult.node_values``
-values every node reachable from the root with one more reduced
-exploration, entered at all of them.  ``oracle_mcg`` shares only the
-indexing and searches the game tree independently.
+value(s, C) = value(s, C ∪ S) at s in S.  The kernel's solve follows both
+rules, so it enters no state of a forced node and none that covers a
+group in part.  Policies must answer at those states too, so
+``SolveResult`` builds the full table, over every reachable state, the
+first time a policy or a state count needs it.  The restart game is a
+plain arena too, with the restart as one more tester move.
+``oracle_mcg`` shares only the indexing and searches the game tree
+independently.
 
 Solving one instance is single-threaded; distinct instances share no
 mutable state and may be solved concurrently.
@@ -27,13 +26,13 @@ mutable state and may be solved concurrently.
 from __future__ import annotations
 
 from collections import ChainMap
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
 from .arena import _Arena, _gain
 from .errors import CapacityError, StrategyError
-from .graph import TESTER, GameGraph, ensure_valid, reachable
+from .graph import SUT, TESTER, GameGraph, ensure_valid, reachable
 from .play import StateMachineStrategy
 
 
@@ -58,13 +57,14 @@ def _node_arena(g: GameGraph, r: str, cap: int) -> _Arena:
 class SolveResult:
     """Game value plus optimal policies on the product arena.
 
-    The value comes from the reduced exploration (``_Arena.solve`` with
-    ``reduced``), whose table also answers the tester's move at the root state:
-    the root's layer is the root alone in both explorations, so its replay reads
-    the same exits.  Every other answer reads the full table, which explores every
-    reachable state and keeps the unsettled ones.  It is built once, on first use
-    of ``states_explored``, ``_values``, ``_layers``, an SUT move, a policy, or a
-    tester lookup elsewhere, and takes no part in equality.
+    The value comes from the solve from the root (``_Arena.solve``), whose table
+    also answers the tester's move at the root state: the root's layer is the root
+    alone there and in the full table, so its replay reads the same exits.  Every
+    other answer reads the full table (``_Arena.full_table``): the layers of every
+    reachable state, and the values of the unsettled ones from one solve started at
+    all of them.  It is built once, on first use of ``states_explored``,
+    ``_values``, ``_layers``, an SUT move, a policy, or a tester lookup elsewhere,
+    and takes no part in equality.
 
     Policies map (node, covered set) to the chosen successor; they are
     defined for every product state reachable from the solved root, which
@@ -80,9 +80,9 @@ class SolveResult:
     ``sut_move`` give single lookups; ``tester_policy`` / ``sut_policy``
     materialize readable dictionaries (small graphs only).
 
-    ``node_values`` gives the value from every reachable node at once, from a
-    third exploration entered at all of them, built on first use and taking no
-    part in equality either.
+    ``node_values`` gives the value from every reachable node at once, from one
+    more solve started at all of them, built on first use and taking no part in
+    equality either.
     """
 
     value: int
@@ -94,18 +94,18 @@ class SolveResult:
     @cached_property
     def _full(self) -> tuple[int, dict[int, int], dict[int, list[int]]]:
         """States explored, values and layers of the full table."""
-        return self._arena.solve()[1:]
+        return self._arena.full_table()[1:]
 
     @cached_property
     def node_values(self) -> dict[str, int]:
         """Each reachable node's value, the game value were the node the root.
 
-        One reduced solve enters every node v at ``jump[v]`` from the empty mask, the
-        state a move to v is worth, so forced chains and tester groups settle as in any
-        other move; the value of a state does not depend on the root.
+        One solve starts at ``jump[v]`` from the empty mask for every node v, the state
+        a move to v is worth, so forced chains and tester groups settle as in any other
+        move; the value of a state does not depend on the root.
         """
         arena = self._arena
-        values = arena.solve(reduced=True, starts=arena.jump)[2]
+        values = arena.solve(starts=arena.jump)[2]
         return {v: values[j] for v, j in zip(arena.ids, arena.jump)}
 
     @property
@@ -178,8 +178,35 @@ def solve_mcg(g: GameGraph, r: str, cap: int = 20) -> SolveResult:
     """
     ensure_valid(g, strict=True)
     arena = _node_arena(g, r, cap)
-    value, _states, values, layers = arena.solve(reduced=True)
+    value, _states, values, layers = arena.solve()
     return SolveResult(value=value, root=r, _arena=arena, _reduced=(values, layers))
+
+
+def _restart_arena(g: GameGraph, r: str, cap: int) -> _Arena:
+    """The restart game as a plain arena on the nodes reachable from r, in id order: a
+    node that is its own chain end offers the tester one more move, back to r.  A tester
+    node or a sink takes r as a move; an SUT node becomes a tester entry that moves to r
+    or to a second, SUT-owned position ``(node, SUT)`` with the node's cover bit and
+    moves.  A forced node keeps its single move: a restart at its chain's end keeps a
+    larger covered set, which never lowers the pay.
+    """
+    arena = _node_arena(g, r, cap)
+    root, position = arena.root, (1 << arena.shift) - 1
+    ids, succ = list(arena.ids), list(arena.succ)
+    cover, is_tester = list(arena.cover), list(arena.is_tester)
+    for p, moves in enumerate(arena.succ):
+        if arena.jump[p] & position != p or is_tester[p] and root in moves:  # forced, or moves to r
+            continue
+        if is_tester[p] or not moves:
+            succ[p] = moves + (root,)
+        else:
+            succ[p], is_tester[p] = (root, len(ids)), True
+            ids.append((ids[p], SUT))
+            succ.append(moves)
+            cover.append(cover[p])
+            is_tester.append(False)
+    return _Arena(ids=ids, index={v: i for i, v in enumerate(ids)}, succ=succ, cover=cover,
+                  is_tester=is_tester, gains=arena.gains, root=root)
 
 
 def solve_mcg_restart(g: GameGraph, r: str, cap: int = 20) -> int:
@@ -188,12 +215,10 @@ def solve_mcg_restart(g: GameGraph, r: str, cap: int = 20) -> int:
     Before the owner of the current node moves, the tester may instead
     send the pebble back to r (keeping the covered set).  Sinks are
     allowed: a play stuck in a sink pays the covered set's gain unless
-    restarted.  The accumulated set always contains r, so the restart
-    option never leaves the current layer.  The solve is the reduced one:
-    a move into a forced chain or a tester group covers all of it.
+    restarted.  The value is that of ``_restart_arena``, a plain arena.
     """
     ensure_valid(g, strict=False)
-    return replace(_node_arena(g, r, cap), restart=True).solve(reduced=True)[0]
+    return _restart_arena(g, r, cap).solve()[0]
 
 
 class OptimalSutStrategy(StateMachineStrategy):

@@ -50,6 +50,24 @@ edge v3 v2
 init v0
 """
 
+# Two forced cycles behind a tester choice: a <-> b and c <-> d each keep one
+# position, so a restart game must offer the restart there to collect both.
+FORCED_CYCLES_TEXT = """\
+ncgame 1
+node r owner=tester gain=1
+node a owner=tester gain=2
+node b owner=sut gain=2
+node c owner=sut gain=2
+node d owner=sut gain=3
+edge r a
+edge r c
+edge a b
+edge b a
+edge c d
+edge d c
+init r
+"""
+
 MIRROR_WITNESS_TEXT = """\
 ncwitness 1
 entry v0 c=3 P=v0

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MIRROR_WITNESS_TEXT, input_argv
+from conftest import FORCED_CYCLES_TEXT, MIRROR_TEXT, MIRROR_WITNESS_TEXT, input_argv
 from ncgames import cli, experiments, solver, witness
 from ncgames.cli import run_cli
 from ncgames.errors import (
@@ -39,6 +39,18 @@ class TestSolve:
     def test_solve_restart(self, mirror_file, capsys):
         assert run_cli(["solve", "--graph", mirror_file, "--restart"]) == 0
         assert "mcg_restart=4" in capsys.readouterr().out
+
+    def test_solve_restart_from_forced_cycles(self, tmp_path, capsys):
+        path = tmp_path / "cycles.ncgame"
+        path.write_text(FORCED_CYCLES_TEXT)
+        assert run_cli(["solve", "--graph", str(path), "--restart"]) == 0
+        assert capsys.readouterr().out == "mcg_restart=10\n"
+
+    def test_solve_from_an_sut_root_names_no_move(self, tmp_path, capsys):
+        path = tmp_path / "sut-root.ncgame"
+        path.write_text(MIRROR_TEXT.replace("init v0", "init v3"))
+        assert run_cli(["solve", "--graph", str(path)]) == 0
+        assert capsys.readouterr().out == "mcg=2\nfirst_move=none\n"
 
     def test_cap_exceeded_exit_code(self, mirror_file, capsys):
         assert run_cli(["solve", "--graph", mirror_file, "--cap", "2"]) == 4

@@ -1,22 +1,45 @@
-"""Every error branch of the readers and checkers, one table row each.
+"""Every error branch of the readers, the checkers and the library's argument
+checks, one table row each.
 
 A file input's row also runs the command that reads it: a parse error
 exits 2 with ``error: line N: ...`` on stderr, a violation exits 3 with
 ``violation: ...`` on stdout.  ``graph.validate``'s structural branches
 cannot be reached from a file, since the parser rejects their causes
-first, so its rows build the graph directly.
+first, so its rows build the graph directly.  So do the rows of the
+library calls whose arguments the CLI checks before it calls them.
 """
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from conftest import input_argv
+from conftest import MIRROR_TEXT, MIRROR_WITNESS_TEXT, input_argv
 from ncgames.cli import _to_int, run_cli
-from ncgames.errors import ParseError
-from ncgames.graph import SUT, TESTER, GameGraph, NodeInfo, parse_game_graph, validate
-from ncgames.reductions import parse_dimacs
-from ncgames.testplan import parse_suite
-from ncgames.witness import check_witness, parse_witness
+from ncgames.errors import ParseError, StrategyError, ValidationError
+from ncgames.experiments import ExperimentConfig, run_experiment, run_one
+from ncgames.graph import (
+    SUT,
+    TESTER,
+    GameGraph,
+    NodeInfo,
+    generate_random,
+    is_trap,
+    parse_game_graph,
+    validate,
+)
+from ncgames.play import PositionalStrategy, best_response_gain, enumerate_positional, simulate_play
+from ncgames.reductions import Cnf, parse_dimacs, sat_to_ncgame
+from ncgames.testplan import (
+    SutResponder,
+    nt_plan,
+    parse_suite,
+    random_walk,
+    static_once,
+    validate_suite,
+)
+from ncgames.testplan import TestCase as Case, TestSuite as Suite
+from ncgames.witness import check_witness, parse_witness, witness_guided_sut
 
 
 def _graph_text(*lines: str) -> str:
@@ -197,3 +220,71 @@ def test_graph_violations(case):
     g = GameGraph(nodes, edges, "a")
     assert validate(g, strict=False) == [violation]
     assert validate(g, strict=True) == [violation]
+
+
+MIRROR = parse_game_graph(MIRROR_TEXT)
+MIRROR_SUITE = Suite((Case("t0", ("v0", "v1", "v3")), Case("t1", ("v0", "v2"))))
+TESTER_V0 = PositionalStrategy(TESTER, {"v0": "v1", "v1": "v3", "v2": "v3"})
+SUT_V3 = PositionalStrategy(SUT, {"v3": "v1"})
+SINK = GameGraph({"a": NodeInfo(TESTER, 1), "b": NodeInfo(SUT, 1)}, {"a": ("b",), "b": ()}, "a")
+
+# (call, exception type, message) for library calls with a bad argument
+LIBRARY_ERRORS = {
+    "simulate_play unknown root": (lambda: simulate_play(MIRROR, "zz", TESTER_V0, SUT_V3, 5),
+                                   ValueError, "unknown node `zz`"),
+    "simulate_play no steps": (lambda: simulate_play(MIRROR, "v0", TESTER_V0, SUT_V3, 0),
+                               ValueError, "max_steps must be >= 1"),
+    "enumerate_positional sink": (lambda: enumerate_positional(SINK, SUT), ValidationError, "sink: b"),
+    "best_response_gain unknown root": (lambda: best_response_gain(MIRROR, "zz", SUT_V3),
+                                        ValueError, "unknown node `zz`"),
+    "best_response_gain non-successor": (
+        lambda: best_response_gain(MIRROR, "v0", PositionalStrategy(SUT, {"v3": "v0"})),
+        StrategyError, "SUT strategy chose `v0`, not a successor of `v3`"),
+    "witness-guided SUT without a move": (
+        lambda: witness_guided_sut(MIRROR, parse_witness(MIRROR_WITNESS_TEXT)).choose(
+            frozenset({"v0"}), "v3"),
+        StrategyError, "certificate corruption: no successor of `v3` inside the granted set ['v0']"),
+    "generate_random no nodes": (lambda: generate_random(0, 0.5, 1, 1, 0),
+                                 ValueError, "node_count must be >= 1"),
+    "generate_random min_out above max_out": (lambda: generate_random(3, 0.5, 2, 1, 0),
+                                              ValueError, "need 1 <= min_out <= max_out"),
+    "is_trap unknown node": (lambda: is_trap(MIRROR, TESTER, {"v0", "zz"}),
+                             ValueError, "unknown node `zz`"),
+    "static_once no budget": (lambda: static_once(MIRROR, MIRROR_SUITE, 0, 10, SutResponder(0)),
+                              ValueError, "budget must be >= 1"),
+    "random_walk no budget": (lambda: random_walk(MIRROR, 0, SutResponder(0), random.Random(0)),
+                              ValueError, "budget must be >= 1"),
+    "nt_plan unknown strategy": (
+        lambda: nt_plan(MIRROR, MIRROR_SUITE, 5, "zz", 10, SutResponder(0), random.Random(0)),
+        ValueError, "unknown strategy `zz`"),
+    "run_one unknown strategy": (lambda: run_one(MIRROR, MIRROR_SUITE, "zz", 5, 10, 0, 0),
+                                 ValueError, "unknown strategy `zz`"),
+    "run_experiment budget below 1": (
+        lambda: run_experiment(MIRROR, ExperimentConfig("mirror", (5, 0))),
+        ValueError, "budgets must be >= 1"),
+    "sat_to_ncgame no variables": (lambda: sat_to_ncgame(Cnf(0, (frozenset({1}),))),
+                                   ValueError, "formula must have at least one variable"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_ERRORS))
+def test_library_errors(case):
+    call, kind, message = LIBRARY_ERRORS[case]
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind and str(info.value) == message
+
+
+# (cases, the violations reported) for validate_suite on the mirror graph
+SUITE_VIOLATIONS = {
+    "duplicate case id": ((Case("t0", ("v0", "v1")), Case("t0", ("v0", "v2"))),
+                          ["duplicate case id `t0`"]),
+    "empty path": ((Case("t0", ("v0", "v1")), Case("t1", ())), ["t1: empty path"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUITE_VIOLATIONS))
+def test_suite_violations(case):
+    cases, violations = SUITE_VIOLATIONS[case]
+    assert validate_suite(MIRROR, MIRROR_SUITE) == []
+    assert validate_suite(MIRROR, Suite(cases)) == violations

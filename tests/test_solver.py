@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import graph_of
+from conftest import FORCED_CYCLES_TEXT, graph_of
 from ncgames.arena import _Arena, _tester_groups
 from ncgames.errors import CapacityError, StrategyError, ValidationError
 from ncgames.graph import (
@@ -18,12 +18,14 @@ from ncgames.graph import (
     NodeInfo,
     coverage_gain,
     generate_random,
+    parse_game_graph,
     reachable,
 )
 from ncgames.play import PositionalStrategy, best_response_gain
 from ncgames.reductions import parse_dimacs, restart_double, sat_to_ncgame
 from ncgames.solver import (
     _node_arena,
+    _restart_arena,
     extract_optimal_sut,
     oracle_mcg,
     solve_mcg,
@@ -151,6 +153,14 @@ class TestRestart:
             g = generate_random(n, 0.5, 1, min(3, n), seed=600 + i)
             assert solve_mcg_restart(g, g.init) >= solve_mcg(g, g.init).value
 
+    def test_restart_from_forced_cycles(self):
+        # a plain play ends in one cycle; a restart from the position each cycle keeps
+        # reaches the other one
+        g = parse_game_graph(FORCED_CYCLES_TEXT)
+        doubled = restart_double(g)
+        assert (solve_mcg(g, "r").value, solve_mcg_restart(g, "r")) == (6, 10)
+        assert oracle_mcg(doubled, doubled.init) == 20
+
     @pytest.mark.parametrize("n, seed, value", [(18, 1, 17), (20, 0, 19)])
     def test_benchmark_reference_values(self, n, seed, value):
         g = generate_random(n, 0.3, 1, 2, seed)
@@ -172,10 +182,10 @@ class TestGrouping:
         (group,) = _tester_groups(arena.succ, arena.is_tester)
         assert (group, sum(arena.gains[p] for p in group)) == (list(range(70)), 70)
         # every position but the root is forced, so a move into the ring reads the
-        # whole-ring state at the root, and the reduced solve enters only it after the
-        # root state
+        # whole-ring state at the root, and the solve enters only it after the root
+        # state; so does the restart game, whose restart at the root stays there
         assert arena.jump == [((1 << 70) - 1) << arena.shift] * 70
-        assert replace(arena, restart=True).solve(reduced=True)[:2] == (70, 2)
+        assert _restart_arena(ring, "n00", 70).solve()[:2] == (70, 2)
         with pytest.raises(CapacityError, match="70 reachable nodes exceed the solver cap 69"):
             solve_mcg_restart(ring, "n00", cap=69)
 
@@ -236,7 +246,7 @@ class TestForcedChains:
         root = 0b10000 << arena.shift | 4
         assert arena.jump == [cycle | 1 << arena.shift, cycle, cycle, cycle, root]
         # the root state, then the chain and the cycle at c1, whose move stays at c1
-        assert arena.solve(reduced=True)[:2] == (5, 2)
+        assert arena.solve()[:2] == (5, 2)
         assert solve_mcg(g, "r").tester_move("r", {"r"}) == "a"
 
     def test_root_with_one_successor_is_not_forced(self):
@@ -504,7 +514,7 @@ def _layer_by_layer(arena: _Arena) -> dict[int, int]:
     no_settling.jump = no_settling.step
     layers, mask_gain = no_settling.explore(no_settling.step, [no_settling.step[arena.root]])
     values: dict[int, int] = {}
-    for mask in reversed(layers):  # a restarting arena has the root in every layer
+    for mask in reversed(layers):
         no_settling.solve_layer(mask, layers[mask], mask_gain[mask], values)
     return values
 
@@ -535,7 +545,7 @@ class TestKernelProperties:
         @settings(max_examples=100)
         @given(g=_games(st, sinks=False))
         def prop(g):
-            assert _node_arena(g, g.init, 20).solve(reduced=True)[0] == oracle_mcg(g, g.init)
+            assert _node_arena(g, g.init, 20).solve()[0] == oracle_mcg(g, g.init)
 
         prop()
 
@@ -577,7 +587,7 @@ class TestKernelProperties:
         @settings(max_examples=100)
         @given(g=_games(st, sinks=True))
         def prop(g):
-            arena = replace(_node_arena(g, g.init, 20), restart=True)
+            arena = _restart_arena(g, g.init, 20)
             assert solve_mcg_restart(g, g.init) == _layer_by_layer(arena)[arena.step[arena.root]]
 
         prop()
@@ -590,7 +600,7 @@ class TestKernelProperties:
         @settings(max_examples=200)
         @given(g=_games(st, sinks=False, forced=True))
         def prop(g):
-            assert _node_arena(g, g.init, 20).solve(reduced=True)[0] == oracle_mcg(g, g.init)
+            assert _node_arena(g, g.init, 20).solve()[0] == oracle_mcg(g, g.init)
 
         prop()
 
@@ -602,7 +612,7 @@ class TestKernelProperties:
         @settings(max_examples=200)
         @given(g=_games(st, sinks=True, forced=True))
         def prop(g):
-            arena = replace(_node_arena(g, g.init, 20), restart=True)
+            arena = _restart_arena(g, g.init, 20)
             assert solve_mcg_restart(g, g.init) == _layer_by_layer(arena)[arena.step[arena.root]]
 
         prop()
@@ -639,9 +649,8 @@ class TestKernelProperties:
             best_response_gain(g, g.init, optimal)
             best_response_gain(g, g.init, last)
             plain = _node_arena(g, g.init, 20)
-            restart = replace(_node_arena(h, h.init, 20), restart=True)
-            for arena in [plain, replace(plain, restart=True), restart, *solved]:
-                values = solve(arena)[2]
+            for arena in [plain, _restart_arena(g, g.init, 20), _restart_arena(h, h.init, 20), *solved]:
+                values = arena.full_table()[2]
                 reference = _layer_by_layer(arena)
                 succ = arena.succ
                 cov = list(arena.bits)  # cov(S) at a position of tester group S
@@ -692,6 +701,28 @@ class TestKernelProperties:
 
         prop()
 
+    def test_restart_value_is_half_the_oracle_on_the_doubled_graph(self):
+        """Against the brute-force oracle on the doubled graph, with sinks, forced chains
+        and forced cycles.  The explicit games have single-successor positions that are
+        not forced, a self-loop and the kept position of a forced cycle, where a restart
+        must be offered."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import example, given, settings
+        from hypothesis import strategies as st
+
+        loops = graph_of({"v0": (TESTER, 1, ("v1", "v2")), "v1": (SUT, 1, ("v1",)),
+                          "v2": (TESTER, 1, ("v2",))}, init="v0")
+
+        @settings(max_examples=100)
+        @given(g=_games(st, sinks=True, forced=True))
+        @example(g=loops)
+        @example(g=parse_game_graph(FORCED_CYCLES_TEXT))
+        def prop(g):
+            doubled = restart_double(g)
+            assert 2 * solve_mcg_restart(g, g.init) == oracle_mcg(doubled, doubled.init)
+
+        prop()
+
     def test_policy_moves_keep_the_value(self):
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings
@@ -722,9 +753,10 @@ class TestReducedSolve:
 
     def test_reduced_tables_agree_with_the_full_ones(self):
         """Plain and restart arenas with sinks and self-loops: the reduced solve gives the
-        full solve's value and root tester choice, each of its entries equals the full
-        solve's value at that state (read through ``jump``), and it enters only
-        reachable states."""
+        full table's value, each of its entries equals the full table's value at that
+        state (read through ``jump``), and it enters only reachable states.  In the
+        plain arena, whose root's layer is the root alone, it gives the full table's
+        root tester choice too."""
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings
         from hypothesis import strategies as st
@@ -737,25 +769,26 @@ class TestReducedSolve:
         def prop(h):
             g = GameGraph(h.nodes, {v: moves or (v,) for v, moves in h.edges.items()}, h.init)
             plain = _node_arena(g, g.init, 20)
-            restart = replace(_node_arena(h, h.init, 20), restart=True)
-            for arena in [plain, replace(plain, restart=True), restart]:
-                value, _states, full, full_layers = arena.solve()
-                reduced_value, _states, reduced, layers = arena.solve(reduced=True)
+            for arena in [plain, _restart_arena(g, g.init, 20), _restart_arena(h, h.init, 20)]:
+                value, _states, full, full_layers = arena.full_table()
+                reduced_value, _states, reduced, layers = arena.solve()
                 assert reduced_value == value
-                root, mask = arena.root, arena.bits[arena.root]
-                assert layers[mask] == full_layers[mask] == [root]
-                choices = [arena.solve_layer(mask, [root], arena.gains[root], ChainMap({}, table))
-                           for table in (reduced, full)]
-                assert choices[0] == choices[1]
                 position = (1 << arena.shift) - 1
                 for packed, v in reduced.items():
                     p = packed & position
                     assert full[(packed - p) | arena.jump[p]] == v
                 assert states(arena, layers) <= states(arena, full_layers)
-                if arena is plain and g.is_tester(g.init):
-                    choice = choices[1][0]
-                    expected = arena.ids[arena.succ[root][0] if choice is None else choice]
-                    assert solve_mcg(g, g.init).tester_move(g.init, {g.init}) == expected
+            # a restart arena's root layer also holds the SUT copy of an SUT root
+            (full, full_layers), (reduced, layers) = plain.full_table()[2:], plain.solve()[2:]
+            root, mask = plain.root, plain.bits[plain.root]
+            assert layers[mask] == full_layers[mask] == [root]
+            choices = [plain.solve_layer(mask, [root], plain.gains[root], ChainMap({}, table))
+                       for table in (reduced, full)]
+            assert choices[0] == choices[1]
+            if g.is_tester(g.init):
+                choice = choices[1][0]
+                expected = plain.ids[plain.succ[root][0] if choice is None else choice]
+                assert solve_mcg(g, g.init).tester_move(g.init, {g.init}) == expected
 
         prop()
 
@@ -782,22 +815,22 @@ class TestReducedSolve:
             "tester_move", "unreached_state"])
     def test_full_table_is_built_once_on_first_use(self, mirror, monkeypatch, use):
         calls = []
-        explore = _Arena.explore
+        full_table = _Arena.full_table
 
         def spy(arena, *args, **kwargs):
             calls.append(arena)
-            return explore(arena, *args, **kwargs)
+            return full_table(arena, *args, **kwargs)
 
-        monkeypatch.setattr(_Arena, "explore", spy)
+        monkeypatch.setattr(_Arena, "full_table", spy)
         res = solve_mcg(mirror, "v0")
         assert (res.value, res.tester_move("v0", {"v0"})) == (3, "v1")
-        assert len(calls) == 1
+        assert len(calls) == 0
         use(res)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert res.states_explored > 0
         res.tester_policy()
         res.sut_policy()
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("node, covered", [("v1", {"v1"}), ("v0", set()), ("v3", {"v0", "v1"})])
     def test_lookup_without_the_root_or_the_node_raises_at_once(self, mirror, monkeypatch,
@@ -851,21 +884,21 @@ class TestStateCap:
     @pytest.mark.parametrize("seed", [None, 3, 6])
     def test_arena_cap_boundary(self, mirror, restart, seed):
         g = mirror if seed is None else generate_random(10 + seed, 0.4, 1, 3, seed)
-        arena = replace(_node_arena(g, g.init, 20), restart=restart)
-        value, states = arena.solve()[:2]
-        assert arena.solve(state_cap=states)[:2] == (value, states)
+        arena = (_restart_arena if restart else _node_arena)(g, g.init, 20)
+        value, states = arena.full_table()[:2]
+        assert arena.full_table(states)[:2] == (value, states)
         with pytest.raises(CapacityError, match=rf"^search state space exceeds cap {states - 1}$"):
-            arena.solve(state_cap=states - 1)
+            arena.full_table(states - 1)
 
     @pytest.mark.parametrize("restart", [False, True])
     def test_root_state_is_always_admitted(self, restart):
+        build = _restart_arena if restart else _node_arena
         loop = graph_of({"a": (TESTER, 1, ("a",))}, init="a")
-        assert replace(_node_arena(loop, "a", 20), restart=restart).solve(state_cap=0)[:2] == (1, 1)
-        pair = replace(_node_arena(graph_of({"a": (TESTER, 1, ("b",)), "b": (SUT, 1, ("a",))}, init="a"),
-                                   "a", 20), restart=restart)
+        assert build(loop, "a", 20).full_table(0)[:2] == (1, 1)
+        pair = build(graph_of({"a": (TESTER, 1, ("b",)), "b": (SUT, 1, ("a",))}, init="a"), "a", 20)
         for cap in (0, 1):
             with pytest.raises(CapacityError, match=rf"^search state space exceeds cap {cap}$"):
-                pair.solve(state_cap=cap)
+                pair.full_table(cap)
 
     @pytest.mark.parametrize("seed", [None, 3, 6])
     def test_best_response_cap_boundary(self, mirror, seed):
