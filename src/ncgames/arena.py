@@ -65,12 +65,10 @@ A solve may start at many states.  Started at jump[v], from the empty
 mask, for every position v, it values every position: that state is worth
 value(v, {v}), the value of the game rooted at v, since both rules hold at
 any root and a state's value does not depend on the root.  The full table
-explores every state reachable from the root state, a move to u entering
-``step[u]`` (u with ``bits[u]`` added), keeps those layers, and takes its
-values from one solve started at the ``jump`` state of each explored
-state: exactly the reachable unsettled states.  Each start is unsettled,
-each move enters a ``jump`` state and each layer is closed as before, so
-these values are exact too.
+explores every state reachable from the root state along ``step`` (a move
+to u adds ``bits[u]``), keeps those layers, and solves in each its
+unsettled members, if any, those whose ``jump`` state is themselves: the
+states, and so the values, of a solve from every explored state's ``jump``.
 
 In a layer of mask C, ``solve_layer`` takes a move to u as in-layer when
 u is a member.  Otherwise, when (C << shift) | jump[u] has mask C, the
@@ -267,14 +265,14 @@ class _Arena:
                 layers[mask] = sorted(seen)
         return layers, mask_gain
 
-    def solve(self, state_cap: float = math.inf, starts: Collection[int] = ()):
+    def solve(self, starts: Collection[int] = ()):
         """Root value, number of explored states, the value table and explore's layers,
         exploring along ``jump`` from the root state (root, {root}), or from the packed
         ``starts`` when given, which must include jump[root].  A solve from given starts
         is read for its table alone, so it takes each layer out of the returned layers
         as it solves it, and they end empty.
         """
-        layers, mask_gain = self.explore(self.jump, starts or (self.step[self.root],), state_cap)
+        layers, mask_gain = self.explore(self.jump, starts or (self.step[self.root],))
         states = sum(map(len, layers.values()))
         take = layers.pop if starts else layers.get  # a popped layer is freed once solved
         values: dict[int, int] = {}
@@ -284,14 +282,16 @@ class _Arena:
 
     def full_table(self, state_cap: float = math.inf):
         """Root value, number of reachable states, the values of the unsettled ones and
-        the layers of all, explored along ``step`` (``state_cap`` counts them all); the
-        values come from one solve started at the ``jump`` state of each of them.
+        the layers of all, explored along ``step``; ``state_cap`` counts them all.
         """
-        shift, jump = self.shift, self.jump
-        layers = self.explore(self.step, (self.step[self.root],), state_cap)[0]
-        starts = {mask << shift | jump[p] for mask, members in layers.items() for p in members}
-        value, _states, values, _layers = self.solve(starts=starts)
-        return value, sum(map(len, layers.values())), values, layers
+        layers, mask_gain = self.explore(self.step, (self.step[self.root],), state_cap)
+        values: dict[int, int] = {}
+        for mask in reversed(list(layers)):
+            here, jump = mask << self.shift, self.jump
+            members = [p for p in layers[mask] if here | jump[p] == here | p]  # the unsettled
+            if members:
+                self.solve_layer(mask, members, mask_gain[mask], values)
+        return values[self.jump[self.root]], sum(map(len, layers.values())), values, layers
 
     def solve_layer(self, mask: int, members: list[int], base: int, values: dict):
         """Solve ``members`` (sorted positions) of the layer of ``mask`` into ``values``.

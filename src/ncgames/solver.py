@@ -61,10 +61,10 @@ class SolveResult:
     also answers the tester's move at the root state: the root's layer is the root
     alone there and in the full table, so its replay reads the same exits.  Every
     other answer reads the full table (``_Arena.full_table``): the layers of every
-    reachable state, and the values of the unsettled ones from one solve started at
-    all of them.  It is built once, on first use of ``states_explored``,
-    ``_values``, ``_layers``, an SUT move, a policy, or a tester lookup elsewhere,
-    and takes no part in equality.
+    reachable state, and the values of the unsettled ones, as one solve started
+    at all of them gives them.  It is built once, on first use of
+    ``states_explored``, ``_values``, ``_layers``, an SUT move, a policy, or a
+    tester lookup elsewhere, and takes no part in equality.
 
     Policies map (node, covered set) to the chosen successor; they are
     defined for every product state reachable from the solved root, which

@@ -753,10 +753,10 @@ class TestReducedSolve:
 
     def test_reduced_tables_agree_with_the_full_ones(self):
         """Plain and restart arenas with sinks and self-loops: the reduced solve gives the
-        full table's value, each of its entries equals the full table's value at that
-        state (read through ``jump``), and it enters only reachable states.  In the
-        plain arena, whose root's layer is the root alone, it gives the full table's
-        root tester choice too."""
+        full table's value and root tester choice, each of its entries equals the full
+        table's value at that state (read through ``jump``), and it enters only reachable
+        states.  A restart arena of an SUT root with moves keeps the root's SUT copy in
+        the root's layer, so there the root's layer is the root and its copy."""
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings
         from hypothesis import strategies as st
@@ -773,22 +773,24 @@ class TestReducedSolve:
                 value, _states, full, full_layers = arena.full_table()
                 reduced_value, _states, reduced, layers = arena.solve()
                 assert reduced_value == value
+                root, mask = arena.root, arena.bits[arena.root]
+                copy = arena.index.get((arena.ids[root], SUT))
+                if copy is None:
+                    assert layers[mask] == full_layers[mask] == [root]
+                    choices = [arena.solve_layer(mask, [root], arena.gains[root], ChainMap({}, table))
+                               for table in (reduced, full)]
+                    assert choices[0] == choices[1]
+                else:
+                    assert arena is not plain and full_layers[mask] == [root, copy]
                 position = (1 << arena.shift) - 1
                 for packed, v in reduced.items():
                     p = packed & position
                     assert full[(packed - p) | arena.jump[p]] == v
                 assert states(arena, layers) <= states(arena, full_layers)
-            # a restart arena's root layer also holds the SUT copy of an SUT root
-            (full, full_layers), (reduced, layers) = plain.full_table()[2:], plain.solve()[2:]
-            root, mask = plain.root, plain.bits[plain.root]
-            assert layers[mask] == full_layers[mask] == [root]
-            choices = [plain.solve_layer(mask, [root], plain.gains[root], ChainMap({}, table))
-                       for table in (reduced, full)]
-            assert choices[0] == choices[1]
-            if g.is_tester(g.init):
-                choice = choices[1][0]
-                expected = plain.ids[plain.succ[root][0] if choice is None else choice]
-                assert solve_mcg(g, g.init).tester_move(g.init, {g.init}) == expected
+                if arena is plain and g.is_tester(g.init):
+                    choice = choices[1][0]
+                    expected = arena.ids[arena.succ[root][0] if choice is None else choice]
+                    assert solve_mcg(g, g.init).tester_move(g.init, {g.init}) == expected
 
         prop()
 
@@ -815,22 +817,22 @@ class TestReducedSolve:
             "tester_move", "unreached_state"])
     def test_full_table_is_built_once_on_first_use(self, mirror, monkeypatch, use):
         calls = []
-        full_table = _Arena.full_table
+        explore = _Arena.explore
 
         def spy(arena, *args, **kwargs):
             calls.append(arena)
-            return full_table(arena, *args, **kwargs)
+            return explore(arena, *args, **kwargs)
 
-        monkeypatch.setattr(_Arena, "full_table", spy)
+        monkeypatch.setattr(_Arena, "explore", spy)
         res = solve_mcg(mirror, "v0")
         assert (res.value, res.tester_move("v0", {"v0"})) == (3, "v1")
-        assert len(calls) == 0
-        use(res)
         assert len(calls) == 1
+        use(res)
+        assert len(calls) == 2
         assert res.states_explored > 0
         res.tester_policy()
         res.sut_policy()
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("node, covered", [("v1", {"v1"}), ("v0", set()), ("v3", {"v0", "v1"})])
     def test_lookup_without_the_root_or_the_node_raises_at_once(self, mirror, monkeypatch,
