@@ -44,11 +44,20 @@ set never lowers the pay (≤).
 So ``jump[u]`` packs the state that a move to u is worth, with the mask
 it adds: the chain's end t (u itself when u is not forced), and the
 chain's cover bits with cov(S) if t is in a group S.  A move to u from
-mask C is worth the value at (C << shift) | ``jump[u]``.  A state (p, C)
-is unsettled when that state is (p, C) itself, that is when p is not
-forced, or is the position its cycle keeps, and C covers its group and
-cycle; every other state is settled, and is worth the unsettled state
-(C << shift) | ``jump[p]``, which the chain and the walk of S reach.
+mask C is worth the value at (C << shift) | ``jump[u]``; ``moves[p]``
+holds, per successor u of p, the triple (u, m, t) of that mask m and
+position t, so the state is (t, C | m).  A state (p, C) is unsettled when
+that state is (p, C) itself, that is when p is not forced, or is the
+position its cycle keeps, and C covers its group and cycle; every other
+state is settled, and is worth the unsettled state (C << shift) |
+``jump[p]``, which the chain and the walk of S reach.
+
+A value table maps the mask of each solved layer to one row indexed by
+position, which holds the values of the layer's solved members and 0
+elsewhere: a ``bytearray`` of P when ν(all nodes) < 256, since every value
+lies between 0 and ν(all nodes), and a list otherwise.  The value of (t, C)
+is ``values[C][t]``, and ``read`` takes it at a packed state.  A row costs
+P bytes, or P list slots, per layer, however few states the layer holds.
 
 The solve explores along ``jump``: a move to u enters the chain's end with
 jump[u]'s mask added, so one move may add several bits, and a start state
@@ -70,40 +79,43 @@ to u adds ``bits[u]``), keeps those layers, and solves in each its
 unsettled members, if any, those whose ``jump`` state is themselves: the
 states, and so the values, of a solve from every explored state's ``jump``.
 
-In a layer of mask C, ``solve_layer`` takes a move to u as in-layer when
-u is a member.  Otherwise, when (C << shift) | jump[u] has mask C, the
-chain stays in the layer and the move goes to its end, which an
-exploration along ``jump`` has entered into the layer, so it is a member;
-and otherwise the move is an exit, read at that state.
+In a layer of mask C, ``solve_layer`` takes a move (u, m, t) as in-layer
+when u is a member.  Otherwise, when C | m is C, the chain stays in the
+layer and the move goes to its end t, which an exploration along ``jump``
+has entered into the layer, so it is a member; and otherwise the move is
+an exit, worth ``values[C | m][t]``.  It writes the layer's row once, after
+its last round.
 
 Round 1 reads the floor in every in-layer state, so it runs while the
-layer's rows are built: a tester takes the larger of its floor and its
-best exit, and an SUT state takes its floor if it has an in-layer move,
-else the larger of the floor and its least exit.  A one-state layer needs
-no more: its in-layer moves are self-loops or chains back to it, worth
-the floor.  Every later round reads the previous round's values and
-applies its raises afterwards.  It re-evaluates an SUT state whose
-in-layer successor rose and a tester whose in-layer successor rose above
-it, since no other state can rise; a tester's exits are already in its
-value, so it reads only its in-layer successors.
+layer's lists of in-layer successors are built: a tester takes the
+larger of its floor and its best exit, and an SUT state takes its floor
+if it has an in-layer move, else the larger of the floor and its least
+exit.  A one-state layer needs no more: its in-layer moves are
+self-loops or chains back to it, worth the floor.  Every later round
+reads the previous round's values and applies its raises afterwards.  It
+re-evaluates an SUT state whose in-layer successor rose and a tester
+whose in-layer successor rose above it, since no other state can rise; a
+tester's exits are already in its value, so it reads only its in-layer
+successors.
 
 Tester policies must avoid value-preserving cycles inside a layer, so a
-tester choice is the option that strictly raised the state's value in the
-round its final value was reached, judged against the previous round's
-table (``succ[p][0]`` if it never rose); an SUT state moves to its first
-successor of least value, which is always safe for the minimizer.  The
-solve keeps values only, and ``ncgames.solver.SolveResult`` reads a
-tester choice by running ``solve_layer`` again on all members of the
-looked-up layer of the full table.  With all of them, every move inside
-the layer is a move to a member, which takes its own slot before any
-chain is followed, so these are the rounds of a solve that settles
-nothing; they read only the floor and the exits, at states of larger
-masks whose values settling leaves unchanged, so they recompute the same
-values and name the same choices.  The replay writes into a
-``collections.ChainMap`` over the table, so the settled members it solves
-are not stored.  In an arena with one position per cover bit, the root's
-layer is the root alone in the solve from the root and in the full
-table, with the same exits, so its replay may read either table.
+tester choice is the option that strictly raised the state's value in
+the round its final value was reached, judged against the previous
+round's table (``succ[p][0]`` if it never rose); an SUT state moves to
+its first successor of least value, which is always safe for the
+minimizer.  The solve keeps values only, and frees each layer once its
+row is written; ``ncgames.solver.SolveResult`` reads a tester choice by
+running ``solve_layer`` again on all members of the looked-up layer of
+the full table.  With all of them, every move inside the layer is a move
+to a member, which takes its own slot before any chain is followed, so
+these are the rounds of a solve that settles nothing; they read only the
+floor and the exits, at states of larger masks whose values settling
+leaves unchanged, so they recompute the same values and name the same
+choices.  The replay writes its row into a ``collections.ChainMap`` over
+the table, so the table keeps its own row, without the settled members
+the replay solves.  In an arena with one position per cover bit, the
+root's layer is the root alone in the solve from the root and in the
+full table, with the same exits, so its replay may read either table.
 """
 from __future__ import annotations
 
@@ -184,6 +196,8 @@ class _Arena:
     bits: list[int] = field(init=False)  # 1 << cover[p]
     step: list[int] = field(init=False)  # a move to p from any mask lands in (mask << shift) | step[p]
     jump: list[int] = field(init=False)  # ... and is worth the value at (mask << shift) | jump[p]
+    moves: list[tuple[tuple[int, int, int], ...]] = field(init=False)  # (u, mask, position) of jump[u]
+    blank: bytearray | list[int] = field(init=False)  # a value row of P zeros
 
     def __post_init__(self):
         succ, root = self.succ, self.root
@@ -217,6 +231,14 @@ class _Arena:
                 e |= bits[q] << shift
                 jump[q] = e
         self.jump = jump
+        position = (1 << shift) - 1
+        self.moves = [tuple((u, jump[u] >> shift, jump[u] & position) for u in s) for s in succ]
+        # every value lies between 0 and ν(all nodes), so it fits a byte below 256
+        self.blank = bytearray(len(succ)) if sum(self.gains) < 256 else [0] * len(succ)
+
+    def read(self, values: dict, packed: int) -> int:
+        """The value that the table ``values`` holds at a packed state."""
+        return values[packed >> self.shift][packed & ((1 << self.shift) - 1)]
 
     def explore(self, enter: Sequence[int], starts: Iterable[int], state_cap: float = math.inf):
         """Product states reachable from the packed states ``starts`` when a move to u
@@ -266,89 +288,87 @@ class _Arena:
         return layers, mask_gain
 
     def solve(self, starts: Collection[int] = ()):
-        """Root value, number of explored states, the value table and explore's layers,
-        exploring along ``jump`` from the root state (root, {root}), or from the packed
-        ``starts`` when given, which must include jump[root].  A solve from given starts
-        is read for its table alone, so it takes each layer out of the returned layers
-        as it solves it, and they end empty.
+        """Root value, number of explored states and the value table, exploring along
+        ``jump`` from the root state (root, {root}), or from the packed ``starts`` when
+        given, which must include jump[root].  Each layer is taken out of explore's
+        layers as it is solved, so it is freed once its row is written.
         """
         layers, mask_gain = self.explore(self.jump, starts or (self.step[self.root],))
         states = sum(map(len, layers.values()))
-        take = layers.pop if starts else layers.get  # a popped layer is freed once solved
-        values: dict[int, int] = {}
+        values: dict = {}
         for mask in reversed(list(layers)):
-            self.solve_layer(mask, take(mask), mask_gain[mask], values)
-        return values[self.jump[self.root]], states, values, layers
+            self.solve_layer(mask, layers.pop(mask), mask_gain[mask], values)
+        return self.read(values, self.jump[self.root]), states, values
 
     def full_table(self, state_cap: float = math.inf):
-        """Root value, number of reachable states, the values of the unsettled ones and
-        the layers of all, explored along ``step``; ``state_cap`` counts them all.
+        """Root value, number of reachable states, the value table of the unsettled ones
+        and the layers of all, explored along ``step``; ``state_cap`` counts them all.
         """
         layers, mask_gain = self.explore(self.step, (self.step[self.root],), state_cap)
-        values: dict[int, int] = {}
+        values: dict = {}
         for mask in reversed(list(layers)):
             here, jump = mask << self.shift, self.jump
             members = [p for p in layers[mask] if here | jump[p] == here | p]  # the unsettled
             if members:
                 self.solve_layer(mask, members, mask_gain[mask], values)
-        return values[self.jump[self.root]], sum(map(len, layers.values())), values, layers
+        return self.read(values, self.jump[self.root]), sum(map(len, layers.values())), values, layers
 
     def solve_layer(self, mask: int, members: list[int], base: int, values: dict):
-        """Solve ``members`` (sorted positions) of the layer of ``mask`` into ``values``.
-        A move to u is in-layer to u's slot when u is a member, else to the slot of the
-        chain's end when ``(mask << shift) | jump[u]`` has this mask; any other move is an
-        exit, whose value ``values`` holds at that state.  The floor is ``base``, ν(mask).
-        Round 1 runs while the rows are built, and a one-state layer is solved outright.
-        Returns each member's tester choice: the position that last raised it, a
-        successor when all of the layer's members are given, or None.
+        """Solve ``members`` (sorted positions) of the layer of ``mask`` and store their
+        values as the row ``values[mask]``, indexed by position; the row holds 0 at every
+        other position.  A move to u, read from its triple (u, m, t) in ``moves``, is
+        in-layer to u's slot when u is a member, else to t's slot when mask | m is this
+        mask; any other move is an exit, worth ``values[mask | m][t]``.  The floor is
+        ``base``, ν(mask).  Round 1 runs while the lists of in-layer successors are
+        built, and a one-state layer is solved outright.  Returns each member's tester
+        choice: the position that last raised it, a successor when all of the layer's
+        members are given, or None.
         """
-        succ, is_tester, jump, inf = self.succ, self.is_tester, self.jump, math.inf
-        here = mask << self.shift  # an exit to u is worth values[here | jump[u]]
-        top = here + (1 << self.shift)  # here | jump[u] < top: the move stays in the layer
+        moves, is_tester, inf = self.moves, self.is_tester, math.inf
+        row = self.blank.copy()
+        values[mask] = row  # exits read larger masks only
         n = len(members)
         if n == 1:  # its in-layer moves are self-loops or chains back to it, worth the floor
             p = members[0]
             best, arg = base, None
             if is_tester[p]:
-                for u in succ[p]:
-                    j = here | jump[u]
-                    if u != p and j >= top:
-                        v = values[j]
+                for u, m, t in moves[p]:
+                    if u != p and mask | m != mask:
+                        v = values[mask | m][t]
                         if v > best:
                             best, arg = v, u
-            elif all(u != p and here | jump[u] >= top for u in succ[p]):
-                best = max(base, min(values[here | jump[u]] for u in succ[p]))
-            values[here | p] = best
+            elif all(u != p and mask | m != mask for u, m, _ in moves[p]):
+                best = max(base, min(values[mask | m][t] for _, m, t in moves[p]))
+            row[p] = best
             return [arg]
         slot = dict(zip(members, range(n)))
         table = [base] * n
-        rows: list[list[int]] = []  # in-layer successors' slots
+        links: list[list[int]] = []  # in-layer successors' slots
         lows: list[float] = []  # an SUT state's least exit value
         spreds: list[list[int]] = [[] for _ in members]  # in-layer SUT predecessors
         tpreds: list[list[int]] = [[] for _ in members]  # in-layer tester predecessors
         raised = []  # round 1: every in-layer slot still holds base
         for i, p in enumerate(members):
-            row, tester = [], is_tester[p]
+            link, tester = [], is_tester[p]
             preds = tpreds if tester else spreds
             best, arg, low = base, None, inf
-            for u in succ[p]:
+            for u, m, t in moves[p]:
                 k = slot.get(u)
                 if k is None:
-                    j = here | jump[u]
-                    if j >= top:
-                        v = values[j]
+                    if mask | m != mask:
+                        v = values[mask | m][t]
                         if tester:
                             if v > best:
                                 best, arg = v, u  # the first exit of the largest value
                         elif v < low:
                             low = v
                         continue
-                    k = slot[j - here]  # a forced chain that ends in the layer
-                row.append(k)
+                    k = slot[t]  # a forced chain that ends in the layer
+                link.append(k)
                 preds[k].append(i)
-            if not (tester or row) and low > base:
+            if not (tester or link) and low > base:
                 best = low
-            rows.append(row)
+            links.append(link)
             lows.append(low)
             if best > base:
                 raised.append((i, best, arg))
@@ -364,21 +384,22 @@ class _Arena:
                         todo.add(j)
             raised = []
             for i in todo:
-                row = rows[i]
+                link = links[i]
                 if is_tester[members[i]]:  # exits are already in its value
                     best, arg = base, None
-                    for k in row:
+                    for k in link:
                         if table[k] > best:
                             best = table[k]
                             arg = k  # the first slot of the largest value
                 else:
                     best, arg = lows[i], None
-                    for k in row:
+                    for k in link:
                         if table[k] < best:
                             best = table[k]
                     if best < base:
                         best = base
                 if best > table[i]:
                     raised.append((i, best, arg if arg is None else members[arg]))
-        values.update(zip([here | p for p in members], table))
+        for p, v in zip(members, table):
+            row[p] = v
         return last

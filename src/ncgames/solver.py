@@ -57,14 +57,16 @@ def _node_arena(g: GameGraph, r: str, cap: int) -> _Arena:
 class SolveResult:
     """Game value plus optimal policies on the product arena.
 
-    The value comes from the solve from the root (``_Arena.solve``), whose table
-    also answers the tester's move at the root state: the root's layer is the root
-    alone there and in the full table, so its replay reads the same exits.  Every
-    other answer reads the full table (``_Arena.full_table``): the layers of every
-    reachable state, and the values of the unsettled ones, as one solve started
-    at all of them gives them.  It is built once, on first use of
-    ``states_explored``, ``_values``, ``_layers``, an SUT move, a policy, or a
-    tester lookup elsewhere, and takes no part in equality.
+    The value comes from the solve from the root (``_Arena.solve``), whose value
+    table is kept, with the root's layer alone, for the tester's move at the root
+    state: the root's layer is the root alone there and in the full table, so its
+    replay reads the same exits.  Every other answer reads the full table
+    (``_Arena.full_table``): the layers of every reachable state, and the values of
+    the unsettled ones, as one solve started at all of them gives them.  It is
+    built once, on first use of ``states_explored``, ``_values``, ``_layers``, an
+    SUT move, a policy, or a tester lookup elsewhere, and takes no part in
+    equality.  A value table holds one row per solved layer, keyed by its mask and
+    indexed by position (``ncgames.arena``).
 
     Policies map (node, covered set) to the chosen successor; they are
     defined for every product state reachable from the solved root, which
@@ -88,11 +90,11 @@ class SolveResult:
     value: int
     root: str
     _arena: _Arena = field(repr=False)
-    _reduced: tuple[dict[int, int], dict[int, list[int]]] = field(repr=False)  # values, layers
+    _reduced: tuple[dict, dict[int, list[int]]] = field(repr=False)  # values, the root's layer
     _choices: dict[int, dict] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
-    def _full(self) -> tuple[int, dict[int, int], dict[int, list[int]]]:
+    def _full(self) -> tuple[int, dict, dict[int, list[int]]]:
         """States explored, values and layers of the full table."""
         return self._arena.full_table()[1:]
 
@@ -106,7 +108,7 @@ class SolveResult:
         """
         arena = self._arena
         values = arena.solve(starts=arena.jump)[2]
-        return {v: values[j] for v, j in zip(arena.ids, arena.jump)}
+        return {v: arena.read(values, j) for v, j in zip(arena.ids, arena.jump)}
 
     @property
     def states_explored(self) -> int:
@@ -114,7 +116,7 @@ class SolveResult:
         return self._full[0]
 
     @property
-    def _values(self) -> dict[int, int]:
+    def _values(self) -> dict:
         return self._full[1]
 
     @property
@@ -139,7 +141,7 @@ class SolveResult:
             raise KeyError(packed)
         here, jump = packed - p, arena.jump  # here = mask << shift
         if not tester:
-            return min(arena.succ[p], key=lambda u: values[here | jump[u]])
+            return min(arena.succ[p], key=lambda u: arena.read(values, here | jump[u]))
         if mask not in self._choices:  # replay the layer; its writes stay out of the table
             members = layers[mask]
             last = arena.solve_layer(mask, members, _gain(arena.gains, mask), ChainMap({}, values))
@@ -178,8 +180,9 @@ def solve_mcg(g: GameGraph, r: str, cap: int = 20) -> SolveResult:
     """
     ensure_valid(g, strict=True)
     arena = _node_arena(g, r, cap)
-    value, _states, values, layers = arena.solve()
-    return SolveResult(value=value, root=r, _arena=arena, _reduced=(values, layers))
+    value, _states, values = arena.solve()
+    root = arena.root  # the root's layer is the root alone: no other position covers its bit
+    return SolveResult(value=value, root=r, _arena=arena, _reduced=(values, {arena.bits[root]: [root]}))
 
 
 def _restart_arena(g: GameGraph, r: str, cap: int) -> _Arena:

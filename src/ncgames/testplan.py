@@ -83,6 +83,18 @@ class TestSuite:
             same[tc.id] = same.get(tc.id, ()) + (i,)
         return same
 
+    @cached_property
+    def _alphas(self) -> dict[int, tuple[GameGraph, tuple[int, ...]]]:
+        """id(g) -> (g, ``alpha`` of every case on g); holding g keeps its id unused."""
+        return {}
+
+    def _sut_positions(self, g: GameGraph) -> tuple[int, ...]:
+        """``alpha`` of every case on g, computed on the suite's first ``s4`` run on g."""
+        cached = self._alphas.get(id(g))
+        if cached is None:
+            cached = self._alphas[id(g)] = (g, tuple(alpha(tc, g) for tc in self.cases))
+        return cached[1]
+
 
 class ExecutionRecord(NamedTuple):
     """One execution: the case run, the prefix it realized, whether the SUT left the path."""
@@ -215,7 +227,7 @@ def pgain(
     strategy: str,
     live: list[int],
     uncovered: list[int],
-    sut_positions: list[int],
+    sut_positions: tuple[int, ...],
     rng: random.Random,
 ) -> list[float]:
     """Random selection scores of the live cases under ``s3`` or ``s4``.
@@ -298,7 +310,7 @@ def nt_plan(
 
     cases, (counts, holders) = suite.cases, suite._targets  # shared by all runs: read only
     uncovered = list(counts)  # per case: distinct prescribed nodes not yet covered
-    sut_positions = [alpha(tc, g) for tc in cases] if strategy == "s4" else []
+    sut_positions = suite._sut_positions(g) if strategy == "s4" else ()
     target_left = len(holders)  # prescribed nodes not yet covered
     live = [i for i, u in enumerate(uncovered) if u]  # cases that can add coverage
     pending: list[int] = []  # s1.5: cases whose id has not run in this pass

@@ -93,7 +93,12 @@ class TestSolveValue:
         # part, and those of forced positions, are counted, not stored
         g = generate_random(18, 0.3, 1, 2, 1)
         res = solve_mcg(g, g.init, cap=64)
-        assert (res.value, res.states_explored, len(res._values)) == (17, 19_591, 15_185)
+        arena = res._arena
+        unsettled = [(mask, p) for mask, members in res._layers.items() for p in members
+                     if arena.jump[p] | mask << arena.shift == mask << arena.shift | p]
+        assert (res.value, res.states_explored, len(unsettled)) == (17, 19_591, 15_185)
+        # one row per layer that holds an unsettled state
+        assert res._values.keys() == {mask for mask, _p in unsettled}
 
     @pytest.mark.parametrize("solve", [solve_mcg, solve_mcg_restart, oracle_mcg])
     def test_unknown_root(self, mirror, solve):
@@ -262,8 +267,7 @@ class TestForcedChains:
         arena = _node_arena(g, g.init, 64)
         assert _tester_groups(arena.succ, arena.is_tester) == []
         res = solve_mcg(g, g.init, cap=64)
-        _values, layers = res._reduced
-        assert (res.value, threshold, sum(map(len, layers.values()))) == (14, 14, 12_953)
+        assert (res.value, threshold, arena.solve()[1]) == (14, 14, 12_953)
         assert res.states_explored == 22_804
 
 
@@ -458,7 +462,7 @@ class TestLazyTesterChoices:
         g = _golden_graphs(mirror)[name]
         policy = solve_mcg(g, g.init).tester_policy()
         res = solve_mcg(g, g.init)
-        values = dict(res._values)
+        values = {mask: row.copy() for mask, row in res._values.items()}
         keys = sorted(policy, key=lambda key: (key[0], sorted(key[1])))
         random.Random(name).shuffle(keys)
         assert {key: res.tester_move(*key) for key in keys} == policy
@@ -508,15 +512,17 @@ def _games(st, sinks: bool, forced: bool = False):
 
 
 def _layer_by_layer(arena: _Arena) -> dict[int, int]:
-    """The value of every reachable state, from a solve of each layer with all of its
-    members and every exit read through ``step``: nothing settled, forced or grouped."""
+    """The value of every reachable state, by packed state, from a solve of each layer
+    with all of its members and every exit read through ``step``: nothing settled,
+    forced or grouped."""
     no_settling = replace(arena)
-    no_settling.jump = no_settling.step
-    layers, mask_gain = no_settling.explore(no_settling.step, [no_settling.step[arena.root]])
-    values: dict[int, int] = {}
+    no_settling.jump = step = no_settling.step
+    no_settling.moves = [tuple((u, step[u] >> arena.shift, u) for u in s) for s in arena.succ]
+    layers, mask_gain = no_settling.explore(step, [step[arena.root]])
+    values: dict = {}
     for mask in reversed(layers):
         no_settling.solve_layer(mask, layers[mask], mask_gain[mask], values)
-    return values
+    return {mask << arena.shift | p: values[mask][p] for mask, members in layers.items() for p in members}
 
 
 class TestKernelProperties:
@@ -578,6 +584,32 @@ class TestKernelProperties:
         prop()
         assert {name for name, present in seen if present} == {
             "self-loop", "forced chain", "forced cycle", "tester group"}
+
+    def test_wide_rows_keep_the_values(self):
+        """Reachable gains that sum to 256 or more, one of them at least 2**64, take list
+        rows rather than bytes: the value must still equal the oracle's, and every node's
+        value that of a solve rooted there."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def wide_games(draw):
+            g = draw(_games(st, sinks=False, forced=True))
+            big = draw(st.lists(st.sampled_from(sorted(reachable(g, g.init))), min_size=1, unique=True))
+            gains = {v: draw(st.sampled_from([256, 300, 2**64 + 3, 5 * 2**64])) for v in big}
+            gains[big[0]] = draw(st.integers(2**64, 2**70))
+            return g.map_gains(lambda v, gain: gains.get(v, gain))
+
+        @settings(max_examples=100)
+        @given(g=wide_games())
+        def prop(g):
+            res = solve_mcg(g, g.init)
+            assert isinstance(res._arena.blank, list)
+            assert res.value == oracle_mcg(g, g.init)
+            assert res.node_values == {v: solve_mcg(g, v).value for v in res._arena.ids}
+
+        prop()
 
     def test_grouped_restart_value_equals_the_per_node_one(self):
         pytest.importorskip("hypothesis")
@@ -678,13 +710,13 @@ class TestKernelProperties:
                     return kept(p) and packed >> arena.shift & cov[p] == cov[p]
 
                 unsettled = set(filter(unsettled_state, reference))
-                assert values.keys() == unsettled
+                assert values.keys() == {packed >> arena.shift for packed in unsettled}
                 for packed, value in reference.items():
                     if packed in unsettled:
-                        assert values[packed] == value
+                        assert arena.read(values, packed) == value
                     else:
                         p = packed & position
-                        assert values[(packed - p) | arena.jump[p]] == value
+                        assert arena.read(values, (packed - p) | arena.jump[p]) == value
 
         prop()
 
@@ -736,7 +768,7 @@ class TestKernelProperties:
             def value(v, covered):  # a settled state reads its value through jump
                 packed = res._pack(v, covered)
                 p = packed & ((1 << res._arena.shift) - 1)
-                return res._values[(packed - p) | res._arena.jump[p]]
+                return res._arena.read(res._values, (packed - p) | res._arena.jump[p])
 
             for (v, covered), u in res.tester_policy().items():
                 assert value(u, covered | {u}) == value(v, covered)
@@ -771,7 +803,8 @@ class TestReducedSolve:
             plain = _node_arena(g, g.init, 20)
             for arena in [plain, _restart_arena(g, g.init, 20), _restart_arena(h, h.init, 20)]:
                 value, _states, full, full_layers = arena.full_table()
-                reduced_value, _states, reduced, layers = arena.solve()
+                reduced_value, _states, reduced = arena.solve()
+                layers = arena.explore(arena.jump, [arena.step[arena.root]])[0]
                 assert reduced_value == value
                 root, mask = arena.root, arena.bits[arena.root]
                 copy = arena.index.get((arena.ids[root], SUT))
@@ -782,10 +815,9 @@ class TestReducedSolve:
                     assert choices[0] == choices[1]
                 else:
                     assert arena is not plain and full_layers[mask] == [root, copy]
-                position = (1 << arena.shift) - 1
-                for packed, v in reduced.items():
-                    p = packed & position
-                    assert full[(packed - p) | arena.jump[p]] == v
+                for packed in states(arena, layers):
+                    p = packed & ((1 << arena.shift) - 1)
+                    assert arena.read(full, (packed - p) | arena.jump[p]) == arena.read(reduced, packed)
                 assert states(arena, layers) <= states(arena, full_layers)
                 if arena is plain and g.is_tester(g.init):
                     choice = choices[1][0]
@@ -798,8 +830,7 @@ class TestReducedSolve:
         # the full exploration of this graph has 321,853 states
         g = generate_random(26, 0.3, 1, 2, 2)
         res = solve_mcg(g, g.init, cap=64)
-        _values, layers = res._reduced
-        assert (res.value, sum(map(len, layers.values()))) == (20, 2_414)
+        assert (res.value, res._arena.solve()[1]) == (20, 2_414)
         assert res.tester_move(g.init, {g.init}) == "n01"
         assert "_full" not in vars(res)
 

@@ -603,6 +603,31 @@ class TestSharedSuite:
         assert suite == Suite(suite.cases)
         assert hash(suite) == hash(Suite(suite.cases))
 
+    def test_s4_counts_sut_positions_once_per_graph(self, monkeypatch):
+        """``s4`` reads each case's ``alpha`` from the suite, computed on its first run
+        on a graph; the same suite on a graph with other owners gets its own counts."""
+        calls = []
+        counted = alpha
+
+        def spy(tc, g):
+            calls.append(g)
+            return counted(tc, g)
+
+        monkeypatch.setattr("ncgames.testplan.alpha", spy)
+        g = generate_random(14, 0.5, 1, 2, seed=3)
+        flipped = GameGraph({v: NodeInfo(TESTER if info.owner == SUT else SUT, info.gain)
+                             for v, info in g.nodes.items()}, g.edges, g.init)
+        suite = generate_static_suite(g)
+        for graph in (g, flipped, g, flipped):
+            for seed in (7, 8):
+                fresh = nt_plan(graph, Suite(suite.cases), 40, "s4", 3,
+                                SutResponder(seed), random.Random(seed))
+                got = nt_plan(graph, suite, 40, "s4", 3, SutResponder(seed), random.Random(seed))
+                assert got == fresh
+        assert [tc for tc in suite.cases if counted(tc, g) != counted(tc, flipped)]
+        # two fresh suites per graph and pass, and the shared suite once per graph
+        assert len(calls) == len(suite.cases) * (2 * 4 + 2)
+
 
 class TestBaselines:
     def test_random_walk_spends_everything(self, mirror):
