@@ -18,8 +18,9 @@ from the positions entered from smaller masks, and the solve walks the
 layers in the reverse order.  Within a layer, moves that leave it have
 settled values and every state is worth at least its floor ν(C), so the
 layer's max-min value is the least fixed point of the one-step operator
-started at ν(C) everywhere, which synchronous rounds reach by raising
-values only.
+started at ν(C) everywhere.  Any iteration that applies the operator to
+some of the states at a time, and so raises values only, stays at or below
+that fixed point, and once no state can rise it has reached it.
 
 Some states are settled before their layer is solved, by two rules.  A
 position is forced when it has exactly one successor, that successor is
@@ -79,24 +80,37 @@ to u adds ``bits[u]``), keeps those layers, and solves in each its
 unsettled members, if any, those whose ``jump`` state is themselves: the
 states, and so the values, of a solve from every explored state's ``jump``.
 
-In a layer of mask C, ``solve_layer`` takes a move (u, m, t) as in-layer
-when u is a member.  Otherwise, when C | m is C, the chain stays in the
-layer and the move goes to its end t, which an exploration along ``jump``
-has entered into the layer, so it is a member; and otherwise the move is
-an exit, worth ``values[C | m][t]``.  It writes the layer's row once, after
-its last round.
+The solve and the full table solve each layer with ``value_layer``, which
+finds values alone and needs every member that is not a start of the solve
+to be unsettled, as the solve's layers and the full table's filtered
+members are.  In a layer of mask C it takes a move (u, m, t) as in-layer
+exactly when C | m is C: the chain stays in the layer and the move goes
+to its end t, which is unsettled there and so a member, entered by the
+exploration.  Any other move is an exit, worth ``values[C | m][t]``; that
+includes a move to a settled start, whose value the exit gives exactly.
+``solve_layer`` also takes a move to a member u as in-layer to u itself,
+so that it can replay a layer with all of its members, settled ones
+included.
 
 Round 1 reads the floor in every in-layer state, so it runs while the
-layer's lists of in-layer successors are built: a tester takes the
-larger of its floor and its best exit, and an SUT state takes its floor
-if it has an in-layer move, else the larger of the floor and its least
-exit.  A one-state layer needs no more: its in-layer moves are
-self-loops or chains back to it, worth the floor.  Every later round
-reads the previous round's values and applies its raises afterwards.  It
-re-evaluates an SUT state whose in-layer successor rose and a tester
-whose in-layer successor rose above it, since no other state can rise; a
-tester's exits are already in its value, so it reads only its in-layer
-successors.
+layer's in-layer moves are listed: a tester takes the larger of its floor
+and its best exit, and an SUT state takes its floor if it has an in-layer
+move, else the larger of the floor and its least exit.  ``value_layer``
+keeps its values in the layer's row and then runs a worklist of the
+members raised: taking q at value v, it raises each in-layer tester
+predecessor below v to v, and takes each in-layer SUT predecessor below v
+to the larger of its floor and the least of its least exit and its
+in-layer successors; whatever rises is pushed.  No state is read again
+unless a successor rose, and each raise is passed on once.
+
+``solve_layer`` runs synchronous rounds instead.  A one-state layer needs
+no more than round 1: its in-layer moves are self-loops or chains back to
+it, worth the floor.  Every later round reads the previous round's values
+and applies its raises afterwards.  It re-evaluates an SUT state whose
+in-layer successor rose and a tester whose in-layer successor rose above
+it, since no other state can rise; a tester's exits are already in its
+value, so it reads only its in-layer successors.  It writes the layer's
+row once, after its last round.
 
 Tester policies must avoid value-preserving cycles inside a layer, so a
 tester choice is the option that strictly raised the state's value in
@@ -116,6 +130,9 @@ the table, so the table keeps its own row, without the settled members
 the replay solves.  In an arena with one position per cover bit, the
 root's layer is the root alone in the solve from the root and in the
 full table, with the same exits, so its replay may read either table.
+Replays keep the synchronous rounds because the choices are those the
+rounds name, which the pinned policies record: a worklist raises states
+in another order and would name other successors.
 """
 from __future__ import annotations
 
@@ -297,7 +314,7 @@ class _Arena:
         states = sum(map(len, layers.values()))
         values: dict = {}
         for mask in reversed(list(layers)):
-            self.solve_layer(mask, layers.pop(mask), mask_gain[mask], values)
+            self.value_layer(mask, layers.pop(mask), mask_gain[mask], values)
         return self.read(values, self.jump[self.root]), states, values
 
     def full_table(self, state_cap: float = math.inf):
@@ -310,8 +327,67 @@ class _Arena:
             here, jump = mask << self.shift, self.jump
             members = [p for p in layers[mask] if here | jump[p] == here | p]  # the unsettled
             if members:
-                self.solve_layer(mask, members, mask_gain[mask], values)
+                self.value_layer(mask, members, mask_gain[mask], values)
         return self.read(values, self.jump[self.root]), sum(map(len, layers.values())), values, layers
+
+    def value_layer(self, mask: int, members: list[int], base: int, values: dict):
+        """Solve ``members`` of the layer of ``mask`` for their values alone and store them
+        as the row ``values[mask]``, as ``solve_layer`` does, but name no tester choices.
+        Each member that is not a start of the solve must be unsettled, so a move
+        (u, m, t) stays in the layer exactly when mask | m is this mask, to t, and is
+        otherwise an exit.  The row is the working table: round 1 writes every member's
+        value, and a worklist then passes each raise on to its in-layer predecessors.
+        """
+        moves, is_tester, inf = self.moves, self.is_tester, math.inf
+        row = self.blank.copy()
+        values[mask] = row  # exits read larger masks only
+        preds: dict[int, list[int]] = {p: [] for p in members}  # in-layer predecessors
+        sut: dict[int, tuple[float, list[int]]] = {}  # an SUT member's least exit, in-layer successors
+        work = []  # the members raised but not yet passed on
+        for p in members:
+            best = base
+            if is_tester[p]:
+                for _, m, t in moves[p]:
+                    if mask | m == mask:
+                        preds[t].append(p)
+                    else:
+                        v = values[mask | m][t]
+                        if v > best:
+                            best = v
+            else:
+                low, link = inf, []
+                for _, m, t in moves[p]:
+                    if mask | m == mask:
+                        link.append(t)
+                        preds[t].append(p)
+                    else:
+                        v = values[mask | m][t]
+                        if v < low:
+                            low = v
+                if link:
+                    sut[p] = low, link
+                elif low > best:
+                    best = low
+            row[p] = best
+            if best > base:
+                work.append(p)
+        while work:
+            q = work.pop()
+            v = row[q]
+            for p in preds[q]:
+                if row[p] >= v:  # q rising to v cannot raise p
+                    continue
+                if is_tester[p]:
+                    row[p] = v
+                    work.append(p)
+                else:
+                    low, link = sut[p]
+                    for t in link:
+                        if row[t] < low:
+                            low = row[t]
+                    if low > row[p]:
+                        row[p] = low
+                        work.append(p)
 
     def solve_layer(self, mask: int, members: list[int], base: int, values: dict):
         """Solve ``members`` (sorted positions) of the layer of ``mask`` and store their

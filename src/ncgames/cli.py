@@ -21,6 +21,7 @@ sibling and renamed into place, so failures never leave partial files behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -48,25 +49,33 @@ _EXIT_CODES = (
     (ValidationError, EXIT_INVALID),
     (CapacityError, EXIT_CAPACITY),
     (StrategyError, EXIT_INTERNAL),
-    (OSError, EXIT_PARSE),  # an output that cannot be written
+    (OSError, EXIT_PARSE),  # an output stream that fails
     ((ValueError, NcgameError), EXIT_INVALID),
 )
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temporary sibling of ``path`` and rename it into place.
+
+    An output that cannot be written is a ParseError naming the path; no temporary
+    file is left behind.
+    """
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name)
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open() would give, not 0600
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name)
+        try:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open() would give, not 0600
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ParseError(f"cannot write `{path}`: {exc.strerror or exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -273,7 +282,10 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each subcommand's name picks
+    its handler, ``_cmd_<name>`` with ``_`` for ``-``, when it runs."""
     parser = argparse.ArgumentParser(
         prog="ncgame",
         description="Node coverage games: solve, certify, reduce, simulate.",
@@ -283,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a game graph file")
     p.add_argument("--graph", required=True)
     p.add_argument("--non-strict", action="store_true", help="allow sinks")
-    p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("gen-random", help="generate a random strict game graph")
     p.add_argument("--nodes", required=True)
@@ -292,39 +303,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-out", default="3")
     p.add_argument("--seed", default="0")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_gen_random)
 
     p = sub.add_parser("solve", help="exact coverage guarantee from the initial node")
     p.add_argument("--graph", required=True)
     p.add_argument("--restart", action="store_true", help="tester may restart at any time")
     p.add_argument("--cap", help="reachable-node cap")
-    p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("witness-extract", help="extract a consistent coverage certificate")
     p.add_argument("--graph", required=True)
     p.add_argument("--out")
     p.add_argument("--cap")
-    p.set_defaults(fn=_cmd_witness_extract)
 
     p = sub.add_parser("witness-check", help="check a coverage certificate")
     p.add_argument("--graph", required=True)
     p.add_argument("--witness", required=True)
-    p.set_defaults(fn=_cmd_witness_check)
 
     p = sub.add_parser("reduce-sat", help="turn a DIMACS CNF into a coverage game")
     p.add_argument("--cnf", required=True)
     p.add_argument("--out", help="game file (stderr when omitted)")
-    p.set_defaults(fn=_cmd_reduce_sat)
 
     p = sub.add_parser("transform-restart", help="double a graph for restart analysis")
     p.add_argument("--graph", required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_transform_restart)
 
     p = sub.add_parser("gen-suite", help="deterministic node-coverage test suite")
     p.add_argument("--graph", required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_gen_suite)
 
     p = sub.add_parser("simulate", help="budgeted test-plan execution trials")
     p.add_argument("--graph", required=True)
@@ -335,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reset-cost")
     p.add_argument("--seed")
     p.add_argument("--trials")
-    p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("experiment", help="Monte Carlo campaign, CSV output")
     p.add_argument("--graph")
@@ -349,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--denominator", help="total (default) or reachable")
     p.add_argument("--spread", help="stderr (default) or stddev")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_experiment)
 
     return parser
 
@@ -359,7 +361,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"_cmd_{args.command.replace('-', '_')}"](args)
     except (NcgameError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))

@@ -602,6 +602,13 @@ class TestSettingChecks:
         assert omitted.keys() & passed.keys() == set()
         assert full == {**omitted, **passed}
 
+    def test_parser_is_built_once(self, mirror_file, capsys):
+        parser = cli.build_parser()
+        assert run_cli(["validate", "--graph", mirror_file]) == 0
+        assert run_cli(["solve", "--graph", mirror_file]) == 0
+        assert cli.build_parser() is parser
+        assert cli.build_parser.cache_info().misses == 1
+
     def test_parser_declares_no_types(self):
         parser = cli.build_parser()
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -707,8 +714,20 @@ class TestReadFailures:
         target = tmp_path / "taken"
         target.mkdir()
         assert run_cli(["gen-random", "--nodes", "3", "--out", str(target)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err == f"error: cannot write `{target}`: Is a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]  # no temp file left
+
+    @pytest.mark.parametrize(
+        "parent, reason",
+        [("missing", "No such file or directory"), ("file", "Not a directory")],
+    )
+    def test_out_without_a_directory_is_a_parse_error(self, parent, reason, tmp_path, capsys):
+        if parent == "file":
+            (tmp_path / "file").write_text("")
+        out = tmp_path / parent / "game.ncgame"
+        assert run_cli(["gen-random", "--nodes", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write `{out}`: {reason}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ([parent] if parent == "file" else [])
 
     def test_experiment_duplicate_config_key_is_a_parse_error(self, mirror_file, tmp_path, capsys):
         cfg = tmp_path / "dup.cfg"

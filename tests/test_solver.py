@@ -511,6 +511,22 @@ def _games(st, sinks: bool, forced: bool = False):
     return games()
 
 
+def _wide_games(st):
+    """Hypothesis strategy: ``_games(st, sinks=False, forced=True)`` with some reachable
+    gains raised to 256, 300, 2**64 + 3 or 5·2**64 and one in [2**64, 2**70], so that
+    ν(all nodes) is at least 256 and the value rows are lists."""
+
+    @st.composite
+    def wide_games(draw):
+        g = draw(_games(st, sinks=False, forced=True))
+        big = draw(st.lists(st.sampled_from(sorted(reachable(g, g.init))), min_size=1, unique=True))
+        gains = {v: draw(st.sampled_from([256, 300, 2**64 + 3, 5 * 2**64])) for v in big}
+        gains[big[0]] = draw(st.integers(2**64, 2**70))
+        return g.map_gains(lambda v, gain: gains.get(v, gain))
+
+    return wide_games()
+
+
 def _layer_by_layer(arena: _Arena) -> dict[int, int]:
     """The value of every reachable state, by packed state, from a solve of each layer
     with all of its members and every exit read through ``step``: nothing settled,
@@ -593,16 +609,8 @@ class TestKernelProperties:
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        @st.composite
-        def wide_games(draw):
-            g = draw(_games(st, sinks=False, forced=True))
-            big = draw(st.lists(st.sampled_from(sorted(reachable(g, g.init))), min_size=1, unique=True))
-            gains = {v: draw(st.sampled_from([256, 300, 2**64 + 3, 5 * 2**64])) for v in big}
-            gains[big[0]] = draw(st.integers(2**64, 2**70))
-            return g.map_gains(lambda v, gain: gains.get(v, gain))
-
         @settings(max_examples=100)
-        @given(g=wide_games())
+        @given(g=_wide_games(st))
         def prop(g):
             res = solve_mcg(g, g.init)
             assert isinstance(res._arena.blank, list)
@@ -610,6 +618,39 @@ class TestKernelProperties:
             assert res.node_values == {v: solve_mcg(g, v).value for v in res._arena.ids}
 
         prop()
+
+    def test_value_layers_equal_the_replayed_ones(self, monkeypatch):
+        """The value solve against ``solve_layer``'s synchronous rounds: on the plain and
+        restart arenas of games with forced chains and cycles, some of them with wide
+        gains (list rows), each layer that ``solve()``, ``solve(starts=jump)`` and
+        ``full_table()`` solve must get the same row from ``solve_layer`` on the same
+        members and exits."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        value_layer = _Arena.value_layer
+        rows = set()  # the row types compared
+
+        def checked(arena, mask, members, base, values):
+            value_layer(arena, mask, members, base, values)
+            replay = ChainMap({}, values)
+            arena.solve_layer(mask, members, base, replay)
+            assert replay.maps[0][mask] == values[mask]
+            rows.add(type(values[mask]))
+
+        monkeypatch.setattr(_Arena, "value_layer", checked)
+
+        @settings(max_examples=200)
+        @given(g=st.one_of(_games(st, sinks=False, forced=True), _wide_games(st)))
+        def prop(g):
+            for arena in (_node_arena(g, g.init, 20), _restart_arena(g, g.init, 20)):
+                arena.solve()
+                arena.solve(starts=arena.jump)
+                arena.full_table()
+
+        prop()
+        assert rows == {bytearray, list}
 
     def test_grouped_restart_value_equals_the_per_node_one(self):
         pytest.importorskip("hypothesis")
