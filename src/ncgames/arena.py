@@ -32,15 +32,18 @@ walk that closes a cycle of forced positions ends at the cycle's least
 position, with the whole cycle covered: that position's only move comes
 back to it inside its layer, so it is worth the floor, as every state of
 the cycle is.  The root is never forced, so that its states, the root
-state above all, where a solve from the root starts and reads its value,
-are solved and stored as themselves: forcing it would keep every value
-but drop them from the full table below.  A tester group S
-(``_tester_groups``) is a set of two or more positions that the tester
-controls (its own, and those with one successor, where nobody chooses)
-and that reach each other through such positions; cov(S) is the mask of
-their cover bits.  At p in S, value(p, C) = value(p, C ∪ cov(S)): the
-tester alone can walk S from p and back to p (≥), and a larger covered
-set never lowers the pay (≤).
+state above all, where a solve from the root starts and the tester's
+first move is looked up, are solved and stored as themselves: forcing it
+would keep every value but drop them from the full table below.  A
+forcing group S (``_forcing_groups``) is a class of two or more positions
+each of which the tester can force the play to reach from any other,
+whatever the SUT answers; cov(S) is the mask of their cover bits.  At p
+in S, value(p, C) = value(p, C ∪ cov(S)).  (≥) Composing its attractor
+strategies (Zielonka 1998), the tester forces the play from p to each
+position of S in turn and back to p, in finitely many moves, with some
+C' ⊇ C ∪ cov(S) covered, and then plays on as from (p, C'), which is
+worth at least value(p, C ∪ cov(S)).  (≤) A larger covered set never
+lowers the pay.
 
 So ``jump[u]`` packs the state that a move to u is worth, with the mask
 it adds: the chain's end t (u itself when u is not forced), and the
@@ -51,7 +54,17 @@ position t, so the state is (t, C | m).  A state (p, C) is unsettled when
 that state is (p, C) itself, that is when p is not forced, or is the
 position its cycle keeps, and C covers its group and cycle; every other
 state is settled, and is worth the unsettled state (C << shift) |
-``jump[p]``, which the chain and the walk of S reach.
+``jump[p]``.
+
+That state need not be reachable along ``step`` from the state it
+settles.  The plays the tester forces between members of S may pass
+positions outside S, and when S's own moves do not connect it, no play
+may come back to t with exactly C ∪ cov(S) and the chain covered.
+``detour[u]`` marks the positions u whose chain ends in such a group; a
+chain that ends in a group its own moves connect, or in none, is walked
+to that state.  A best-response arena leaves the tester alone (its SUT
+positions have one successor each), so every group is a strongly
+connected set of its moves and no position is a detour.
 
 A value table maps the mask of each solved layer to one row indexed by
 position, which holds the values of the layer's solved members and 0
@@ -63,13 +76,16 @@ P bytes, or P list slots, per layer, however few states the layer holds.
 The solve explores along ``jump``: a move to u enters the chain's end with
 jump[u]'s mask added, so one move may add several bits, and a start state
 is entered as it is.  It enters no settled state but its starts, and its
-values are exact.  Each state it enters is reachable from a start, by the
-chain and the walk of S after the move.  Each of its layers is a set of
-unsettled states that is closed under the moves staying in the mask, and
-reads every other move at its ``jump`` state; the least fixed point of
-such a closed set is that of the whole layer restricted to it.  A settled
-start, such as the root state of a root in a tester group, is solved in
-its layer like any other, and its exits are exact, so it is too.
+values are exact: both rules hold at every state, reachable or not.  Each
+of its layers is a set of unsettled states that is closed under the
+moves staying in the mask, and reads every other move at its ``jump``
+state; the least fixed point of such a closed set is that of the whole
+layer restricted to it.  A settled start, such as the root state of a
+root in a forcing group, is solved in its layer like any other, and its
+exits are exact, so it is too.  The solve from the root starts at two
+states: the root state, whose layer the tester's first move is replayed
+in, and jump[root], where the root value is read, since the moves from
+the root state may not reach that state.
 
 A solve may start at many states.  Started at jump[v], from the empty
 mask, for every position v, it values every position: that state is worth
@@ -77,8 +93,16 @@ value(v, {v}), the value of the game rooted at v, since both rules hold at
 any root and a state's value does not depend on the root.  The full table
 explores every state reachable from the root state along ``step`` (a move
 to u adds ``bits[u]``), keeps those layers, and solves in each its
-unsettled members, if any, those whose ``jump`` state is themselves: the
-states, and so the values, of a solve from every explored state's ``jump``.
+unsettled members, if any, those whose ``jump`` state is themselves.  A
+settled state of a detour position may find its ``jump`` state in no
+layer; the full table then explores along ``jump`` from each such state,
+entering no state that a layer holds, adds the states found to the
+layers' unsettled members by mask, and solves all of them in decreasing
+popcount, so that every exit and every lookup finds its state.  A state
+such an exploration skips is unsettled and reachable, so its in-layer
+moves and exits lead to reachable states or to jump states the full
+table explores.  These are the states, and so the values, of a solve
+from every explored state's ``jump``.
 
 The solve and the full table solve each layer with ``value_layer``, which
 finds values alone and needs every member that is not a start of the solve
@@ -143,20 +167,18 @@ from typing import Collection, Hashable, Iterable, Sequence
 from .errors import CapacityError
 
 
-def _tester_groups(succ: Sequence[Sequence[int]], is_tester: Sequence[bool]) -> list[list[int]]:
-    """The sets of two or more positions that the tester controls, its own and those with
-    exactly one successor, and that reach each other by moves between such positions, each
-    sorted: the strongly connected components of those moves, found by an iterative Tarjan
-    pass in time linear in positions and moves.
+def _components(succ: Sequence[Sequence[int]], positions: Iterable[int]) -> list[list[int]]:
+    """The strongly connected components of two or more of ``positions`` under the moves
+    between them, found by an iterative Tarjan pass in time linear in those positions and
+    their moves.
     """
-    owned = [tester or len(moves) == 1 for tester, moves in zip(is_tester, succ)]
-    done = len(succ) + 1
-    low = [0] * len(succ)  # 0 unvisited, else the least visit number reached; done when finished
+    low = dict.fromkeys(positions, 0)  # 0 unvisited, else the least visit number reached
+    done = len(low) + 1  # the low of a position whose component is finished
     stack: list[int] = []  # visited positions not yet in a finished component
-    groups = []
+    components = []
     count = 0
-    for s in range(len(succ)):
-        if not owned[s] or low[s]:
+    for s in low:
+        if low[s]:
             continue
         count += 1
         low[s] = count
@@ -166,16 +188,17 @@ def _tester_groups(succ: Sequence[Sequence[int]], is_tester: Sequence[bool]) -> 
         while work:
             p, number, height, moves = work[-1]
             for u in moves:
-                if not owned[u]:
+                reached = low.get(u)
+                if reached is None:  # not among the positions
                     continue
-                if not low[u]:
+                if not reached:
                     count += 1
                     low[u] = count
                     work.append((u, count, len(stack), iter(succ[u])))
                     stack.append(u)
                     break
-                if low[u] < low[p]:
-                    low[p] = low[u]
+                if reached < low[p]:
+                    low[p] = reached
             else:
                 work.pop()
                 if work and low[p] < low[work[-1][0]]:
@@ -186,8 +209,76 @@ def _tester_groups(succ: Sequence[Sequence[int]], is_tester: Sequence[bool]) -> 
                     for u in component:
                         low[u] = done
                     if len(component) > 1:
-                        groups.append(sorted(component))
-    return groups
+                        components.append(component)
+    return components
+
+
+def _attractor_classes(succ: Sequence[Sequence[int]], is_tester: Sequence[bool],
+                       component: list[int]) -> list[list[int]]:
+    """The classes of two or more positions of ``component`` that the tester can force the
+    play to reach from each other, each sorted, when every successor of its SUT positions
+    lies in it: the tester attractor of each position, computed inside the component,
+    holds the positions that can be forced to reach it.
+    """
+    index = {p: i for i, p in enumerate(component)}
+    preds: list[list[int]] = [[] for _ in component]
+    need = []  # the successors a position waits for: one for the tester, all for the SUT
+    for i, p in enumerate(component):
+        moves = set(succ[p]) & index.keys()
+        for u in moves:
+            preds[index[u]].append(i)
+        need.append(1 if is_tester[p] else len(moves))
+    attractors = []  # as bit sets over the component's indices
+    for q in range(len(component)):
+        left, reached, queue = need.copy(), 1 << q, [q]
+        for x in queue:
+            for i in preds[x]:
+                if not reached >> i & 1:
+                    left[i] -= 1
+                    if not left[i]:
+                        reached |= 1 << i
+                        queue.append(i)
+        attractors.append(reached)
+    classes, taken = [], 0
+    for q, reached in enumerate(attractors):
+        if not taken >> q & 1:
+            members = [i for i in range(len(component)) if reached >> i & 1 and attractors[i] >> q & 1]
+            for i in members:
+                taken |= 1 << i
+            if len(members) > 1:
+                classes.append(sorted(component[i] for i in members))
+    return classes
+
+
+def _forcing_groups(succ: Sequence[Sequence[int]], is_tester: Sequence[bool]) -> list[list[int]]:
+    """The classes of two or more positions p, q such that the tester can force the play
+    from p to q and from q to p whatever the SUT answers, each sorted, in increasing order
+    of their least positions.
+
+    Such a class lies in one strongly connected component of the moves.  A position of
+    the SUT with a successor outside its component is in none: that successor cannot
+    reach back, so the SUT can always escape.  The components are found again without
+    such positions, until every SUT position left has all of its successors in its
+    component.  A component in which the SUT chooses nowhere is a class, which the
+    tester walks alone; any other is split into the classes of mutual tester attractors
+    computed inside it, which are the classes of the whole arena, since a play the
+    tester forces between two members visits only positions that survive the dropping.
+    Where the SUT never chooses, as in a best-response arena, this is one Tarjan pass,
+    linear in positions and moves.
+    """
+    groups = []
+    work: list[Iterable[int]] = [range(len(succ))]
+    while work:
+        for component in _components(succ, work.pop()):
+            inside = set(component)
+            stay = [p for p in component if is_tester[p] or inside.issuperset(succ[p])]
+            if len(stay) < len(component):
+                work.append(stay)
+            elif all(is_tester[p] or len(succ[p]) == 1 for p in component):
+                groups.append(sorted(component))
+            else:
+                groups += _attractor_classes(succ, is_tester, component)
+    return sorted(groups)
 
 
 def _gain(gains: Sequence[int], mask: int) -> int:
@@ -214,6 +305,7 @@ class _Arena:
     step: list[int] = field(init=False)  # a move to p from any mask lands in (mask << shift) | step[p]
     jump: list[int] = field(init=False)  # ... and is worth the value at (mask << shift) | jump[p]
     moves: list[tuple[tuple[int, int, int], ...]] = field(init=False)  # (u, mask, position) of jump[u]
+    detour: list[bool] = field(init=False)  # jump[p] may be unreachable along step
     blank: bytearray | list[int] = field(init=False)  # a value row of P zeros
 
     def __post_init__(self):
@@ -221,13 +313,16 @@ class _Arena:
         self.shift = shift = len(succ).bit_length()
         self.bits = bits = [1 << c for c in self.cover]
         self.step = [(b << shift) | p for p, b in enumerate(bits)]
-        full = list(bits)  # cov(S) at p in a tester group S, else bits[p]
-        for group in _tester_groups(succ, self.is_tester):
+        full = list(bits)  # cov(S) at p in a forcing group S, else bits[p]
+        walked = [True] * len(succ)  # False in a group that its own moves do not connect
+        for group in _forcing_groups(succ, self.is_tester):
             f = 0
             for p in group:
                 f |= bits[p]
+            connected = [len(c) for c in _components(succ, group)] == [len(group)]
             for p in group:
                 full[p] = f
+                walked[p] = connected
         # Each position is resolved once: a walk stops at a resolved position, so the
         # table takes time linear in the positions.
         jump: list = [None] * len(succ)  # -1 on the current walk
@@ -242,13 +337,14 @@ class _Arena:
                 jump[p] = (full[p] << shift) | p
             elif jump[p] < 0:  # the walk closed a forced cycle, kept at its least position
                 t = min(path[path.index(p):])
-                jump[p] = (full[t] << shift) | t  # the cycle is a tester group
+                jump[p] = (full[t] << shift) | t  # the cycle is a group
             e = jump[p]
             for q in reversed(path):
                 e |= bits[q] << shift
                 jump[q] = e
         self.jump = jump
         position = (1 << shift) - 1
+        self.detour = [not walked[j & position] for j in jump]
         self.moves = [tuple((u, jump[u] >> shift, jump[u] & position) for u in s) for s in succ]
         # every value lies between 0 and ν(all nodes), so it fits a byte below 256
         self.blank = bytearray(len(succ)) if sum(self.gains) < 256 else [0] * len(succ)
@@ -257,14 +353,17 @@ class _Arena:
         """The value that the table ``values`` holds at a packed state."""
         return values[packed >> self.shift][packed & ((1 << self.shift) - 1)]
 
-    def explore(self, enter: Sequence[int], starts: Iterable[int], state_cap: float = math.inf):
+    def explore(self, enter: Sequence[int], starts: Iterable[int], state_cap: float = math.inf,
+                known: dict[int, list[int]] | None = None):
         """Product states reachable from the packed states ``starts`` when a move to u
         from mask C enters the packed state ``enter[u]`` or'ed with C, layered by mask.
 
         Returns (layers, mask_gain): layers maps each mask, in nondecreasing
         popcount order, to the sorted positions present with it; mask_gain
         maps it to ν(mask).  Only a count above max(state_cap, 1) raises,
-        since a start state is always admitted.
+        since a start state is always admitted.  A state whose position
+        ``known`` lists under its mask is neither searched from nor returned,
+        and a mask with no other state gets no layer.
         """
         gains, shift = self.gains, self.shift
         position = (1 << shift) - 1
@@ -281,10 +380,14 @@ class _Arena:
                 mask_gain[mask] = _gain(gains, mask)
             entered[mask].add(start & position)
         count = 0
+        known = known or {}
         while buckets:
             for mask in buckets.pop(min(buckets)):
                 seen = entered.pop(mask)
+                old = known.get(mask, ())
+                seen.difference_update(old)
                 stack = list(seen)
+                seen.update(old)
                 while stack:
                     for m, t in moves[stack.pop()]:
                         m2 = mask | m
@@ -298,6 +401,9 @@ class _Arena:
                             entered[m2] = {t}
                             buckets.setdefault(m2.bit_count(), []).append(m2)
                             mask_gain[m2] = mask_gain[mask] + _gain(gains, m2 ^ mask)
+                seen.difference_update(old)
+                if not seen:
+                    continue
                 count += len(seen)
                 if count > state_cap and count > 1:
                     raise CapacityError(f"search state space exceeds cap {state_cap}")
@@ -306,11 +412,12 @@ class _Arena:
 
     def solve(self, starts: Collection[int] = ()):
         """Root value, number of explored states and the value table, exploring along
-        ``jump`` from the root state (root, {root}), or from the packed ``starts`` when
-        given, which must include jump[root].  Each layer is taken out of explore's
-        layers as it is solved, so it is freed once its row is written.
+        ``jump`` from the root state (root, {root}) and jump[root], or from the packed
+        ``starts`` when given, which must include jump[root].  Each layer is taken out of
+        explore's layers as it is solved, so it is freed once its row is written.
         """
-        layers, mask_gain = self.explore(self.jump, starts or (self.step[self.root],))
+        root = self.root
+        layers, mask_gain = self.explore(self.jump, starts or (self.step[root], self.jump[root]))
         states = sum(map(len, layers.values()))
         values: dict = {}
         for mask in reversed(list(layers)):
@@ -320,15 +427,33 @@ class _Arena:
     def full_table(self, state_cap: float = math.inf):
         """Root value, number of reachable states, the value table of the unsettled ones
         and the layers of all, explored along ``step``; ``state_cap`` counts them all.
+        The jump states of detour positions' states that no layer holds are explored
+        along ``jump`` too, past no state a layer holds, uncounted, and solved with the
+        unsettled ones.
         """
         layers, mask_gain = self.explore(self.step, (self.step[self.root],), state_cap)
+        shift, jump, detour = self.shift, self.jump, self.detour
+        solved = {}  # mask -> the members to solve
+        for mask, members in layers.items():
+            here = mask << shift
+            solved[mask] = [p for p in members if here | jump[p] == here | p]  # the unsettled
+        lacking = ()  # the jump states of detour positions' states that no layer holds
+        if True in detour:
+            ends = {mask << shift | jump[p] for mask, members in layers.items() for p in members if detour[p]}
+            position = (1 << shift) - 1
+            lacking = [j for j in ends if j & position not in layers.get(j >> shift, ())]
+        order = reversed(list(layers))
+        if lacking:
+            extra, extra_gain = self.explore(jump, lacking, known=layers)
+            for mask, members in extra.items():
+                solved[mask] = solved.get(mask, []) + members
+                mask_gain.setdefault(mask, extra_gain[mask])
+            order = sorted(solved, key=int.bit_count, reverse=True)  # larger masks first
         values: dict = {}
-        for mask in reversed(list(layers)):
-            here, jump = mask << self.shift, self.jump
-            members = [p for p in layers[mask] if here | jump[p] == here | p]  # the unsettled
-            if members:
-                self.value_layer(mask, members, mask_gain[mask], values)
-        return self.read(values, self.jump[self.root]), sum(map(len, layers.values())), values, layers
+        for mask in order:
+            if solved[mask]:
+                self.value_layer(mask, solved[mask], mask_gain[mask], values)
+        return self.read(values, jump[self.root]), sum(map(len, layers.values())), values, layers
 
     def value_layer(self, mask: int, members: list[int], base: int, values: dict):
         """Solve ``members`` of the layer of ``mask`` for their values alone and store them

@@ -8,14 +8,15 @@ play whose covered set stops growing at C pays ν(C).  Two rules settle
 states before they are solved (``ncgames.arena`` states them and why they
 hold).  A forced node has one successor, not itself, and is not the root,
 so a move into a chain of forced nodes is worth the state at the chain's
-end with the whole chain covered.  A tester group is a set S of two or
-more nodes that the tester controls (its own, and those with one
-successor) and that reach each other through such nodes, and
-value(s, C) = value(s, C ∪ S) at s in S.  The kernel's solve follows both
-rules, so it enters no state of a forced node and none that covers a
-group in part.  Policies must answer at those states too, so
-``SolveResult`` builds the full table, over every reachable state, the
-first time a policy or a state count needs it.  The restart game is a
+end with the whole chain covered.  A forcing group is a set S of two or
+more nodes that the tester can force the play to reach from each other,
+whatever the SUT answers, and value(s, C) = value(s, C ∪ S) at s in S.
+The kernel's solve follows both rules, so it enters no state of a forced
+node and none that covers a group in part; the state it reads a move at
+may lie on no play from the root.  Policies must answer at every
+reachable state, so ``SolveResult`` builds the full table, over every
+reachable state and the states their moves are read at, the first time a
+policy or a state count needs it.  The restart game is a
 plain arena too, with the restart as one more tester move.
 ``oracle_mcg`` shares only the indexing and searches the game tree
 independently.
@@ -62,7 +63,8 @@ class SolveResult:
     state: the root's layer is the root alone there and in the full table, so its
     replay reads the same exits.  Every other answer reads the full table
     (``_Arena.full_table``): the layers of every reachable state, and the values of
-    the unsettled ones, as one solve started at all of them gives them.  It is
+    the unsettled ones and of the states their moves are read at, as one solve
+    started at all of them gives them.  It is
     built once, on first use of ``states_explored``, ``_values``, ``_layers``, an
     SUT move, a policy, or a tester lookup elsewhere, and takes no part in
     equality.  A value table holds one row per solved layer, keyed by its mask and
@@ -103,7 +105,7 @@ class SolveResult:
         """Each reachable node's value, the game value were the node the root.
 
         One solve starts at ``jump[v]`` from the empty mask for every node v, the state
-        a move to v is worth, so forced chains and tester groups settle as in any other
+        a move to v is worth, so forced chains and forcing groups settle as in any other
         move; the value of a state does not depend on the root.
         """
         arena = self._arena

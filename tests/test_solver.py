@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import FORCED_CYCLES_TEXT, graph_of
-from ncgames.arena import _Arena, _tester_groups
+from ncgames.arena import _Arena, _forcing_groups
 from ncgames.errors import CapacityError, StrategyError, ValidationError
 from ncgames.graph import (
     SUT,
@@ -37,6 +37,20 @@ def _tester_ring(n: int) -> GameGraph:
     nodes = {f"n{i:02d}": NodeInfo(TESTER, 1) for i in range(n)}
     edges = {f"n{i:02d}": (f"n{(i + 1) % n:02d}",) for i in range(n)}
     return GameGraph(nodes, edges, "n00")
+
+
+def _split_return(rooted: bool) -> GameGraph:
+    """The SUT at x sends the play to a or to b, and each is forced back to r, so the
+    tester forces r and x from each other and {r, x} is a forcing group whose own moves
+    do not connect it: no play comes back to r with {r, x} covered and neither a nor b.
+    Rooted at r, or (``rooted`` false) at s, which moves to r; there r has a self-loop,
+    so that it is not forced."""
+    loop = () if rooted else ("r",)
+    layout = {"r": (TESTER, 1, ("x",) + loop), "x": (SUT, 2, ("a", "b")),
+              "a": (TESTER, 4, ("r",)), "b": (TESTER, 8, ("r",))}
+    if not rooted:
+        layout["s"] = (TESTER, 16, ("r",))
+    return graph_of(layout, init="r" if rooted else "s")
 
 
 class TestSolveValue:
@@ -89,14 +103,16 @@ class TestSolveValue:
             solve_mcg(ring, "n00", cap=69)
 
     def test_table_holds_only_unsettled_states(self):
-        # a 4-node tester group and forced positions: states that cover the group in
+        # a 15-node forcing group and forced positions: states that cover the group in
         # part, and those of forced positions, are counted, not stored
         g = generate_random(18, 0.3, 1, 2, 1)
         res = solve_mcg(g, g.init, cap=64)
         arena = res._arena
+        (group,) = _forcing_groups(arena.succ, arena.is_tester)
+        assert len(group) == 15
         unsettled = [(mask, p) for mask, members in res._layers.items() for p in members
                      if arena.jump[p] | mask << arena.shift == mask << arena.shift | p]
-        assert (res.value, res.states_explored, len(unsettled)) == (17, 19_591, 15_185)
+        assert (res.value, res.states_explored, len(unsettled)) == (17, 19_591, 2_513)
         # one row per layer that holds an unsettled state
         assert res._values.keys() == {mask for mask, _p in unsettled}
 
@@ -178,13 +194,13 @@ def _entry_masks(arena: _Arena) -> list[int]:
 
 
 class TestGrouping:
-    """Tester-only strongly connected sets are covered whole by a move into them,
-    worth their summed gain."""
+    """Forcing groups, the sets the tester can force the play through and back whatever
+    the SUT answers, are covered whole by a move into them, worth their summed gain."""
 
     def test_tester_ring_is_one_group(self):
         ring = _tester_ring(70)
         arena = _node_arena(ring, "n00", 70)
-        (group,) = _tester_groups(arena.succ, arena.is_tester)
+        (group,) = _forcing_groups(arena.succ, arena.is_tester)
         assert (group, sum(arena.gains[p] for p in group)) == (list(range(70)), 70)
         # every position but the root is forced, so a move into the ring reads the
         # whole-ring state at the root, and the solve enters only it after the root
@@ -196,7 +212,7 @@ class TestGrouping:
 
     def test_mirror_has_no_group(self, mirror):
         arena = _node_arena(mirror, "v0", 20)
-        assert _tester_groups(arena.succ, arena.is_tester) == []
+        assert _forcing_groups(arena.succ, arena.is_tester) == []
         # v1 and v2 are forced to the hub v3, so a move to either also covers v3
         assert (_entry_masks(arena), arena.gains) == ([1, 10, 12, 8], [1, 1, 1, 1])
         assert [j & ((1 << arena.shift) - 1) for j in arena.jump] == [0, 3, 3, 3]
@@ -209,20 +225,20 @@ class TestGrouping:
             init="a",
         )
         arena = _node_arena(g, "a", 20)
-        assert _tester_groups(arena.succ, arena.is_tester) == []
+        assert _forcing_groups(arena.succ, arena.is_tester) == []
         # no group mask; b is forced to s, so a move to b also covers s
         assert (_entry_masks(arena), arena.gains) == ([1, 10, 4, 8], [1, 2, 8, 4])
 
     def test_long_tester_ring_is_one_group(self):
         n = 5000  # a best-response arena may have this many positions
         ring = [((p + 1) % n,) for p in range(n)]
-        assert _tester_groups(ring, [True] * n) == [list(range(n))]
+        assert _forcing_groups(ring, [True] * n) == [list(range(n))]
         # an SUT position with a second successor, off the ring, breaks it
         ring[2500] = (2501, n)
-        assert _tester_groups(ring + [(n,)], [p != 2500 for p in range(n + 1)]) == []
+        assert _forcing_groups(ring + [(n,)], [p != 2500 for p in range(n + 1)]) == []
 
     def test_tester_self_loop_is_not_a_group(self):
-        assert _tester_groups([(0,)], [True]) == []
+        assert _forcing_groups([(0,)], [True]) == []
 
     def test_tester_sink_stays_alone(self):
         g = graph_of(
@@ -230,9 +246,48 @@ class TestGrouping:
             init="a",
         )
         arena = _node_arena(g, "a", 20)
-        assert _tester_groups(arena.succ, arena.is_tester) == [[0, 1]]
+        assert _forcing_groups(arena.succ, arena.is_tester) == [[0, 1]]
         assert (_entry_masks(arena), arena.gains) == ([3, 3, 4], [1, 2, 4])
         assert solve_mcg_restart(g, "a") == 7
+
+    def test_sut_node_joins_when_every_successor_is_forced_back(self):
+        # as in the cycle above, but c moves back to a: whatever s answers, the play
+        # returns to s; c stays out, since the tester cannot force the play to c
+        g = graph_of(
+            {"a": (TESTER, 1, ("b",)), "b": (TESTER, 2, ("s",)), "s": (SUT, 4, ("a", "c")),
+             "c": (TESTER, 8, ("a",))},
+            init="a",
+        )
+        arena = _node_arena(g, "a", 20)  # a, b, c, s
+        assert _forcing_groups(arena.succ, arena.is_tester) == [[0, 1, 3]]
+        # b is forced to s and c to the root a, each in the group {a, b, s} of mask 11
+        assert (_entry_masks(arena), arena.gains) == ([11, 11, 15, 11], [1, 2, 8, 4])
+        assert solve_mcg(g, "a").value == oracle_mcg(g, "a") == solve_mcg_restart(g, "a") == 7
+
+    @pytest.mark.parametrize("rooted", [True, False])
+    def test_group_that_its_own_moves_do_not_connect(self, monkeypatch, rooted):
+        # r and x force each other, but every return from x to r passes a or b, so the
+        # state a move into the group is worth, (r, C | {r, x}), is not reachable from
+        # the root state when C lacks a and b: the solve from the root starts there too,
+        # and the full table explores along jump from it after its own exploration
+        g = _split_return(rooted)
+        arena = _node_arena(g, g.init, 20)
+        r, x = arena.index["r"], arena.index["x"]
+        assert _forcing_groups(arena.succ, arena.is_tester) == [[r, x]]
+        calls = []
+        explore = _Arena.explore
+
+        def spy(arena, enter, starts, *args, **kwargs):
+            calls.append(enter is arena.jump)
+            return explore(arena, enter, starts, *args, **kwargs)
+
+        monkeypatch.setattr(_Arena, "explore", spy)
+        res = solve_mcg(g, g.init)
+        # the SUT always answers a; 12 and 13 reachable states in 5 and 6 layers
+        assert (res.value, res.states_explored) == ((7, 12) if rooted else (23, 13))
+        assert calls == [True, False, True]
+        assert res.value == oracle_mcg(g, g.init)
+        assert res.node_values == {v: solve_mcg(g, v).value for v in arena.ids}
 
 
 class TestForcedChains:
@@ -261,13 +316,16 @@ class TestForcedChains:
         assert solve_mcg_restart(g, "r") == solve_mcg(g, "r").value == 3
 
     def test_sat_game_reduced_states(self):
-        # no tester group; the forced positions are the whole saving
+        # the dispatcher y picks any clause, every answer of a clause leads along forced
+        # positions to the last decision dx4, and both answers of dx4 lead back to y: so
+        # y, the clauses and dx4 form one forcing group, with the forced positions
         f = parse_dimacs("p cnf 4 5\n1 2 -3 0\n-1 3 4 0\n-2 -4 0\n2 3 0\n-1 -3 -4 0\n")
         g, threshold = sat_to_ncgame(f)
         arena = _node_arena(g, g.init, 64)
-        assert _tester_groups(arena.succ, arena.is_tester) == []
+        (group,) = _forcing_groups(arena.succ, arena.is_tester)
+        assert [arena.ids[p] for p in group] == ["c1", "c2", "c3", "c4", "c5", "dx4", "y"]
         res = solve_mcg(g, g.init, cap=64)
-        assert (res.value, threshold, arena.solve()[1]) == (14, 14, 12_953)
+        assert (res.value, threshold, arena.solve()[1]) == (14, 14, 744)
         assert res.states_explored == 22_804
 
 
@@ -527,14 +585,27 @@ def _wide_games(st):
     return wide_games()
 
 
-def _layer_by_layer(arena: _Arena) -> dict[int, int]:
-    """The value of every reachable state, by packed state, from a solve of each layer
-    with all of its members and every exit read through ``step``: nothing settled,
-    forced or grouped."""
+def _extra_states(arena: _Arena, reachable) -> set[int]:
+    """The packed states that the full table explores along ``jump`` beyond the packed
+    ``reachable`` ones: those reachable along ``jump`` from the jump states of reachable
+    states that are not reachable themselves, less the reachable ones."""
+    position = (1 << arena.shift) - 1
+    lacking = {(packed - (packed & position)) | arena.jump[packed & position] for packed in reachable}
+    lacking.difference_update(reachable)
+    if not lacking:
+        return set()
+    layers = arena.explore(arena.jump, lacking)[0]
+    return {mask << arena.shift | p for mask, members in layers.items() for p in members} - set(reachable)
+
+
+def _layer_by_layer(arena: _Arena, starts=()) -> dict[int, int]:
+    """The value of every state reachable from the root state, or from the packed
+    ``starts`` when given, by packed state, from a solve of each layer with all of its
+    members and every exit read through ``step``: nothing settled, forced or grouped."""
     no_settling = replace(arena)
     no_settling.jump = step = no_settling.step
     no_settling.moves = [tuple((u, step[u] >> arena.shift, u) for u in s) for s in arena.succ]
-    layers, mask_gain = no_settling.explore(step, [step[arena.root]])
+    layers, mask_gain = no_settling.explore(step, starts or [step[arena.root]])
     values: dict = {}
     for mask in reversed(layers):
         no_settling.solve_layer(mask, layers[mask], mask_gain[mask], values)
@@ -575,7 +646,7 @@ class TestKernelProperties:
         """One exploration entered at every reachable node gives each node the value of
         a solve rooted there, on strict games with self-loops, forced chains and cycles
         (a forced position has one successor, not itself, and is not the root) and
-        tester groups; each of the four must occur among the examples."""
+        forcing groups; each of the four must occur among the examples."""
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings
         from hypothesis import strategies as st
@@ -594,12 +665,12 @@ class TestKernelProperties:
                 [("self-loop", any(p in s for p, s in enumerate(arena.succ))),
                  ("forced chain", any(forced[p] and not forced[t] for p, t in enumerate(ends))),
                  ("forced cycle", any(forced[t] for t in ends)),
-                 ("tester group", bool(_tester_groups(arena.succ, arena.is_tester)))]
+                 ("forcing group", bool(_forcing_groups(arena.succ, arena.is_tester)))]
             )
 
         prop()
         assert {name for name, present in seen if present} == {
-            "self-loop", "forced chain", "forced cycle", "tester group"}
+            "self-loop", "forced chain", "forced cycle", "forcing group"}
 
     def test_wide_rows_keep_the_values(self):
         """Reachable gains that sum to 256 or more, one of them at least 2**64, take list
@@ -692,19 +763,24 @@ class TestKernelProperties:
 
     def test_settled_tables_equal_the_layer_by_layer_ones(self, monkeypatch):
         """Plain, restart and best-response solves settle the states of forced positions
-        and of partly covered tester groups, and do not store them.  A forced position
+        and of partly covered forcing groups, and do not store them.  A forced position
         has one successor, not itself, and is not the root; of a cycle of forced
         positions only the least is kept.  Against a solve of every layer with all of
         its members and exits read through ``step`` (no settling), the table must hold
-        exactly the reachable unsettled states with the same values, and every settled
-        state (p, C) must be worth the value the table holds at ``jump[p]``: the end
-        of p's forced chain, with the chain and the end's group covered."""
+        the reachable unsettled states with the same values, and every settled state
+        (p, C) must be worth the value the table holds at ``jump[p]``: the end of p's
+        forced chain, with the chain and the end's group covered.  Where that state is
+        not reachable, the full table explores along ``jump`` from it, and holds no
+        other masks than those of these extra states and of the reachable unsettled
+        ones; an extra state's value must equal the reference's explored from it, and
+        some examples must have extra states."""
         pytest.importorskip("hypothesis")
-        from hypothesis import given, settings
+        from hypothesis import example, given, settings
         from hypothesis import strategies as st
 
         solved = []
         solve = _Arena.solve
+        extras = []
 
         def recorded(arena, *args, **kwargs):
             solved.append(arena)
@@ -714,6 +790,8 @@ class TestKernelProperties:
 
         @settings(max_examples=100)
         @given(h=_games(st, sinks=True))
+        @example(h=_split_return(True))
+        @example(h=_split_return(False))
         def prop(h):
             g = GameGraph(h.nodes, {v: moves or (v,) for v, moves in h.edges.items()}, h.init)
             optimal = extract_optimal_sut(solve_mcg(g, g.init))
@@ -726,8 +804,8 @@ class TestKernelProperties:
                 values = arena.full_table()[2]
                 reference = _layer_by_layer(arena)
                 succ = arena.succ
-                cov = list(arena.bits)  # cov(S) at a position of tester group S
-                for group in _tester_groups(succ, arena.is_tester):
+                cov = list(arena.bits)  # cov(S) at a position of forcing group S
+                for group in _forcing_groups(succ, arena.is_tester):
                     f = 0
                     for p in group:
                         f |= arena.bits[p]
@@ -751,15 +829,61 @@ class TestKernelProperties:
                     return kept(p) and packed >> arena.shift & cov[p] == cov[p]
 
                 unsettled = set(filter(unsettled_state, reference))
-                assert values.keys() == {packed >> arena.shift for packed in unsettled}
+                extra = _extra_states(arena, reference)
+                if extra:
+                    extras.append(len(extra))
+                assert values.keys() == {packed >> arena.shift for packed in unsettled | extra}
                 for packed, value in reference.items():
                     if packed in unsettled:
                         assert arena.read(values, packed) == value
                     else:
                         p = packed & position
                         assert arena.read(values, (packed - p) | arena.jump[p]) == value
+                if extra:
+                    extra_reference = _layer_by_layer(arena, sorted(extra))
+                    for packed in extra:
+                        assert arena.read(values, packed) == extra_reference[packed]
 
         prop()
+        assert extras
+
+    def test_covering_a_group_keeps_every_value(self):
+        """The rule that settles a forcing group S: at each reachable state (p, C) with p
+        in S, (p, C ∪ cov(S)) has the same value in the no-settling reference, explored
+        from those states.  On plain and restart arenas of games with sinks, forced chains
+        and cycles; some groups must hold an SUT position that chooses."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import example, given, settings
+        from hypothesis import strategies as st
+
+        seen = []
+
+        @settings(max_examples=200)
+        @given(h=_games(st, sinks=True, forced=True))
+        @example(h=_split_return(True))
+        @example(h=_split_return(False))
+        def prop(h):
+            g = GameGraph(h.nodes, {v: moves or (v,) for v, moves in h.edges.items()}, h.init)
+            for arena in (_node_arena(g, g.init, 20), _restart_arena(h, h.init, 20)):
+                covering = {}  # position -> cov(S) of its group S
+                for group in _forcing_groups(arena.succ, arena.is_tester):
+                    f = 0
+                    for p in group:
+                        f |= arena.bits[p]
+                    covering.update(dict.fromkeys(group, f))
+                    seen.extend(p for p in group if not arena.is_tester[p] and len(arena.succ[p]) > 1)
+                if not covering:
+                    continue
+                reference = _layer_by_layer(arena)
+                position = (1 << arena.shift) - 1
+                pairs = [(packed, packed | covering[packed & position] << arena.shift)
+                         for packed in reference if packed & position in covering]
+                grown = _layer_by_layer(arena, sorted({q for _, q in pairs}))
+                for packed, q in pairs:
+                    assert grown[q] == reference[packed]
+
+        prop()
+        assert seen
 
     def test_restart_value_is_half_the_doubled_plain_value(self):
         pytest.importorskip("hypothesis")
@@ -821,17 +945,19 @@ class TestKernelProperties:
 
 class TestReducedSolve:
     """``solve_mcg`` takes its value from the reduced exploration, in which a move into
-    a tester group covers the whole group, and builds the full table once, only for
+    a forcing group covers the whole group, and builds the full table once, only for
     the answers that need it."""
 
     def test_reduced_tables_agree_with_the_full_ones(self):
         """Plain and restart arenas with sinks and self-loops: the reduced solve gives the
         full table's value and root tester choice, each of its entries equals the full
-        table's value at that state (read through ``jump``), and it enters only reachable
-        states.  A restart arena of an SUT root with moves keeps the root's SUT copy in
-        the root's layer, so there the root's layer is the root and its copy."""
+        table's value at that state (read through ``jump``), and it enters only states
+        that are reachable or that the full table explores beyond them: a move into a
+        forcing group that no walk inside it covers may be worth an unreachable state.
+        A restart arena of an SUT root with moves keeps the root's SUT copy in the root's
+        layer, so there the root's layer is the root and its copy."""
         pytest.importorskip("hypothesis")
-        from hypothesis import given, settings
+        from hypothesis import example, given, settings
         from hypothesis import strategies as st
 
         def states(arena, layers):
@@ -839,6 +965,8 @@ class TestReducedSolve:
 
         @settings(max_examples=100)
         @given(h=_games(st, sinks=True))
+        @example(h=_split_return(True))
+        @example(h=_split_return(False))
         def prop(h):
             g = GameGraph(h.nodes, {v: moves or (v,) for v, moves in h.edges.items()}, h.init)
             plain = _node_arena(g, g.init, 20)
@@ -859,7 +987,8 @@ class TestReducedSolve:
                 for packed in states(arena, layers):
                     p = packed & ((1 << arena.shift) - 1)
                     assert arena.read(full, (packed - p) | arena.jump[p]) == arena.read(reduced, packed)
-                assert states(arena, layers) <= states(arena, full_layers)
+                reachable = states(arena, full_layers)
+                assert states(arena, layers) <= reachable | _extra_states(arena, reachable)
                 if arena is plain and g.is_tester(g.init):
                     choice = choices[1][0]
                     expected = arena.ids[arena.succ[root][0] if choice is None else choice]
@@ -871,7 +1000,7 @@ class TestReducedSolve:
         # the full exploration of this graph has 321,853 states
         g = generate_random(26, 0.3, 1, 2, 2)
         res = solve_mcg(g, g.init, cap=64)
-        assert (res.value, res._arena.solve()[1]) == (20, 2_414)
+        assert (res.value, res._arena.solve()[1]) == (20, 312)
         assert res.tester_move(g.init, {g.init}) == "n01"
         assert "_full" not in vars(res)
 
@@ -905,6 +1034,41 @@ class TestReducedSolve:
         res.tester_policy()
         res.sut_policy()
         assert len(calls) == 2
+
+    def test_best_response_full_table_explores_once(self, monkeypatch):
+        """A best-response arena leaves the tester alone, since each SUT position has the
+        strategy's choice as its one successor: so its own moves connect every forcing
+        group, every state a move is worth is reachable, and the full table explores
+        once.  Some of the arenas must have a group."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        calls = []
+        grouped = []
+        explore = _Arena.explore
+
+        def spy(arena, *args, **kwargs):
+            calls.append(arena)
+            return explore(arena, *args, **kwargs)
+
+        @settings(max_examples=100)
+        @given(g=_games(st, sinks=False, forced=True))
+        def prop(g):
+            res = solve_mcg(g, g.init)
+            res.states_explored  # the optimal SUT's lookups read this full table
+            optimal = extract_optimal_sut(res)
+            last = PositionalStrategy(2, {v: g.edges[v][-1] for v in g.nodes if g.owner(v) == SUT})
+            for sut in (optimal, last):
+                calls.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(_Arena, "explore", spy)
+                    best_response_gain(g, g.init, sut)
+                (arena,) = calls
+                grouped.append(bool(_forcing_groups(arena.succ, arena.is_tester)))
+
+        prop()
+        assert any(grouped)
 
     @pytest.mark.parametrize("node, covered", [("v1", {"v1"}), ("v0", set()), ("v3", {"v0", "v1"})])
     def test_lookup_without_the_root_or_the_node_raises_at_once(self, mirror, monkeypatch,
