@@ -24,6 +24,7 @@ Witness files use the ``ncwitness 1`` text format::
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
@@ -198,11 +199,11 @@ def extract_witness(
     first subset of reachable(v) (ascending cardinality, lexicographic
     order) that contains v and satisfies both the structural rule and its
     case equation for the fixed bounds.
-    Gains must all be >= 1.  At most `subset_cap` candidates are tested
-    per node, counted in that order, and ExtractionError (with the
-    instance attached) is raised when none of them is consistent.  The
-    cap limits work: exhausting it does not by itself mean a defect, as a
-    consistent set may lie beyond it.
+    Gains must all be >= 1.  At most `subset_cap` candidates per node are
+    counted, in that order, whether tested or ruled out untested in a
+    block, and ExtractionError (with the instance attached) is raised when
+    none of them is consistent.  The cap limits work: exhausting it does
+    not by itself mean a defect, as a consistent set may lie beyond it.
     """
     ensure_valid(g, strict=True)
     if any(info.gain < 1 for info in g.nodes.values()):
@@ -235,13 +236,19 @@ def _first_containment_set(
     Candidates are {v} plus each subset of the other nodes of reachable(v),
     by ascending size and then in lexicographic node-id order.  Sets are
     bitmasks whose bits follow ascending (bound, id), so the largest bound
-    among a set's exits is the bound of the exit mask's highest bit.  Blocks
-    of candidates whose gain plus a certain exit already exceeds v's bound
-    are ruled out untested but still counted against the cap.
+    among a set's exits is the bound of the exit mask's highest bit.  As
+    gains are >= 1, three rules rule out blocks of candidates untested,
+    though the cap still counts them: the block's gain plus a certain exit
+    (to a node passed over) already exceeds v's bound; the block has more
+    exits above its remaining slack than nodes left to add, and only
+    adding its target stops an exit from being one (forced exits); or the
+    exits to nodes passed over exceed the room that the nodes still to
+    add leave, which rules out the rest of the level.
     """
     order = sorted(reachable(g, v), key=lambda u: (bounds[u], u))
     bit = {u: 1 << i for i, u in enumerate(order)}
-    top_bound = [0] + [bounds[u] for u in order]  # indexed by an exit mask's bit_length()
+    ranks = [bounds[u] for u in order]  # by bit, ascending
+    top_bound = [0] + ranks  # indexed by an exit mask's bit_length()
     succ = {u: sum(bit[x] for x in g.edges[u]) for u in order}
     target = bounds[v]
     if subset_cap < 1:
@@ -263,6 +270,8 @@ def _first_containment_set(
     ]
     m = len(items)
     decided = list(accumulate((item[0] for item in items), or_))  # bits of items[:i + 1]
+    passed = [0] + decided[:-1]  # bits of items[:i]
+    after = [decided[-1] ^ d for d in decided]  # bits of items[i + 1:]
     left = subset_cap - 1
 
     def search(start, size, mask, gain, exits_from, sut_succs):
@@ -281,12 +290,23 @@ def _first_containment_set(
                 ):
                     return p
             return None
+        room = target - gain - size  # what `size` more gains of at least 1 leave
         for i in range(start, m - size + 1):
+            # an exit to a node of items[:i] left out stays one: once those exits
+            # alone exceed the room, every later i at this level fails too
+            if top_bound[(exits_from & passed[i] & ~mask).bit_length()] > room:
+                left -= comb(m - i, size)
+                return None
             b, gn, t, s = items[i]
             p = mask | b
             ex = exits_from | t
-            # gains are >= 1, and an exit to a node of items[:i + 1] left out stays one
-            if gain + gn + size - 1 + top_bound[(ex & decided[i] & ~p).bit_length()] > target:
+            slack = room + 1 - gn
+            hot = ex & after[i]
+            # the same for p at items[:i + 1]; and an exit into items[i + 1:] above the
+            # slack stays one unless its target is among the size - 1 items added
+            if top_bound[(ex & decided[i] & ~p).bit_length()] > slack or (
+                hot.bit_count() >= size and (hot >> bisect_right(ranks, slack)).bit_count() >= size
+            ):
                 left -= comb(m - i - 1, size - 1)
             else:
                 found = search(

@@ -229,6 +229,13 @@ class TestExtractWitness:
             )
         assert extract_witness(g, g.init, subset_cap=k) == w
 
+    def test_forced_exits_leave_out_the_sets_own_nodes(self):
+        # for n01, {n00, n01} has the exits n02 (bound 1) and n03 (bound 4) and the edge
+        # n00 -> n01 inside: one exit above the slack of 1 is forced, so n03 absorbs it
+        g = generate_random(4, 0.3, 1, 2, 0)
+        entry = extract_witness(g, g.init).entries["n01"]
+        assert entry == WitnessEntry(4, frozenset({"n00", "n01", "n03"}))
+
 
 class TestNormalizeGains:
     def test_formula_instances(self):

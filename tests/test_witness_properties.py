@@ -1,15 +1,22 @@
 """Hypothesis properties of certificates on small random graphs: extraction
-returns the first consistent containment set, and check_witness rejects
-single-field mutations of an extracted witness."""
+returns the first consistent containment set, `subset_cap` counts every
+candidate before it, and check_witness rejects single-field mutations of an
+extracted witness."""
 from __future__ import annotations
+
+import sys
+from bisect import bisect_right
+from collections import Counter
+from math import comb
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import first_consistent  # noqa: E402
+from ncgames.errors import ExtractionError  # noqa: E402
 from ncgames.graph import generate_random  # noqa: E402
 from ncgames.witness import (  # noqa: E402
     Witness,
@@ -21,9 +28,9 @@ from ncgames.witness import (  # noqa: E402
 
 
 @st.composite
-def graphs(draw):
-    """generate_random graphs of 1-8 nodes with unit, drawn or normalized gains."""
-    n = draw(st.integers(1, 8))
+def graphs(draw, min_nodes=1, max_nodes=8):
+    """generate_random graphs of 1-8 nodes (by default) with unit, drawn or normalized gains."""
+    n = draw(st.integers(min_nodes, max_nodes))
     g = generate_random(
         n, draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])), 1, draw(st.integers(1, min(3, n))),
         draw(st.integers(0, 10**6)),
@@ -45,6 +52,55 @@ class TestExtraction:
         for v, entry in w.entries.items():
             _, first = first_consistent(g, w, v)
             assert entry.containment == first
+
+
+class TestSubsetCap:
+    def test_cap_counts_the_candidates_of_ruled_out_blocks(self, monkeypatch):
+        """With subset_cap = k - 1 the first node in id order whose first consistent set
+        is candidate k or later fails, and with subset_cap = k extraction succeeds, so
+        every block of candidates ruled out untested counts in full.  Spies on `comb`
+        and `bisect_right` read the search frame's `i` and `size` to tell the rules
+        apart: the rest of a level charges comb(m - i, size) and a block comb(m - i -
+        1, size - 1), which fell to the forced exits when their bisect at the same i
+        came just before.  Both rules must fire."""
+        fired = Counter()
+        last_bisect = None
+
+        def bisect_spy(ranks, slack):
+            nonlocal last_bisect
+            frame = sys._getframe(1)
+            last_bisect = (frame, frame.f_locals["i"])
+            return bisect_right(ranks, slack)
+
+        def comb_spy(n, k):
+            frame = sys._getframe(1)
+            if k == frame.f_locals["size"]:
+                fired["rest of a level"] += 1
+            elif last_bisect == (frame, frame.f_locals["i"]):
+                fired["forced exits"] += 1
+            return comb(n, k)
+
+        monkeypatch.setattr("ncgames.witness.bisect_right", bisect_spy)
+        monkeypatch.setattr("ncgames.witness.comb", comb_spy)
+
+        @settings(max_examples=40)
+        @given(g=graphs(7, 10))
+        @example(g=generate_random(4, 0.3, 1, 2, 0))
+        def prop(g):
+            w = extract_witness(g, g.init)
+            found_at = {v: first_consistent(g, w, v)[0] for v in sorted(w.entries)}
+            for k in sorted(set(found_at.values())):
+                short = min(v for v in found_at if found_at[v] >= k)
+                with pytest.raises(ExtractionError) as exc:
+                    extract_witness(g, g.init, subset_cap=k - 1)
+                assert str(exc.value).startswith(
+                    f"no containment set found for `{short}` (bound {w.entries[short].bound}) "
+                    f"among the first {k - 1} candidates (subset_cap); instance:\n"
+                )
+            assert extract_witness(g, g.init, subset_cap=k) == w
+
+        prop()
+        assert fired["rest of a level"] and fired["forced exits"]
 
 
 class TestCheckWitnessMutations:
