@@ -57,14 +57,9 @@ state is settled, and is worth the unsettled state (C << shift) |
 ``jump[p]``.
 
 That state need not be reachable along ``step`` from the state it
-settles.  The plays the tester forces between members of S may pass
-positions outside S, and when S's own moves do not connect it, no play
-may come back to t with exactly C ∪ cov(S) and the chain covered.
-``detour[u]`` marks the positions u whose chain ends in such a group; a
-chain that ends in a group its own moves connect, or in none, is walked
-to that state.  A best-response arena leaves the tester alone (its SUT
-positions have one successor each), so every group is a strongly
-connected set of its moves and no position is a detour.
+settles: the plays the tester forces between members of S may pass
+positions outside S, so no play may come back to t with exactly
+C ∪ cov(S) and the chain covered.
 
 A value table maps the mask of each solved layer to one row indexed by
 position, which holds the values of the layer's solved members and 0
@@ -92,29 +87,22 @@ mask, for every position v, it values every position: that state is worth
 value(v, {v}), the value of the game rooted at v, since both rules hold at
 any root and a state's value does not depend on the root.  The full table
 explores every state reachable from the root state along ``step`` (a move
-to u adds ``bits[u]``), keeps those layers, and solves in each its
-unsettled members, if any, those whose ``jump`` state is themselves.  A
-settled state of a detour position may find its ``jump`` state in no
-layer; the full table then explores along ``jump`` from each such state,
-entering no state that a layer holds, adds the states found to the
-layers' unsettled members by mask, and solves all of them in decreasing
-popcount, so that every exit and every lookup finds its state.  A state
-such an exploration skips is unsettled and reachable, so its in-layer
-moves and exits lead to reachable states or to jump states the full
-table explores.  These are the states, and so the values, of a solve
-from every explored state's ``jump``.
+to u adds ``bits[u]``), keeps those layers, and takes its values from one
+solve started at the ``jump`` state of every reachable state.  A move
+from (p, C) to u lands in the reachable state (u, C | bits[u]) and is
+read at (C | bits[u]) | jump[u], its ``jump`` state, since jump[u]'s mask
+holds bits[u]; so every exit and every lookup finds its state.
 
-The solve and the full table solve each layer with ``value_layer``, which
-finds values alone and needs every member that is not a start of the solve
-to be unsettled, as the solve's layers and the full table's filtered
-members are.  In a layer of mask C it takes a move (u, m, t) as in-layer
-exactly when C | m is C: the chain stays in the layer and the move goes
-to its end t, which is unsettled there and so a member, entered by the
-exploration.  Any other move is an exit, worth ``values[C | m][t]``; that
-includes a move to a settled start, whose value the exit gives exactly.
-``solve_layer`` also takes a move to a member u as in-layer to u itself,
-so that it can replay a layer with all of its members, settled ones
-included.
+The solve values each layer with ``value_layer``, which finds values
+alone and needs every member that is not a start of the solve to be
+unsettled, as the solve's layers are.  In a layer of mask C it takes a
+move (u, m, t) as in-layer exactly when C | m is C: the chain stays in
+the layer and the move goes to its end t, which is unsettled there and
+so a member, entered by the exploration.  Any other move is an exit,
+worth ``values[C | m][t]``; that includes a move to a settled start,
+whose value the exit gives exactly.  ``solve_layer`` also takes a move
+to a member u as in-layer to u itself, so that it can replay a layer
+with all of its members, settled ones included.
 
 Round 1 reads the floor in every in-layer state, so it runs while the
 layer's in-layer moves are listed: a tester takes the larger of its floor
@@ -127,14 +115,13 @@ to the larger of its floor and the least of its least exit and its
 in-layer successors; whatever rises is pushed.  No state is read again
 unless a successor rose, and each raise is passed on once.
 
-``solve_layer`` runs synchronous rounds instead.  A one-state layer needs
-no more than round 1: its in-layer moves are self-loops or chains back to
-it, worth the floor.  Every later round reads the previous round's values
-and applies its raises afterwards.  It re-evaluates an SUT state whose
-in-layer successor rose and a tester whose in-layer successor rose above
-it, since no other state can rise; a tester's exits are already in its
-value, so it reads only its in-layer successors.  It writes the layer's
-row once, after its last round.
+``solve_layer`` runs synchronous rounds instead.  Every round after the
+first reads the previous round's values and applies its raises
+afterwards.  It re-evaluates an SUT state whose in-layer successor rose
+and a tester whose in-layer successor rose above it, since no other
+state can rise; a tester's exits are already in its value, so it reads
+only its in-layer successors.  It writes the layer's row once, after
+its last round.
 
 Tester policies must avoid value-preserving cycles inside a layer, so a
 tester choice is the option that strictly raised the state's value in
@@ -305,7 +292,6 @@ class _Arena:
     step: list[int] = field(init=False)  # a move to p from any mask lands in (mask << shift) | step[p]
     jump: list[int] = field(init=False)  # ... and is worth the value at (mask << shift) | jump[p]
     moves: list[tuple[tuple[int, int, int], ...]] = field(init=False)  # (u, mask, position) of jump[u]
-    detour: list[bool] = field(init=False)  # jump[p] may be unreachable along step
     blank: bytearray | list[int] = field(init=False)  # a value row of P zeros
 
     def __post_init__(self):
@@ -314,15 +300,12 @@ class _Arena:
         self.bits = bits = [1 << c for c in self.cover]
         self.step = [(b << shift) | p for p, b in enumerate(bits)]
         full = list(bits)  # cov(S) at p in a forcing group S, else bits[p]
-        walked = [True] * len(succ)  # False in a group that its own moves do not connect
         for group in _forcing_groups(succ, self.is_tester):
             f = 0
             for p in group:
                 f |= bits[p]
-            connected = [len(c) for c in _components(succ, group)] == [len(group)]
             for p in group:
                 full[p] = f
-                walked[p] = connected
         # Each position is resolved once: a walk stops at a resolved position, so the
         # table takes time linear in the positions.
         jump: list = [None] * len(succ)  # -1 on the current walk
@@ -344,7 +327,6 @@ class _Arena:
                 jump[q] = e
         self.jump = jump
         position = (1 << shift) - 1
-        self.detour = [not walked[j & position] for j in jump]
         self.moves = [tuple((u, jump[u] >> shift, jump[u] & position) for u in s) for s in succ]
         # every value lies between 0 and ν(all nodes), so it fits a byte below 256
         self.blank = bytearray(len(succ)) if sum(self.gains) < 256 else [0] * len(succ)
@@ -353,17 +335,14 @@ class _Arena:
         """The value that the table ``values`` holds at a packed state."""
         return values[packed >> self.shift][packed & ((1 << self.shift) - 1)]
 
-    def explore(self, enter: Sequence[int], starts: Iterable[int], state_cap: float = math.inf,
-                known: dict[int, list[int]] | None = None):
+    def explore(self, enter: Sequence[int], starts: Iterable[int], state_cap: float = math.inf):
         """Product states reachable from the packed states ``starts`` when a move to u
         from mask C enters the packed state ``enter[u]`` or'ed with C, layered by mask.
 
         Returns (layers, mask_gain): layers maps each mask, in nondecreasing
         popcount order, to the sorted positions present with it; mask_gain
         maps it to ν(mask).  Only a count above max(state_cap, 1) raises,
-        since a start state is always admitted.  A state whose position
-        ``known`` lists under its mask is neither searched from nor returned,
-        and a mask with no other state gets no layer.
+        since a start state is always admitted.
         """
         gains, shift = self.gains, self.shift
         position = (1 << shift) - 1
@@ -380,14 +359,10 @@ class _Arena:
                 mask_gain[mask] = _gain(gains, mask)
             entered[mask].add(start & position)
         count = 0
-        known = known or {}
         while buckets:
             for mask in buckets.pop(min(buckets)):
                 seen = entered.pop(mask)
-                old = known.get(mask, ())
-                seen.difference_update(old)
                 stack = list(seen)
-                seen.update(old)
                 while stack:
                     for m, t in moves[stack.pop()]:
                         m2 = mask | m
@@ -401,9 +376,6 @@ class _Arena:
                             entered[m2] = {t}
                             buckets.setdefault(m2.bit_count(), []).append(m2)
                             mask_gain[m2] = mask_gain[mask] + _gain(gains, m2 ^ mask)
-                seen.difference_update(old)
-                if not seen:
-                    continue
                 count += len(seen)
                 if count > state_cap and count > 1:
                     raise CapacityError(f"search state space exceeds cap {state_cap}")
@@ -425,35 +397,15 @@ class _Arena:
         return self.read(values, self.jump[self.root]), states, values
 
     def full_table(self, state_cap: float = math.inf):
-        """Root value, number of reachable states, the value table of the unsettled ones
-        and the layers of all, explored along ``step``; ``state_cap`` counts them all.
-        The jump states of detour positions' states that no layer holds are explored
-        along ``jump`` too, past no state a layer holds, uncounted, and solved with the
-        unsettled ones.
+        """Root value, number of reachable states, the value table of a solve from every
+        reachable state's ``jump`` state and the layers of the reachable states, explored
+        along ``step``; ``state_cap`` counts the reachable states only.
         """
-        layers, mask_gain = self.explore(self.step, (self.step[self.root],), state_cap)
-        shift, jump, detour = self.shift, self.jump, self.detour
-        solved = {}  # mask -> the members to solve
-        for mask, members in layers.items():
-            here = mask << shift
-            solved[mask] = [p for p in members if here | jump[p] == here | p]  # the unsettled
-        lacking = ()  # the jump states of detour positions' states that no layer holds
-        if True in detour:
-            ends = {mask << shift | jump[p] for mask, members in layers.items() for p in members if detour[p]}
-            position = (1 << shift) - 1
-            lacking = [j for j in ends if j & position not in layers.get(j >> shift, ())]
-        order = reversed(list(layers))
-        if lacking:
-            extra, extra_gain = self.explore(jump, lacking, known=layers)
-            for mask, members in extra.items():
-                solved[mask] = solved.get(mask, []) + members
-                mask_gain.setdefault(mask, extra_gain[mask])
-            order = sorted(solved, key=int.bit_count, reverse=True)  # larger masks first
-        values: dict = {}
-        for mask in order:
-            if solved[mask]:
-                self.value_layer(mask, solved[mask], mask_gain[mask], values)
-        return self.read(values, jump[self.root]), sum(map(len, layers.values())), values, layers
+        layers = self.explore(self.step, (self.step[self.root],), state_cap)[0]
+        shift, jump = self.shift, self.jump
+        starts = {mask << shift | jump[p] for mask, members in layers.items() for p in members}
+        value, _, values = self.solve(starts)
+        return value, sum(map(len, layers.values())), values, layers
 
     def value_layer(self, mask: int, members: list[int], base: int, values: dict):
         """Solve ``members`` of the layer of ``mask`` for their values alone and store them
@@ -521,27 +473,13 @@ class _Arena:
         in-layer to u's slot when u is a member, else to t's slot when mask | m is this
         mask; any other move is an exit, worth ``values[mask | m][t]``.  The floor is
         ``base``, ν(mask).  Round 1 runs while the lists of in-layer successors are
-        built, and a one-state layer is solved outright.  Returns each member's tester
-        choice: the position that last raised it, a successor when all of the layer's
-        members are given, or None.
+        built.  Returns each member's tester choice: the position that last raised it,
+        a successor when all of the layer's members are given, or None.
         """
         moves, is_tester, inf = self.moves, self.is_tester, math.inf
         row = self.blank.copy()
         values[mask] = row  # exits read larger masks only
         n = len(members)
-        if n == 1:  # its in-layer moves are self-loops or chains back to it, worth the floor
-            p = members[0]
-            best, arg = base, None
-            if is_tester[p]:
-                for u, m, t in moves[p]:
-                    if u != p and mask | m != mask:
-                        v = values[mask | m][t]
-                        if v > best:
-                            best, arg = v, u
-            elif all(u != p and mask | m != mask for u, m, _ in moves[p]):
-                best = max(base, min(values[mask | m][t] for _, m, t in moves[p]))
-            row[p] = best
-            return [arg]
         slot = dict(zip(members, range(n)))
         table = [base] * n
         links: list[list[int]] = []  # in-layer successors' slots

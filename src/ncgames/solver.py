@@ -14,10 +14,10 @@ whatever the SUT answers, and value(s, C) = value(s, C ∪ S) at s in S.
 The kernel's solve follows both rules, so it enters no state of a forced
 node and none that covers a group in part; the state it reads a move at
 may lie on no play from the root.  Policies must answer at every
-reachable state, so ``SolveResult`` builds the full table, over every
-reachable state and the states their moves are read at, the first time a
-policy or a state count needs it.  The restart game is a
-plain arena too, with the restart as one more tester move.
+reachable state, so ``SolveResult`` builds the full table, one solve
+from the state each reachable state is worth, the first time a policy or
+a state count needs it.  The restart game is a plain arena too, with the
+restart as one more tester move.
 ``oracle_mcg`` shares only the indexing and searches the game tree
 independently.
 
@@ -63,8 +63,7 @@ class SolveResult:
     state: the root's layer is the root alone there and in the full table, so its
     replay reads the same exits.  Every other answer reads the full table
     (``_Arena.full_table``): the layers of every reachable state, and the values of
-    the unsettled ones and of the states their moves are read at, as one solve
-    started at all of them gives them.  It is
+    one solve started at each one's ``jump`` state, the state it is worth.  It is
     built once, on first use of ``states_explored``, ``_values``, ``_layers``, an
     SUT move, a policy, or a tester lookup elsewhere, and takes no part in
     equality.  A value table holds one row per solved layer, keyed by its mask and

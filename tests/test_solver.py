@@ -269,7 +269,7 @@ class TestGrouping:
         # r and x force each other, but every return from x to r passes a or b, so the
         # state a move into the group is worth, (r, C | {r, x}), is not reachable from
         # the root state when C lacks a and b: the solve from the root starts there too,
-        # and the full table explores along jump from it after its own exploration
+        # and so does the full table's solve, after its exploration along step
         g = _split_return(rooted)
         arena = _node_arena(g, g.init, 20)
         r, x = arena.index["r"], arena.index["x"]
@@ -1017,58 +1017,28 @@ class TestReducedSolve:
     ], ids=["states_explored", "values", "layers", "tester_policy", "sut_policy", "sut_move",
             "tester_move", "unreached_state"])
     def test_full_table_is_built_once_on_first_use(self, mirror, monkeypatch, use):
-        calls = []
-        explore = _Arena.explore
+        explored, tables = [], []
+        explore, full_table = _Arena.explore, _Arena.full_table
 
-        def spy(arena, *args, **kwargs):
-            calls.append(arena)
+        def explore_spy(arena, *args, **kwargs):
+            explored.append(arena)
             return explore(arena, *args, **kwargs)
 
-        monkeypatch.setattr(_Arena, "explore", spy)
+        def full_table_spy(arena, *args, **kwargs):
+            tables.append(arena)
+            return full_table(arena, *args, **kwargs)
+
+        monkeypatch.setattr(_Arena, "explore", explore_spy)
+        monkeypatch.setattr(_Arena, "full_table", full_table_spy)
         res = solve_mcg(mirror, "v0")
         assert (res.value, res.tester_move("v0", {"v0"})) == (3, "v1")
-        assert len(calls) == 1
+        assert (len(explored), len(tables)) == (1, 0)
         use(res)
-        assert len(calls) == 2
+        assert len(tables) == 1
         assert res.states_explored > 0
         res.tester_policy()
         res.sut_policy()
-        assert len(calls) == 2
-
-    def test_best_response_full_table_explores_once(self, monkeypatch):
-        """A best-response arena leaves the tester alone, since each SUT position has the
-        strategy's choice as its one successor: so its own moves connect every forcing
-        group, every state a move is worth is reachable, and the full table explores
-        once.  Some of the arenas must have a group."""
-        pytest.importorskip("hypothesis")
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        calls = []
-        grouped = []
-        explore = _Arena.explore
-
-        def spy(arena, *args, **kwargs):
-            calls.append(arena)
-            return explore(arena, *args, **kwargs)
-
-        @settings(max_examples=100)
-        @given(g=_games(st, sinks=False, forced=True))
-        def prop(g):
-            res = solve_mcg(g, g.init)
-            res.states_explored  # the optimal SUT's lookups read this full table
-            optimal = extract_optimal_sut(res)
-            last = PositionalStrategy(2, {v: g.edges[v][-1] for v in g.nodes if g.owner(v) == SUT})
-            for sut in (optimal, last):
-                calls.clear()
-                with monkeypatch.context() as patch:
-                    patch.setattr(_Arena, "explore", spy)
-                    best_response_gain(g, g.init, sut)
-                (arena,) = calls
-                grouped.append(bool(_forcing_groups(arena.succ, arena.is_tester)))
-
-        prop()
-        assert any(grouped)
+        assert len(tables) == 1
 
     @pytest.mark.parametrize("node, covered", [("v1", {"v1"}), ("v0", set()), ("v3", {"v0", "v1"})])
     def test_lookup_without_the_root_or_the_node_raises_at_once(self, mirror, monkeypatch,
