@@ -78,9 +78,9 @@ state; the least fixed point of such a closed set is that of the whole
 layer restricted to it.  A settled start, such as the root state of a
 root in a forcing group, is solved in its layer like any other, and its
 exits are exact, so it is too.  The solve from the root starts at two
-states: the root state, whose layer the tester's first move is replayed
-in, and jump[root], where the root value is read, since the moves from
-the root state may not reach that state.
+states: the root state, in whose layer the tester's first move is read,
+and jump[root], where the root value is read, since the moves from the
+root state may not reach that state.
 
 A solve may start at many states.  Started at jump[v], from the empty
 mask, for every position v, it values every position: that state is worth
@@ -93,16 +93,13 @@ from (p, C) to u lands in the reachable state (u, C | bits[u]) and is
 read at (C | bits[u]) | jump[u], its ``jump`` state, since jump[u]'s mask
 holds bits[u]; so every exit and every lookup finds its state.
 
-The solve values each layer with ``value_layer``, which finds values
-alone and needs every member that is not a start of the solve to be
-unsettled, as the solve's layers are.  In a layer of mask C it takes a
-move (u, m, t) as in-layer exactly when C | m is C: the chain stays in
-the layer and the move goes to its end t, which is unsettled there and
-so a member, entered by the exploration.  Any other move is an exit,
-worth ``values[C | m][t]``; that includes a move to a settled start,
-whose value the exit gives exactly.  ``solve_layer`` also takes a move
-to a member u as in-layer to u itself, so that it can replay a layer
-with all of its members, settled ones included.
+The solve values each layer with ``value_layer``, which needs every
+member that is not a start of the solve to be unsettled, as the solve's
+layers are.  In a layer of mask C it takes a move (u, m, t) as in-layer
+exactly when C | m is C: the chain stays in the layer and the move goes to
+its end t, which is unsettled there and so a member, entered by the
+exploration.  Any other move is an exit, worth ``values[C | m][t]``; that
+includes a move to a settled start, whose value the exit gives exactly.
 
 Round 1 reads the floor in every in-layer state, so it runs while the
 layer's in-layer moves are listed: a tester takes the larger of its floor
@@ -115,35 +112,32 @@ to the larger of its floor and the least of its least exit and its
 in-layer successors; whatever rises is pushed.  No state is read again
 unless a successor rose, and each raise is passed on once.
 
-``solve_layer`` runs synchronous rounds instead.  Every round after the
-first reads the previous round's values and applies its raises
-afterwards.  It re-evaluates an SUT state whose in-layer successor rose
-and a tester whose in-layer successor rose above it, since no other
-state can rise; a tester's exits are already in its value, so it reads
-only its in-layer successors.  It writes the layer's row once, after
-its last round.
-
-Tester policies must avoid value-preserving cycles inside a layer, so a
-tester choice is the option that strictly raised the state's value in
-the round its final value was reached, judged against the previous
-round's table (``succ[p][0]`` if it never rose); an SUT state moves to
-its first successor of least value, which is always safe for the
-minimizer.  The solve keeps values only, and frees each layer once its
-row is written; ``ncgames.solver.SolveResult`` reads a tester choice by
-running ``solve_layer`` again on all members of the looked-up layer of
-the full table.  With all of them, every move inside the layer is a move
-to a member, which takes its own slot before any chain is followed, so
-these are the rounds of a solve that settles nothing; they read only the
-floor and the exits, at states of larger masks whose values settling
-leaves unchanged, so they recompute the same values and name the same
-choices.  The replay writes its row into a ``collections.ChainMap`` over
-the table, so the table keeps its own row, without the settled members
-the replay solves.  In an arena with one position per cover bit, the
-root's layer is the root alone in the solve from the root and in the
-full table, with the same exits, so its replay may read either table.
-Replays keep the synchronous rounds because the choices are those the
-rounds name, which the pinned policies record: a worklist raises states
-in another order and would name other successors.
+Tester policies must avoid value-preserving cycles inside a layer.
+``choices`` reads them off a solved table and solves nothing.  It takes
+all of a layer's reachable members, each worth the value at its ``jump``
+state, and a move to a member as in-layer to that member; its exits lie
+in larger masks, whose values settling leaves unchanged.  Synchronous
+rounds from the floor, each applying the one-step operator to every
+member at once, start with round 1 above and first raise a state to at
+least v in round k + 1 exactly when it has rank k in the tester attractor
+of the members whose round-1 value is at least v: a tester joins at rank
+r + 1 once one in-layer successor has joined by rank r, and an SUT member
+whose exits are all at least v once every in-layer successor has.  A
+tester rising in a round takes its first successor of the largest value
+in the previous round, and in-layer those of value v are those of least
+rank for v.  So a tester worth its best exit, above the floor, takes the
+first exit of that value; one worth v above both takes its first in-layer
+successor, in move order, of least rank for v; and any other, worth its
+floor, moves to ``succ[p][0]``.  These are the rounds' choices, which the
+pinned policies record.  An SUT state moves to its first successor of
+least value, which is always safe for the minimizer.  Inside a layer the
+policy's plays never lose value, and while the value stays at v above the
+floor the rank for v falls at every move: an in-layer tester choice lowers
+it by one, and every in-layer successor of an SUT member of rank r has a
+lower rank, so the play leaves the layer.  In an arena with one position
+per cover bit, the root's layer is the root alone in the solve from the
+root and in the full table, with the same exits, so its choices may be
+read off either table.
 """
 from __future__ import annotations
 
@@ -408,9 +402,9 @@ class _Arena:
         return value, sum(map(len, layers.values())), values, layers
 
     def value_layer(self, mask: int, members: list[int], base: int, values: dict):
-        """Solve ``members`` of the layer of ``mask`` for their values alone and store them
-        as the row ``values[mask]``, as ``solve_layer`` does, but name no tester choices.
-        Each member that is not a start of the solve must be unsettled, so a move
+        """Solve ``members`` of the layer of ``mask`` and store their values as the row
+        ``values[mask]``, indexed by position; the row holds 0 at every other position.
+        The floor is ``base``, ν(mask).  Each member that is not a start of the solve must be unsettled, so a move
         (u, m, t) stays in the layer exactly when mask | m is this mask, to t, and is
         otherwise an exit.  The row is the working table: round 1 writes every member's
         value, and a worklist then passes each raise on to its in-layer predecessors.
@@ -466,79 +460,63 @@ class _Arena:
                         row[p] = low
                         work.append(p)
 
-    def solve_layer(self, mask: int, members: list[int], base: int, values: dict):
-        """Solve ``members`` (sorted positions) of the layer of ``mask`` and store their
-        values as the row ``values[mask]``, indexed by position; the row holds 0 at every
-        other position.  A move to u, read from its triple (u, m, t) in ``moves``, is
-        in-layer to u's slot when u is a member, else to t's slot when mask | m is this
-        mask; any other move is an exit, worth ``values[mask | m][t]``.  The floor is
-        ``base``, ν(mask).  Round 1 runs while the lists of in-layer successors are
-        built.  Returns each member's tester choice: the position that last raised it,
-        a successor when all of the layer's members are given, or None.
+    def choices(self, mask: int, members: list[int], values: dict) -> dict[int, int]:
+        """The tester choices in the layer of ``mask``, read off the solved table ``values``
+        for ``members``, all of the layer's reachable positions, each worth the value at
+        its ``jump`` state.  A move to a member u stays in the layer, to u; any other move
+        (u, m, t) is an exit, worth ``values[mask | m][t]``.  A tester worth its best exit,
+        above the floor, takes the first exit of that value; one worth v above both takes
+        its first in-layer successor of least rank for v; any other is left out.
         """
-        moves, is_tester, inf = self.moves, self.is_tester, math.inf
-        row = self.blank.copy()
-        values[mask] = row  # exits read larger masks only
-        n = len(members)
-        slot = dict(zip(members, range(n)))
-        table = [base] * n
-        links: list[list[int]] = []  # in-layer successors' slots
-        lows: list[float] = []  # an SUT state's least exit value
-        spreds: list[list[int]] = [[] for _ in members]  # in-layer SUT predecessors
-        tpreds: list[list[int]] = [[] for _ in members]  # in-layer tester predecessors
-        raised = []  # round 1: every in-layer slot still holds base
+        moves, is_tester, jump = self.moves, self.is_tester, self.jump
+        here, base = mask << self.shift, _gain(self.gains, mask)
+        slot = dict(zip(members, range(len(members))))
+        links: list[list[int]] = []  # in-layer successors' slots, in move order
+        preds: list[list[int]] = [[] for _ in members]  # in-layer predecessors' slots
+        first = []  # the value in round 1
+        lows = []  # the least exit value
+        need = []  # the in-layer successors that must join the attractor first
+        ranked: dict[int, list[int]] = {}  # v -> the testers worth v above round 1
+        out = {}
         for i, p in enumerate(members):
             link, tester = [], is_tester[p]
-            preds = tpreds if tester else spreds
-            best, arg, low = base, None, inf
+            best, arg, low = base, None, math.inf
             for u, m, t in moves[p]:
                 k = slot.get(u)
-                if k is None:
-                    if mask | m != mask:
-                        v = values[mask | m][t]
-                        if tester:
-                            if v > best:
-                                best, arg = v, u  # the first exit of the largest value
-                        elif v < low:
-                            low = v
-                        continue
-                    k = slot[t]  # a forced chain that ends in the layer
-                link.append(k)
-                preds[k].append(i)
+                if k is not None:
+                    link.append(k)
+                    preds[k].append(i)
+                    continue
+                v = values[mask | m][t]
+                if tester:
+                    if v > best:
+                        best, arg = v, u  # the first exit of the largest value
+                elif v < low:
+                    low = v
             if not (tester or link) and low > base:
                 best = low
             links.append(link)
+            first.append(best)
             lows.append(low)
-            if best > base:
-                raised.append((i, best, arg))
-        last: list[int | None] = [None] * n
-        while raised:
-            todo = set()
-            for i, best, arg in raised:
-                table[i] = best
-                last[i] = arg
-                todo.update(spreds[i])
-                for j in tpreds[i]:
-                    if table[j] < best:  # a tester at least as high cannot rise by i
-                        todo.add(j)
-            raised = []
-            for i in todo:
-                link = links[i]
-                if is_tester[members[i]]:  # exits are already in its value
-                    best, arg = base, None
-                    for k in link:
-                        if table[k] > best:
-                            best = table[k]
-                            arg = k  # the first slot of the largest value
-                else:
-                    best, arg = lows[i], None
-                    for k in link:
-                        if table[k] < best:
-                            best = table[k]
-                    if best < base:
-                        best = base
-                if best > table[i]:
-                    raised.append((i, best, arg if arg is None else members[arg]))
-        for p, v in zip(members, table):
-            row[p] = v
-        return last
+            need.append(1 if tester else len(link))
+            if tester:
+                v = self.read(values, here | jump[p])
+                if v > best:
+                    ranked.setdefault(v, []).append(i)
+                elif arg is not None:
+                    out[p] = arg
+        for v, testers in ranked.items():
+            # the tester attractor of the members worth at least v in round 1, by rank; an
+            # SUT member with an exit below v never counts down to 0
+            rank = [0 if w >= v else -1 for w in first]
+            left = [k if low >= v else 0 for k, low in zip(need, lows)]
+            queue = [i for i, r in enumerate(rank) if not r]
+            for q in queue:
+                for i in preds[q]:
+                    left[i] -= 1
+                    if not left[i] and rank[i] < 0:
+                        rank[i] = rank[q] + 1
+                        queue.append(i)
+            for i in testers:
+                out[members[i]] = next(members[k] for k in links[i] if rank[k] == rank[i] - 1)
+        return out

@@ -26,12 +26,11 @@ mutable state and may be solved concurrently.
 """
 from __future__ import annotations
 
-from collections import ChainMap
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
-from .arena import _Arena, _gain
+from .arena import _Arena
 from .errors import CapacityError, StrategyError
 from .graph import SUT, TESTER, GameGraph, ensure_valid, reachable
 from .play import StateMachineStrategy
@@ -61,7 +60,7 @@ class SolveResult:
     The value comes from the solve from the root (``_Arena.solve``), whose value
     table is kept, with the root's layer alone, for the tester's move at the root
     state: the root's layer is the root alone there and in the full table, so its
-    replay reads the same exits.  Every other answer reads the full table
+    choices read the same exits.  Every other answer reads the full table
     (``_Arena.full_table``): the layers of every reachable state, and the values of
     one solve started at each one's ``jump`` state, the state it is worth.  It is
     built once, on first use of ``states_explored``, ``_values``, ``_layers``, an
@@ -75,11 +74,11 @@ class SolveResult:
     say which those are.  A move is read at ``jump`` of its target, the end of
     its forced chain (``ncgames.arena``): an SUT state moves to its first
     successor of least value, and the first tester lookup in a covered set
-    replays that layer, which names the successor that last raised each state,
-    and caches those choices (``ncgames.arena`` says why they are exact and
+    reads that layer's tester choices off the table (``_Arena.choices``) and
+    caches them (``ncgames.arena`` says which they are and why they are
     cycle-free).  A state that is not reached, or of the other owner, raises
-    ``KeyError`` without a replay, and a covered set that lacks the root or the
-    looked-up node raises it before the full table is built.  ``tester_move`` /
+    ``KeyError`` before any choice is read, and a covered set that lacks the root
+    or the looked-up node raises it before the full table is built.  ``tester_move`` /
     ``sut_move`` give single lookups; ``tester_policy`` / ``sut_policy``
     materialize readable dictionaries (small graphs only).
 
@@ -143,10 +142,8 @@ class SolveResult:
         here, jump = packed - p, arena.jump  # here = mask << shift
         if not tester:
             return min(arena.succ[p], key=lambda u: arena.read(values, here | jump[u]))
-        if mask not in self._choices:  # replay the layer; its writes stay out of the table
-            members = layers[mask]
-            last = arena.solve_layer(mask, members, _gain(arena.gains, mask), ChainMap({}, values))
-            self._choices[mask] = {q: u for q, u in zip(members, last) if u is not None}
+        if mask not in self._choices:
+            self._choices[mask] = arena.choices(mask, layers[mask], values)
         return self._choices[mask].get(p, arena.succ[p][0])
 
     def tester_move(self, node: str, covered: Iterable[str]) -> str:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -736,3 +737,107 @@ class TestReadFailures:
         captured = capsys.readouterr()
         assert "line 4: duplicate config key `trials`" in captured.err
         assert captured.out == ""
+
+
+def _random(nodes: int, seed: int, stem: str) -> list[str]:
+    return ["gen-random", "--nodes", str(nodes), "--sut-fraction", "0.3", "--min-out", "1",
+            "--max-out", "2", "--seed", str(seed), "--out", f"{stem}.ncgame"]
+
+
+# The console checks of the workflow's non-editable-install step (.github/workflows/tier1.yml),
+# in its order and with its file names, as (argv, exit code, lines, files).  The lines must
+# be whole lines of stdout on success, and the first lines of stderr otherwise; files maps a
+# written file to its sha256 or to lines it must hold.
+CONSOLE_CHECKS = [
+    (["validate", "--graph", "mirror.ncgame"], 0, [], {}),
+    (["solve", "--graph", "mirror.ncgame"], 0, ["mcg=3"], {}),
+    (["solve", "--restart", "--graph", "mirror.ncgame"], 0, ["mcg_restart=4"], {}),
+    (["transform-restart", "--graph", "mirror.ncgame", "--out", "mirror-doubled.ncgame"], 0, [], {}),
+    (["solve", "--graph", "mirror-doubled.ncgame"], 0, ["mcg=8"], {}),
+    # every gain 100: nu(all nodes) = 400 > 255, so the value rows are lists, not bytes
+    (["solve", "--graph", "mirror100.ncgame"], 0, ["mcg=300", "first_move=v1"], {}),
+    (["solve", "--restart", "--graph", "mirror100.ncgame"], 0, ["mcg_restart=400"], {}),
+    (["transform-restart", "--graph", "mirror100.ncgame", "--out", "mirror100-doubled.ncgame"],
+     0, [], {}),
+    (["solve", "--graph", "mirror100-doubled.ncgame"], 0, ["mcg=800"], {}),
+    (["witness-extract", "--graph", "mirror100.ncgame", "--out", "mirror100.ncwitness"],
+     0, ["entries=4 c_init=300"],
+     {"mirror100.ncwitness": "fcadd3cc3882e1b7a0f45b5eeee1e5a7104732cbb178a22fdf8103d4431e62cd"}),
+    (["witness-check", "--graph", "mirror100.ncgame", "--witness", "mirror100.ncwitness"],
+     0, ["consistent"], {}),
+    (["solve", "--restart", "--graph", "cycles.ncgame"], 0, ["mcg_restart=10"], {}),
+    (_random(18, 1, "rg18"), 0, [], {}),
+    (["solve", "--restart", "--cap", "64", "--graph", "rg18.ncgame"], 0, ["mcg_restart=17"], {}),
+    (["solve", "--cap", "64", "--graph", "rg18.ncgame"], 0, ["mcg=17", "first_move=none"], {}),
+    (["experiment", "--graph", "rg18.ncgame", "--budgets", "54,144", "--trials", "20",
+      "--base-seed", "42", "--out", "rg18.csv"], 0, [],
+     {"rg18.csv": "0f332b213c837b1012c1954cd00bf293482dac0141f352a3897f46003b2d1e2f"}),
+    (["experiment", "--graph", "rg18.ncgame", "--budgets", "54", "--trials", "1",
+      "--base-seed", "-1"], 3, [], {}),
+    (["witness-extract", "--graph", "rg18.ncgame", "--out", "rg18.ncwitness"],
+     0, ["entries=18 c_init=17"],
+     {"rg18.ncwitness": "695fc00b1396aa81aaad08c5acc5b4080ef695721fdd7edade38db4e65746f00"}),
+    (["witness-check", "--graph", "rg18.ncgame", "--witness", "rg18.ncwitness"],
+     0, ["consistent"], {}),
+    (_random(20, 2, "rg20-2"), 0, [], {}),
+    (["witness-extract", "--graph", "rg20-2.ncgame", "--out", "rg20-2.ncwitness"],
+     0, ["entries=20 c_init=17"],
+     {"rg20-2.ncwitness": "82ac6cf2b1c5c694e914e03854599ab991ef74782bb9d1528e0227b0e6819ed5"}),
+    (_random(20, 1, "rg20-1"), 0, [], {}),
+    (["witness-extract", "--graph", "rg20-1.ncgame", "--out", "rg20-1.ncwitness"], 4,
+     ["error: no containment set found for `n02` (bound 11) among the first 65536 candidates "
+      "(subset_cap); instance:"], {}),
+    (_random(26, 2, "rg26"), 0, [], {}),
+    (["solve", "--cap", "64", "--graph", "rg26.ncgame"], 0, ["mcg=20", "first_move=n01"], {}),
+    (["solve", "--restart", "--cap", "64", "--graph", "rg26.ncgame"], 0, ["mcg_restart=20"], {}),
+    # the SUT's choices sit inside forcing groups, which settle them
+    (_random(32, 3, "rg32"), 0, [], {}),
+    (["solve", "--cap", "64", "--graph", "rg32.ncgame"], 0, ["mcg=18", "first_move=none"], {}),
+    (["solve", "--restart", "--cap", "64", "--graph", "rg32.ncgame"], 0, ["mcg_restart=18"], {}),
+    # the root is in a forcing group with two SUT nodes that choose (n03, n10)
+    (_random(12, 10, "rg12"), 0, [], {}),
+    (["solve", "--cap", "64", "--graph", "rg12.ncgame"], 0, ["mcg=11", "first_move=n01"], {}),
+    (["reduce-sat", "--cnf", "sat.cnf", "--out", "sat.ncgame"], 0, ["threshold=7"], {}),
+    (["solve", "--cap", "64", "--graph", "sat.ncgame"], 0, ["mcg=7", "first_move=none"], {}),
+    (["reduce-sat", "--cnf", "unsat.cnf", "--out", "unsat.ncgame"], 0, ["threshold=5"], {}),
+    (["solve", "--cap", "64", "--graph", "unsat.ncgame"], 0, ["mcg=6"], {}),
+    (["witness-extract", "--graph", "mirror.ncgame", "--out", "mirror.ncwitness"],
+     0, ["entries=4 c_init=3"], {}),
+    (["witness-check", "--graph", "mirror.ncgame", "--witness", "mirror.ncwitness"],
+     0, ["consistent"], {}),
+    (["gen-suite", "--graph", "mirror.ncgame", "--out", "mirror.ncsuite"], 0, [],
+     {"mirror.ncsuite": ["case t0: v0 v1 v3", "case t1: v0 v2"]}),
+    (["simulate", "--graph", "mirror.ncgame", "--suite", "mirror.ncsuite", "--strategy", "s2",
+      "--budget", "12", "--trials", "5"],
+     0, ["mean_pct=65.00 stderr_pct=6.12 mean_resets=0.00 mean_executions=1.00"], {}),
+    (["experiment", "--graph", "mirror.ncgame", "--budgets", "6,12", "--strategies",
+      "s2,GMU-static", "--trials", "5"], 0, ["mirror,s2,12,5,65.00,6.12,0.00,1.00"], {}),
+]
+
+
+class TestConsoleChecks:
+    def test_workflow_console_checks(self, tmp_path, monkeypatch, capsys):
+        """The workflow's console checks in process, so that a change to one of their
+        lines fails here first; the workflow keeps them for the installed script."""
+        monkeypatch.chdir(tmp_path)
+        Path("mirror.ncgame").write_text(MIRROR_TEXT)
+        Path("mirror100.ncgame").write_text(MIRROR_TEXT.replace("gain=1\n", "gain=100\n"))
+        Path("cycles.ncgame").write_text(
+            "ncgame 1\nnode r owner=tester gain=1\nnode a owner=tester gain=2\n"
+            "node b owner=sut gain=2\nnode c owner=sut gain=2\nnode d owner=sut gain=3\n"
+            "edge r a\nedge r c\nedge a b\nedge b a\nedge c d\nedge d c\ninit r\n")
+        Path("sat.cnf").write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+        Path("unsat.cnf").write_text("p cnf 1 2\n1 0\n-1 0\n")
+        for argv, code, lines, files in CONSOLE_CHECKS:
+            assert run_cli(argv) == code, argv
+            captured = capsys.readouterr()
+            if code:
+                assert captured.err.splitlines()[:len(lines)] == lines, argv
+            else:
+                assert set(lines) <= set(captured.out.splitlines()), argv
+            for name, expected in files.items():
+                data = Path(name).read_bytes()
+                if isinstance(expected, str):
+                    assert hashlib.sha256(data).hexdigest() == expected, name
+                else:
+                    assert set(expected) <= set(data.decode().splitlines()), name

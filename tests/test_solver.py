@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections import ChainMap
 from dataclasses import replace
 
 import pytest
@@ -540,11 +539,27 @@ class TestLazyTesterChoices:
         def no_replay(*args):
             raise AssertionError("layer replayed")
 
-        monkeypatch.setattr(_Arena, "solve_layer", no_replay)
+        monkeypatch.setattr(_Arena, "choices", no_replay)
         for v, covered in bad:
             with pytest.raises(KeyError):
                 res.tester_move(v, covered)
         assert res._choices == {}
+
+
+class TestTesterChoices:
+    """Tester choices read off the solved table (``_Arena.choices``)."""
+
+    def test_least_rank_successor_leaves_the_layer(self):
+        """With r, a, b and c covered, a, b and c are all worth 5, but only c can leave
+        for x: c has rank 0 for 5, a rank 1 and b rank 2.  a must take c, its successor
+        of least rank; b, of equal value and first in a's moves, would close a ↔ b."""
+        g = graph_of({"r": (TESTER, 1, ("a",)), "a": (TESTER, 1, ("b", "c")),
+                      "b": (TESTER, 1, ("a",)), "c": (TESTER, 1, ("a", "x")),
+                      "x": (TESTER, 1, ("x",))}, init="r")
+        res = solve_mcg(g, g.init)
+        covered = {"r", "a", "b", "c"}
+        assert res.value == 5
+        assert [res.tester_move(v, covered) for v in "abc"] == ["c", "a", "x"]
 
 
 def _games(st, sinks: bool, forced: bool = False):
@@ -598,17 +613,39 @@ def _extra_states(arena: _Arena, reachable) -> set[int]:
     return {mask << arena.shift | p for mask, members in layers.items() for p in members} - set(reachable)
 
 
+def _kleene_row(arena: _Arena, mask: int, members: list[int], base: int, values: dict):
+    """The row of ``members`` of the layer of ``mask`` by plain Kleene iteration: every
+    member starts at the floor ``base`` and each round applies the one-step operator to
+    all of them at once, the largest option at a tester and the least at the SUT, never
+    below the floor, until no value changes.  A move (u, m, t) stays in the layer, to t,
+    when mask | m is mask; any other is an exit, worth ``values[mask | m][t]``."""
+    row = dict.fromkeys(members, base)
+    while True:
+        raised = {}
+        for p in members:
+            options = [row[t] if mask | m == mask else values[mask | m][t] for _, m, t in arena.moves[p]]
+            raised[p] = max(base, max(options) if arena.is_tester[p] else min(options))
+        if raised == row:
+            break
+        row = raised
+    out = arena.blank.copy()
+    for p, v in row.items():
+        out[p] = v
+    return out
+
+
 def _layer_by_layer(arena: _Arena, starts=()) -> dict[int, int]:
     """The value of every state reachable from the root state, or from the packed
-    ``starts`` when given, by packed state, from a solve of each layer with all of its
-    members and every exit read through ``step``: nothing settled, forced or grouped."""
+    ``starts`` when given, by packed state, from a Kleene iteration of each layer with
+    all of its members and every exit read through ``step``: nothing settled, forced or
+    grouped."""
     no_settling = replace(arena)
     no_settling.jump = step = no_settling.step
     no_settling.moves = [tuple((u, step[u] >> arena.shift, u) for u in s) for s in arena.succ]
     layers, mask_gain = no_settling.explore(step, starts or [step[arena.root]])
     values: dict = {}
     for mask in reversed(layers):
-        no_settling.solve_layer(mask, layers[mask], mask_gain[mask], values)
+        values[mask] = _kleene_row(no_settling, mask, layers[mask], mask_gain[mask], values)
     return {mask << arena.shift | p: values[mask][p] for mask, members in layers.items() for p in members}
 
 
@@ -690,11 +727,11 @@ class TestKernelProperties:
 
         prop()
 
-    def test_value_layers_equal_the_replayed_ones(self, monkeypatch):
-        """The value solve against ``solve_layer``'s synchronous rounds: on the plain and
+    def test_value_layers_equal_the_kleene_ones(self, monkeypatch):
+        """The value solve's worklist against plain Kleene iteration: on the plain and
         restart arenas of games with forced chains and cycles, some of them with wide
         gains (list rows), each layer that ``solve()``, ``solve(starts=jump)`` and
-        ``full_table()`` solve must get the same row from ``solve_layer`` on the same
+        ``full_table()`` solve must get the same row from ``_kleene_row`` on the same
         members and exits."""
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings
@@ -705,9 +742,7 @@ class TestKernelProperties:
 
         def checked(arena, mask, members, base, values):
             value_layer(arena, mask, members, base, values)
-            replay = ChainMap({}, values)
-            arena.solve_layer(mask, members, base, replay)
-            assert replay.maps[0][mask] == values[mask]
+            assert _kleene_row(arena, mask, members, base, values) == values[mask]
             rows.add(type(values[mask]))
 
         monkeypatch.setattr(_Arena, "value_layer", checked)
@@ -979,8 +1014,7 @@ class TestReducedSolve:
                 copy = arena.index.get((arena.ids[root], SUT))
                 if copy is None:
                     assert layers[mask] == full_layers[mask] == [root]
-                    choices = [arena.solve_layer(mask, [root], arena.gains[root], ChainMap({}, table))
-                               for table in (reduced, full)]
+                    choices = [arena.choices(mask, [root], table) for table in (reduced, full)]
                     assert choices[0] == choices[1]
                 else:
                     assert arena is not plain and full_layers[mask] == [root, copy]
@@ -990,8 +1024,7 @@ class TestReducedSolve:
                 reachable = states(arena, full_layers)
                 assert states(arena, layers) <= reachable | _extra_states(arena, reachable)
                 if arena is plain and g.is_tester(g.init):
-                    choice = choices[1][0]
-                    expected = arena.ids[arena.succ[root][0] if choice is None else choice]
+                    expected = arena.ids[choices[1].get(root, arena.succ[root][0])]
                     assert solve_mcg(g, g.init).tester_move(g.init, {g.init}) == expected
 
         prop()
