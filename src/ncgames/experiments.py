@@ -177,7 +177,7 @@ def run_experiment(
                     cfg.base_seed ^ fnv1a64(f"{trial}|sut".encode(), cell),
                     cfg.base_seed ^ fnv1a64(f"{trial}|pick".encode(), cell),
                 )
-                pcts.append(100.0 * len(res.covered) / denom)
+                pcts.append(100.0 * res.covered_count / denom)
                 resets += res.resets
                 executions += res.executions
             mean_pct, spread = _mean_sd(pcts)

@@ -123,14 +123,15 @@ class GameGraph:
         return self.nodes[v].owner == TESTER
 
     @cached_property
-    def _draws(self) -> dict[str, tuple[tuple[str, ...], int, int, bool]]:
-        """node -> (successors, their count n, n.bit_length(), SUT-owned): what a uniform
-        pick among a node's successors reads.  Built on first use."""
-        table = {}
-        for v, info in self.nodes.items():
-            succs = self.edges[v]
-            table[v] = (succs, len(succs), len(succs).bit_length(), info.owner == SUT)
-        return table
+    def _index(self) -> tuple[tuple[str, ...], dict[str, int], list[tuple[tuple[int, ...], int, int, bool]]]:
+        """(sorted ids, id -> index, per index: (successor indices, their count n,
+        n.bit_length(), SUT-owned)): the integer view of the graph that a uniform pick
+        among a node's successors reads.  Built on first use."""
+        ids = tuple(sorted(self.nodes))
+        pos = {v: i for i, v in enumerate(ids)}
+        succs = [tuple(pos[w] for w in self.edges[v]) for v in ids]
+        sut = [self.nodes[v].owner == SUT for v in ids]
+        return ids, pos, [(s, len(s), len(s).bit_length(), o) for s, o in zip(succs, sut)]
 
     def map_gains(self, fn: Callable[[str, int], int]) -> "GameGraph":
         """Return a copy with every gain replaced by ``fn(node, gain)``."""

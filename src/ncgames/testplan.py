@@ -9,10 +9,10 @@ start (a reset) costs a flat fee on top.
 
 ``nt_plan`` repeatedly picks a case until the budget cannot fund another
 start or everything the suite prescribes has been covered.  It keeps, per
-case, the count u of its prescribed nodes not yet covered (after each
-execution only the newly covered nodes are walked) and the list of live
-cases (u > 0) in suite order.  A round picks uniformly among the
-candidates of one of four strategies:
+case, the count u of its prescribed nodes not yet covered (only newly
+covered nodes update it) and the list of live cases (u > 0) in suite
+order.  A round picks uniformly among the candidates of one of four
+strategies:
 
 * ``s1.5`` - round-robin passes: the cases whose id has not run in the
   current pass (passes restart, so leftover budget keeps buying
@@ -33,9 +33,11 @@ written in the ``ncsuite 1`` format::
 A uniform pick among n options is this package's k-bit rejection draw, not ``randrange``'s:
 ``getrandbits(k)``, k = n.bit_length(), until below n (``randrange(n)``'s stream on CPython
 3.10-3.13).  A ``random.Random`` subclass feeds the picks through its ``getrandbits``.
-``execute_case`` and ``random_walk`` take each node's successors, n, k and owner from the
-graph's draw table (``GameGraph._draws``, built on first use) and draw inline; an execution
-draws only at SUT positions and returns a slice of the prescribed path.
+The runners work on node indices, built on first use: the graph's index (``GameGraph._index``)
+holds each node's successor indices, n, k and owner, and a suite's case plan on a graph holds
+each path as indices and its SUT steps, so an execution draws only at SUT positions.  A run
+keeps coverage in a bytearray and a compact log; its ``RunResult`` decodes node ids only when
+``covered`` or ``log`` is read.
 
 Each run owns its responder and RNG; independent runs execute
 concurrently without coordination.
@@ -84,16 +86,43 @@ class TestSuite:
         return same
 
     @cached_property
-    def _alphas(self) -> dict[int, tuple[GameGraph, tuple[int, ...]]]:
-        """id(g) -> (g, ``alpha`` of every case on g); holding g keeps its id unused."""
+    def _plans(self) -> dict[int, _CasePlan]:
+        """id(g) -> the cases' plan on g; a plan holds g, which keeps its id unused."""
         return {}
 
-    def _sut_positions(self, g: GameGraph) -> tuple[int, ...]:
-        """``alpha`` of every case on g, computed on the suite's first ``s4`` run on g."""
-        cached = self._alphas.get(id(g))
-        if cached is None:
-            cached = self._alphas[id(g)] = (g, tuple(alpha(tc, g) for tc in self.cases))
-        return cached[1]
+    def _plan(self, g: GameGraph) -> _CasePlan:
+        """The cases' plan on g, built on the suite's first run on g."""
+        return self._plans.get(id(g)) or self._plans.setdefault(id(g), _CasePlan(self, g))
+
+
+class _CasePlan:
+    """A suite's cases on one graph's index: per case, the path as node indices and the
+    SUT steps ``(i, successors, n, k, next)`` at its SUT positions i before the last;
+    per node index, the cases prescribing it.  A node the graph lacks gets an index
+    past the graph's, and a step ``(i, None, 0, 0, id)`` that raises its KeyError."""
+
+    def __init__(self, suite: TestSuite, g: GameGraph):
+        ids, pos, rows = g._index
+        at = dict(pos)
+        self.g, self.ids, self.cases = g, ids, suite.cases
+        self.paths = tuple(tuple(at.setdefault(v, len(at)) for v in tc.path) for tc in self.cases)
+        self.steps = tuple(
+            tuple((i, None, 0, 0, tc.path[i]) if v >= len(ids) else (i, *rows[v][:3], p[i + 1])
+                  for i, v in enumerate(p[:-1]) if v >= len(ids) or rows[v][3])
+            for tc, p in zip(self.cases, self.paths))
+        self.holders = {at[v]: holders for v, holders in suite._targets[1].items()}
+        self.size = len(at)
+
+    @cached_property
+    def alphas(self) -> tuple[int, ...]:
+        """``alpha`` of every case, computed on the suite's first ``s4`` run on the graph."""
+        return tuple(alpha(tc, self.g) for tc in self.cases)
+
+    def decode(self, log: list[tuple[int, int, int]]) -> tuple[ExecutionRecord, ...]:
+        """The records of a compact log of (case, prescribed nodes realized, divergence or -1)."""
+        cases, ids = self.cases, self.ids
+        return tuple(ExecutionRecord(cases[c].id, cases[c].path[:m] + (ids[d],) * (d >= 0), d >= 0)
+                     for c, m, d in log)
 
 
 class ExecutionRecord(NamedTuple):
@@ -107,19 +136,40 @@ class ExecutionRecord(NamedTuple):
 @dataclass(frozen=True)
 class RunResult:
     """Outcome of one budgeted run: what was covered, what it cost, and one
-    record per execution; every start after the first is a reset."""
+    record per execution; every start after the first is a reset.
+
+    The runners build it lazily: ``covered_count``, ``executions`` and ``resets``
+    are counts, and ``covered`` and ``log`` are decoded on first access.  Equality
+    and hashing compare the decoded fields, as for ``RunResult(covered, spent, log)``.
+    """
 
     covered: frozenset[str]
     spent: int
     log: tuple[ExecutionRecord, ...]
 
-    @property
-    def executions(self) -> int:
-        return len(self.log)
+    def __post_init__(self):
+        object.__setattr__(self, "_counts", (len(self.covered), len(self.log), None))
 
-    @property
-    def resets(self) -> int:
-        return max(len(self.log) - 1, 0)
+    @classmethod
+    def _lazy(cls, spent: int, covered_count: int, executions: int, decode) -> RunResult:
+        """A result whose ``log`` is ``decode()`` and whose covered nodes are the log's."""
+        res = object.__new__(cls)
+        res.__dict__.update(spent=spent, _counts=(covered_count, executions, decode))
+        return res
+
+    def __getattr__(self, name: str):  # reached only by a lazy result's covered and log
+        if name not in ("covered", "log"):
+            raise AttributeError(name)
+        log = self._counts[2]()
+        self.__dict__.update(log=log, covered=frozenset(v for rec in log for v in rec.realized))
+        return self.__dict__[name]
+
+    def __reduce__(self):  # pickles as its decoded fields: the decoder is a closure
+        return RunResult, (self.covered, self.spent, self.log)
+
+    covered_count = property(lambda self: self._counts[0])
+    executions = property(lambda self: self._counts[1])
+    resets = property(lambda self: max(self._counts[1] - 1, 0))
 
 
 def _below(getrandbits, n: int) -> int:
@@ -135,9 +185,9 @@ def _below(getrandbits, n: int) -> int:
 class SutResponder:
     """Seeded resolver of SUT choices: a uniform pick over successors from ``Random(seed)``.
 
-    ``execute_case`` and ``random_walk`` draw straight from its ``getrandbits`` stream
-    (``_bits``), the same draws ``choose`` makes; overriding ``choose`` does not reach
-    them.  ``choose`` is the one-pick convenience.
+    The runners draw straight from its ``getrandbits`` stream (``_bits``), the same draws
+    ``choose`` makes; overriding ``choose`` does not reach them.  ``choose`` is the
+    one-pick convenience.
     """
 
     def __init__(self, seed: int):
@@ -219,8 +269,8 @@ def generate_static_suite(g: GameGraph) -> TestSuite:
 
 def alpha(tc: TestCase, g: GameGraph) -> int:
     """Number of SUT-owned positions in the case's path (positions, not nodes)."""
-    draws = g._draws
-    return [draws[v][3] for v in tc.path].count(True)
+    _, pos, rows = g._index
+    return [rows[pos[v]][3] for v in tc.path].count(True)
 
 
 def pgain(
@@ -247,6 +297,24 @@ def pgain(
     raise ValueError(f"`{strategy}` has no random score")
 
 
+def _execute(steps: tuple, stop: int, bits) -> tuple[int, int]:
+    """Realize a case's first `stop` nodes, drawing at its SUT steps below stop - 1: (stop,
+    -1), or (i + 1, the successor drawn) when the SUT leaves the path at position i."""
+    for i, succs, n, k, nxt in steps:
+        if i >= stop - 1:
+            break
+        if not n:  # an SUT sink, or a node the graph lacks
+            raise KeyError(nxt) if succs is None else ValueError("empty range")
+        r = bits(k)  # the responder's pick, as SutResponder.choose draws it
+        while r >= n:
+            r = bits(k)
+        if succs[r] != nxt:
+            return i + 1, succs[r]
+    if stop:
+        return stop, -1
+    raise IndexError("empty test case path")
+
+
 def execute_case(
     g: GameGraph, tc: TestCase, budget: int, sut: SutResponder
 ) -> tuple[tuple[str, ...], bool, int]:
@@ -260,21 +328,10 @@ def execute_case(
     if budget < 1:
         return (), False, 0
     path = tc.path
-    if not path:
-        raise IndexError("empty test case path")
-    draws, bits = g._draws, sut._bits
-    stop = min(len(path), budget)  # the first visit, then budget-1 more
-    for i in range(stop - 1):
-        succs, n, k, sut_owned = draws[path[i]]
-        if sut_owned:  # the responder's pick, as SutResponder.choose draws it
-            if not n:
-                raise ValueError("empty range")
-            r = bits(k)
-            while r >= n:
-                r = bits(k)
-            if succs[r] != path[i + 1]:
-                return path[: i + 1] + (succs[r],), True, i + 2
-    return path[:stop], False, stop
+    m, div = _execute(_CasePlan(TestSuite((tc,)), g).steps[0], min(len(path), budget), sut._bits)
+    if div < 0:
+        return path[:m], False, m
+    return path[:m] + (g._index[0][div],), True, m + 1
 
 
 def _check_run(suite: TestSuite, budget: int, reset_cost: int) -> None:
@@ -302,21 +359,22 @@ def nt_plan(
     budget cannot fund another start (one visit, plus the reset fee for
     every start after the first).  Each round takes one uniform pick from
     ``rng.getrandbits`` over the strategy's candidates, after the ``pgain``
-    draws for ``s3`` and ``s4``.  A suite builds its node tables on its first run.
+    draws for ``s3`` and ``s4``.  A suite builds its case plan on its first run on g.
     """
     _check_run(suite, budget, reset_cost)
     if strategy not in PGAIN_STRATEGIES:
         raise ValueError(f"unknown strategy `{strategy}`")
 
-    cases, (counts, holders) = suite.cases, suite._targets  # shared by all runs: read only
-    uncovered = list(counts)  # per case: distinct prescribed nodes not yet covered
-    sut_positions = suite._sut_positions(g) if strategy == "s4" else ()
+    plan = suite._plan(g)  # shared by all runs: read only
+    paths, steps, holders = plan.paths, plan.steps, plan.holders
+    uncovered = list(suite._targets[0])  # per case: distinct prescribed nodes not yet covered
+    sut_positions = plan.alphas if strategy == "s4" else ()
     target_left = len(holders)  # prescribed nodes not yet covered
     live = [i for i, u in enumerate(uncovered) if u]  # cases that can add coverage
     pending: list[int] = []  # s1.5: cases whose id has not run in this pass
-    covered: set[str] = set()
-    log: list[ExecutionRecord] = []
-    bits = rng.getrandbits
+    seen = bytearray(plan.size)  # per node index: covered
+    log: list[tuple[int, int, int]] = []
+    bits, sut_bits = rng.getrandbits, sut._bits
     spent = 0
     while target_left:
         start_cost = reset_cost if log else 0
@@ -325,20 +383,26 @@ def nt_plan(
         if strategy == "s2":
             candidates = live
         elif strategy == "s1.5":
-            candidates = pending = pending or list(range(len(cases)))  # new pass
+            candidates = pending = pending or list(range(len(paths)))  # new pass
         else:
             scores = pgain(strategy, live, uncovered, sut_positions, rng)
             top = max(scores)
-            ties = [j for j, x in zip(live, scores) if x == top]
-            candidates = ties if top else range(len(cases))  # all 0.0: dead cases tie too
-        tc = cases[candidates[_below(bits, len(candidates))]]
+            if not top:  # all 0.0: dead cases tie too
+                candidates = range(len(paths))
+            elif scores.count(top) == 1:
+                candidates = (live[scores.index(top)],)
+            else:
+                candidates = [j for j, x in zip(live, scores) if x == top]
+        c = candidates[_below(bits, len(candidates))]
         spent += start_cost
-        realized, diverged, cost = execute_case(g, tc, budget - spent, sut)
-        spent += cost
+        path = paths[c]
+        m, div = _execute(steps[c], min(len(path), budget - spent), sut_bits)
+        realized = path[:m] + (div,) * (div >= 0)
+        spent += len(realized)
         emptied = False
         for v in realized:
-            if v not in covered:
-                covered.add(v)
+            if not seen[v]:
+                seen[v] = 1
                 if v in holders:
                     target_left -= 1
                     for j in holders[v]:
@@ -346,11 +410,11 @@ def nt_plan(
                         emptied = emptied or not uncovered[j]
         if emptied:
             live = [j for j in live if uncovered[j]]
-        if pending:  # tc came from it, and with tc every case that shares its id
-            for j in suite._same_id[tc.id]:
+        if pending:  # c came from it, and with c every case that shares its id
+            for j in suite._same_id[plan.cases[c].id]:
                 pending.remove(j)
-        log.append(ExecutionRecord(tc.id, realized, diverged))
-    return RunResult(frozenset(covered), spent, tuple(log))
+        log.append((c, m, div))
+    return RunResult._lazy(spent, seen.count(1), len(log), lambda: plan.decode(log))
 
 
 def static_once(
@@ -367,19 +431,22 @@ def static_once(
     charged as in ``nt_plan``.
     """
     _check_run(suite, budget, reset_cost)
-    covered: set[str] = set()
-    log: list[ExecutionRecord] = []
+    plan = suite._plan(g)
+    seen = bytearray(plan.size)
+    log: list[tuple[int, int, int]] = []
     spent = 0
-    for tc in suite.cases:
+    for c, path in enumerate(plan.paths):
         start_cost = reset_cost if log else 0
         if spent + start_cost + 1 > budget:
             break
         spent += start_cost
-        realized, diverged, cost = execute_case(g, tc, budget - spent, sut)
-        spent += cost
-        covered.update(realized)
-        log.append(ExecutionRecord(tc.id, realized, diverged))
-    return RunResult(frozenset(covered), spent, tuple(log))
+        m, div = _execute(plan.steps[c], min(len(path), budget - spent), sut._bits)
+        realized = path[:m] + (div,) * (div >= 0)
+        spent += len(realized)
+        for v in realized:
+            seen[v] = 1
+        log.append((c, m, div))
+    return RunResult._lazy(spent, seen.count(1), len(log), lambda: plan.decode(log))
 
 
 def random_walk(
@@ -393,21 +460,22 @@ def random_walk(
     choices come from the responder.  Never resets on strict graphs: no reset fee."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    draws, tester_bits, sut_bits = g._draws, rng.getrandbits, sut._bits
-    v = g.init
-    realized = [v]
+    ids, pos, rows = g._index
+    tester_bits, sut_bits = rng.getrandbits, sut._bits
+    v = pos[g.init]
+    walk = [v]
     for _ in range(budget - 1):
-        succs, n, k, sut_owned = draws[v]
+        succs, n, k, sut_owned = rows[v]
         if not n:
-            raise ValidationError(f"sink: {v}")
+            raise ValidationError(f"sink: {ids[v]}")
         bits = sut_bits if sut_owned else tester_bits
         r = bits(k)
         while r >= n:
             r = bits(k)
         v = succs[r]
-        realized.append(v)
-    record = ExecutionRecord("walk", tuple(realized), False)
-    return RunResult(frozenset(realized), len(realized), (record,))
+        walk.append(v)
+    return RunResult._lazy(len(walk), len(set(walk)), 1,
+                           lambda: (ExecutionRecord("walk", tuple(ids[v] for v in walk), False),))
 
 
 def parse_suite(text: str) -> TestSuite:

@@ -774,6 +774,13 @@ CONSOLE_CHECKS = [
      {"rg18.csv": "0f332b213c837b1012c1954cd00bf293482dac0141f352a3897f46003b2d1e2f"}),
     (["experiment", "--graph", "rg18.ncgame", "--budgets", "54", "--trials", "1",
       "--base-seed", "-1"], 3, [], {}),
+    # free restarts, reachable-node denominator and standard deviation column
+    (["gen-random", "--nodes", "40", "--sut-fraction", "0.5", "--min-out", "1", "--max-out", "3",
+      "--seed", "5", "--out", "rg40-5.ncgame"], 0, [], {}),
+    (["experiment", "--graph", "rg40-5.ncgame", "--budgets", "40,120,320", "--trials", "20",
+      "--reset-cost", "0", "--denominator", "reachable", "--spread", "stddev", "--base-seed", "7",
+      "--out", "rg40-5.csv"], 0, [],
+     {"rg40-5.csv": "3918fca8ab88a09ef7f63e7f3314a570617b67aa95d16e01df3ceb2936d7a0ca"}),
     (["witness-extract", "--graph", "rg18.ncgame", "--out", "rg18.ncwitness"],
      0, ["entries=18 c_init=17"],
      {"rg18.ncwitness": "695fc00b1396aa81aaad08c5acc5b4080ef695721fdd7edade38db4e65746f00"}),

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 import random
 import signal
 from contextlib import contextmanager
@@ -10,7 +11,8 @@ import pytest
 
 from conftest import MIRROR_TEXT, graph_of, oracle_run
 from ncgames.errors import ParseError, ValidationError
-from ncgames.experiments import ALL_STRATEGIES, run_one
+import ncgames.experiments
+from ncgames.experiments import ALL_STRATEGIES, ExperimentConfig, run_experiment, run_one
 from ncgames.graph import SUT, TESTER, GameGraph, NodeInfo, generate_random, parse_game_graph, reachable
 from ncgames.testplan import TestCase as Case, TestSuite as Suite
 from ncgames.testplan import (
@@ -255,6 +257,55 @@ class TestExecuteCase:
         g = graph_of({"a": (TESTER, 1, ("s",)), "s": (SUT, 1, ())}, init="a")
         with _within(5), pytest.raises(ValueError, match="empty range"):
             execute_case(g, Case("t", ("a", "s", "a")), 10, SutResponder(0))
+
+
+class TestUnvalidatedSuites:
+    """Suites that validate_suite rejects, run through the runners: each fails where
+    execute_case fails, when and only when an execution gets there."""
+
+    LAST = Suite((Case("t0", ("v0", "v1", "zz")), Case("t1", ("v0", "v2"))))
+    MIDDLE = Suite((Case("t0", ("v0", "zz", "v1")),))
+
+    @pytest.mark.parametrize("strategy", ["GMU-static", *PGAIN_STRATEGIES])
+    def test_runs_raise_an_unknown_nodes_key_error_where_it_is_left(self, mirror, strategy):
+        """``s4`` counts every case's SUT positions first, so it fails at the start of a run."""
+        runs = [(self.LAST, 100), (self.MIDDLE, 2), (self.MIDDLE, 3)]
+        if strategy == "s4":
+            for suite, budget in runs:
+                with pytest.raises(KeyError, match="zz"):
+                    run_one(mirror, suite, strategy, budget, 0, 1, 2)
+            return
+        res = run_one(mirror, self.LAST, strategy, 100, 0, 1, 2)
+        assert res.covered == {"v0", "v1", "v2", "zz"} and res.spent == 5
+        assert res.log[0].realized == ("v0", "v1", "zz")
+        res = run_one(mirror, self.MIDDLE, strategy, 2, 0, 1, 2)
+        assert res.covered == {"v0", "zz"} and res.spent == 2 and res.executions == 1
+        with pytest.raises(KeyError, match="zz"):
+            run_one(mirror, self.MIDDLE, strategy, 3, 0, 1, 2)
+
+    @pytest.mark.parametrize("strategy", ["GMU-static", *PGAIN_STRATEGIES])
+    def test_runs_raise_at_an_sut_sink_inside_a_path(self, strategy):
+        g = graph_of({"a": (TESTER, 1, ("s",)), "s": (SUT, 1, ())}, init="a")
+        suite = Suite((Case("t", ("a", "s", "a")),))
+        res = run_one(g, suite, strategy, 2, 0, 1, 2)
+        assert res.covered == {"a", "s"} and res.spent == 2
+        with _within(5), pytest.raises(ValueError, match="empty range"):
+            run_one(g, suite, strategy, 10, 0, 1, 2)
+
+    @pytest.mark.parametrize("strategy", ["GMU-static", *PGAIN_STRATEGIES])
+    def test_an_empty_path_fails_when_it_runs(self, mirror, strategy):
+        """A case with an empty path prescribes nothing, so no live case is one:
+        ``static_once`` runs it, an ``s1.5`` pass may pick it (these seeds do), and a
+        suite of it alone leaves ``nt_plan`` nothing to cover."""
+        alone, mixed = Suite((Case("e", ()),)), Suite((Case("e", ()), Case("t", ("v0", "v2"))))
+        for suite in (alone, mixed):
+            if strategy == "GMU-static" or (strategy == "s1.5" and suite is mixed):
+                with pytest.raises(IndexError, match="empty test case path"):
+                    run_one(mirror, suite, strategy, 100, 0, 1, 2)
+            else:
+                res = run_one(mirror, suite, strategy, 100, 0, 1, 2)
+                assert (res.covered, res.spent, res.executions) == (
+                    ({"v0", "v2"}, 2, 1) if suite is mixed else (set(), 0, 0))
 
 
 class TestNtPlan:
@@ -806,6 +857,67 @@ class TestDifferential:
             assert sides[0] == sides[1]
 
         prop()
+
+    # the first three trend graphs of the benchmark's campaign: (nodes, generator seed)
+    TREND = ((19, 7), (30, 2), (40, 11))
+
+    def test_trend_runs_equal_the_reference_runs(self):
+        """Every strategy on the trend graphs, at the campaign's budgets and two fees."""
+        for n, gseed in self.TREND:
+            g = generate_random(n, 0.3, 1, 2, gseed)
+            suite = generate_static_suite(g)
+            for strategy in ALL_STRATEGIES:
+                for budget in (3 * n, 8 * n, 16 * n):
+                    for fee in (0, 10):
+                        for seed in range(4 * n, 4 * n + 4):
+                            seeds = (seed, seed ^ 0x5A5A)
+                            assert run_one(g, suite, strategy, budget, fee, *seeds) == oracle_run(
+                                g, suite, strategy, budget, fee, SutResponder(seeds[0]),
+                                random.Random(seeds[1]))
+                            sides = []
+                            for run in (self._run, oracle_run):
+                                sut, rng = SutResponder(seeds[0]), random.Random(seeds[1])
+                                res = run(g, suite, strategy, budget, fee, sut, rng)
+                                sides.append((res, sut._bits.__self__.getstate(), rng.getstate()))
+                            assert sides[0] == sides[1]
+
+
+class TestLazyResults:
+    def test_campaigns_decode_no_result(self, mirror, monkeypatch):
+        """``run_experiment`` reads counts only, so it builds no ExecutionRecord; decoded
+        afterwards, every run equals the reference runners' eagerly built result."""
+        runs = []
+
+        def spy(*args):
+            runs.append((args, run_one(*args)))
+            return runs[-1][1]
+
+        def unusable(*_):
+            raise AssertionError("a campaign built an ExecutionRecord")
+
+        monkeypatch.setattr(ncgames.experiments, "run_one", spy)
+        monkeypatch.setattr("ncgames.testplan.ExecutionRecord", unusable)
+        for name, g in (("mirror", mirror), ("rg30", generate_random(30, 0.3, 1, 2, 2))):
+            n = len(g.nodes)
+            run_experiment(g, ExperimentConfig(name, (n, 3 * n, 8 * n), trials=3, reset_cost=2))
+        monkeypatch.undo()
+        assert len(runs) == 2 * 3 * 3 * len(ALL_STRATEGIES)
+        for (g, suite, strategy, budget, fee, sut_seed, pick_seed), res in runs:
+            count = res.covered_count
+            ref = oracle_run(g, suite, strategy, budget, fee, SutResponder(sut_seed),
+                             random.Random(pick_seed))
+            assert (res.covered, res.log, res.executions, res.resets, hash(res)) == (
+                ref.covered, ref.log, ref.executions, ref.resets, hash(ref))
+            assert res == ref and count == len(ref.covered) == ref.covered_count
+
+    def test_a_lazy_result_pickles_as_its_decoded_fields(self, mirror):
+        suite = generate_static_suite(mirror)
+        for res in (nt_plan(mirror, suite, 30, "s3", 2, SutResponder(1), random.Random(2)),
+                    static_once(mirror, suite, 30, 2, SutResponder(1)),
+                    random_walk(mirror, 30, SutResponder(1), random.Random(2))):
+            copy = pickle.loads(pickle.dumps(res))
+            assert copy == res and hash(copy) == hash(res)
+            assert (copy.covered_count, copy.executions) == (res.covered_count, res.executions)
 
 
 class TestSuiteFiles:
