@@ -91,7 +91,8 @@ to u adds ``bits[u]``), keeps those layers, and takes its values from one
 solve started at the ``jump`` state of every reachable state.  A move
 from (p, C) to u lands in the reachable state (u, C | bits[u]) and is
 read at (C | bits[u]) | jump[u], its ``jump`` state, since jump[u]'s mask
-holds bits[u]; so every exit and every lookup finds its state.
+holds bits[u]; so every exit and every lookup finds its state.  Only
+``SolveResult``'s policies and state count read the full table.
 
 The solve values each layer with ``value_layer``, which needs every
 member that is not a start of the solve to be unsettled, as the solve's
@@ -390,16 +391,14 @@ class _Arena:
             self.value_layer(mask, layers.pop(mask), mask_gain[mask], values)
         return self.read(values, self.jump[self.root]), states, values
 
-    def full_table(self, state_cap: float = math.inf):
-        """Root value, number of reachable states, the value table of a solve from every
-        reachable state's ``jump`` state and the layers of the reachable states, explored
-        along ``step``; ``state_cap`` counts the reachable states only.
+    def full_table(self):
+        """The value table of a solve from every reachable state's ``jump`` state and the
+        layers of the reachable states, explored along ``step``.
         """
-        layers = self.explore(self.step, (self.step[self.root],), state_cap)[0]
+        layers = self.explore(self.step, (self.step[self.root],))[0]
         shift, jump = self.shift, self.jump
         starts = {mask << shift | jump[p] for mask, members in layers.items() for p in members}
-        value, _, values = self.solve(starts)
-        return value, sum(map(len, layers.values())), values, layers
+        return self.solve(starts)[2], layers
 
     def value_layer(self, mask: int, members: list[int], base: int, values: dict):
         """Solve ``members`` of the layer of ``mask`` and store their values as the row

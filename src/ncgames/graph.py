@@ -323,6 +323,8 @@ def generate_random(
         raise ValueError("sut_fraction must be in [0, 1]")
     if max_out > node_count:
         raise ValueError("infeasible parameters: max_out exceeds node_count")
+    if seed < 0:  # random.Random seeds on the absolute value
+        raise ValueError("seed must be >= 0")
 
     rng = random.Random(seed)
     width = max(2, len(str(node_count - 1)))

@@ -167,10 +167,10 @@ def best_response_gain(
 
     The arena's positions are the reachable (node, SUT state) pairs, and
     an SUT position's only successor is the strategy's choice, so the
-    tester is left alone in the game.  Its value, read from the arena's
-    full table (``_Arena.full_table``, ``ncgames.arena``), is the best
-    response, and ``state_cap`` bounds the number of (node, covered set,
-    SUT state) product states, all of which the full table explores.
+    tester is left alone in the game.  Its value, from a solve from the
+    root (``_Arena.solve``, ``ncgames.arena``), is the best response, and
+    ``state_cap`` bounds the number of (node, covered set, SUT state)
+    product states, which an exploration along ``step`` counts first.
     """
     ensure_valid(g, strict=True)
     if r not in g.nodes:
@@ -211,4 +211,5 @@ def best_response_gain(
         gains=[g.gain(v) for v in nodes],
         root=0,
     )
-    return arena.full_table(state_cap)[0]
+    arena.explore(arena.step, (arena.step[arena.root],), state_cap)
+    return arena.solve()[0]

@@ -13,11 +13,11 @@ more nodes that the tester can force the play to reach from each other,
 whatever the SUT answers, and value(s, C) = value(s, C ∪ S) at s in S.
 The kernel's solve follows both rules, so it enters no state of a forced
 node and none that covers a group in part; the state it reads a move at
-may lie on no play from the root.  Policies must answer at every
-reachable state, so ``SolveResult`` builds the full table, one solve
-from the state each reachable state is worth, the first time a policy or
-a state count needs it.  The restart game is a plain arena too, with the
-restart as one more tester move.
+may lie on no play from the root.  ``solve_mcg`` reads the value and the
+first move off the solve from the root and keeps no table of it; policies
+and state counts, which answer at every reachable state, build the full
+table, one solve from the state each one is worth, on first use.  The
+restart game is a plain arena too, the restart one more tester move.
 ``oracle_mcg`` shares only the indexing and searches the game tree
 independently.
 
@@ -57,10 +57,10 @@ def _node_arena(g: GameGraph, r: str, cap: int) -> _Arena:
 class SolveResult:
     """Game value plus optimal policies on the product arena.
 
-    The value comes from the solve from the root (``_Arena.solve``), whose value
-    table is kept, with the root's layer alone, for the tester's move at the root
-    state: the root's layer is the root alone there and in the full table, so its
-    choices read the same exits.  Every other answer reads the full table
+    The value and the tester's choices in the root's layer are read off the
+    solve from the root (``_Arena.solve``) when it runs, and no table of it is
+    kept: the root's layer is the root alone there and in the full table, so
+    its choices read the same exits.  Every other answer reads the full table
     (``_Arena.full_table``): the layers of every reachable state, and the values of
     one solve started at each one's ``jump`` state, the state it is worth.  It is
     built once, on first use of ``states_explored``, ``_values``, ``_layers``, an
@@ -90,13 +90,12 @@ class SolveResult:
     value: int
     root: str
     _arena: _Arena = field(repr=False)
-    _reduced: tuple[dict, dict[int, list[int]]] = field(repr=False)  # values, the root's layer
-    _choices: dict[int, dict] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _choices: dict[int, dict] = field(repr=False, compare=False)  # mask -> its layer's tester choices
 
     @cached_property
-    def _full(self) -> tuple[int, dict, dict[int, list[int]]]:
-        """States explored, values and layers of the full table."""
-        return self._arena.full_table()[1:]
+    def _full(self) -> tuple[dict, dict[int, list[int]]]:
+        """Values and layers of the full table."""
+        return self._arena.full_table()
 
     @cached_property
     def node_values(self) -> dict[str, int]:
@@ -113,15 +112,15 @@ class SolveResult:
     @property
     def states_explored(self) -> int:
         """Product states reachable from the root."""
-        return self._full[0]
+        return sum(map(len, self._layers.values()))
 
     @property
     def _values(self) -> dict:
-        return self._full[1]
+        return self._full[0]
 
     @property
     def _layers(self) -> dict[int, list[int]]:
-        return self._full[2]
+        return self._full[1]
 
     def _pack(self, node: str, covered: Iterable[str]) -> int:
         idx = self._arena.index
@@ -136,14 +135,13 @@ class SolveResult:
         need = arena.bits[arena.root] | arena.bits[p]  # every reached state covers both
         if arena.is_tester[p] != tester or mask & need != need:
             raise KeyError(packed)
-        values, layers = self._reduced if tester and packed == arena.step[arena.root] else self._full[1:]
-        if p not in layers.get(mask, ()):
+        if packed != arena.step[arena.root] and p not in self._layers.get(mask, ()):
             raise KeyError(packed)
         here, jump = packed - p, arena.jump  # here = mask << shift
         if not tester:
-            return min(arena.succ[p], key=lambda u: arena.read(values, here | jump[u]))
+            return min(arena.succ[p], key=lambda u: arena.read(self._values, here | jump[u]))
         if mask not in self._choices:
-            self._choices[mask] = arena.choices(mask, layers[mask], values)
+            self._choices[mask] = arena.choices(mask, self._layers[mask], self._values)
         return self._choices[mask].get(p, arena.succ[p][0])
 
     def tester_move(self, node: str, covered: Iterable[str]) -> str:
@@ -179,8 +177,8 @@ def solve_mcg(g: GameGraph, r: str, cap: int = 20) -> SolveResult:
     ensure_valid(g, strict=True)
     arena = _node_arena(g, r, cap)
     value, _states, values = arena.solve()
-    root = arena.root  # the root's layer is the root alone: no other position covers its bit
-    return SolveResult(value=value, root=r, _arena=arena, _reduced=(values, {arena.bits[root]: [root]}))
+    mask = arena.bits[arena.root]  # the root's layer is the root alone: no other position covers its bit
+    return SolveResult(value, r, arena, {mask: arena.choices(mask, [arena.root], values)})
 
 
 def _restart_arena(g: GameGraph, r: str, cap: int) -> _Arena:

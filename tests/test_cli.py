@@ -242,6 +242,14 @@ class TestTransformAndGen:
         g = parse_game_graph(a.read_text())
         assert len(g.nodes) == 9 and validate(g, strict=True) == []
 
+    def test_gen_random_negative_seed_is_invalid(self, tmp_path, capsys):
+        out = tmp_path / "out.ncgame"
+        assert run_cli(["gen-random", "--nodes", "12", "--seed", "-7", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_out_file_honours_umask(self, mirror_file, tmp_path):
         out = tmp_path / "mirror.ncsuite"
         old = os.umask(0o022)
@@ -774,6 +782,7 @@ CONSOLE_CHECKS = [
      {"rg18.csv": "0f332b213c837b1012c1954cd00bf293482dac0141f352a3897f46003b2d1e2f"}),
     (["experiment", "--graph", "rg18.ncgame", "--budgets", "54", "--trials", "1",
       "--base-seed", "-1"], 3, [], {}),
+    (["gen-random", "--nodes", "5", "--seed", "-1"], 3, ["error: seed must be >= 0"], {}),
     # free restarts, reachable-node denominator and standard deviation column
     (["gen-random", "--nodes", "40", "--sut-fraction", "0.5", "--min-out", "1", "--max-out", "3",
       "--seed", "5", "--out", "rg40-5.ncgame"], 0, [], {}),

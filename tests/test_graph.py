@@ -192,6 +192,11 @@ class TestRandomGeneration:
         with pytest.raises(ValueError, match="infeasible"):
             generate_random(2, 0.5, 1, 3, seed=0)
 
+    def test_negative_seed_is_rejected(self):
+        # random.Random seeds on the absolute value, so -7 would give the graph of 7
+        with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+            generate_random(12, 0.5, 1, 2, seed=-7)
+
     def test_out_degrees_within_bounds(self):
         for seed in range(20):
             g = generate_random(10, 0.5, 2, 3, seed=seed)

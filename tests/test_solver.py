@@ -30,6 +30,7 @@ from ncgames.solver import (
     solve_mcg,
     solve_mcg_restart,
 )
+from ncgames.witness import extract_witness, witness_guided_sut
 
 
 def _tester_ring(n: int) -> GameGraph:
@@ -539,11 +540,13 @@ class TestLazyTesterChoices:
         def no_replay(*args):
             raise AssertionError("layer replayed")
 
+        root_layer = {res._arena.bits[res._arena.root]}
+        assert res._choices.keys() == root_layer  # read when the root is solved
         monkeypatch.setattr(_Arena, "choices", no_replay)
         for v, covered in bad:
             with pytest.raises(KeyError):
                 res.tester_move(v, covered)
-        assert res._choices == {}
+        assert res._choices.keys() == root_layer
 
 
 class TestTesterChoices:
@@ -836,7 +839,7 @@ class TestKernelProperties:
             best_response_gain(g, g.init, last)
             plain = _node_arena(g, g.init, 20)
             for arena in [plain, _restart_arena(g, g.init, 20), _restart_arena(h, h.init, 20), *solved]:
-                values = arena.full_table()[2]
+                values = arena.full_table()[0]
                 reference = _layer_by_layer(arena)
                 succ = arena.succ
                 cov = list(arena.bits)  # cov(S) at a position of forcing group S
@@ -1006,7 +1009,8 @@ class TestReducedSolve:
             g = GameGraph(h.nodes, {v: moves or (v,) for v, moves in h.edges.items()}, h.init)
             plain = _node_arena(g, g.init, 20)
             for arena in [plain, _restart_arena(g, g.init, 20), _restart_arena(h, h.init, 20)]:
-                value, _states, full, full_layers = arena.full_table()
+                full, full_layers = arena.full_table()
+                value = arena.read(full, arena.jump[arena.root])
                 reduced_value, _states, reduced = arena.solve()
                 layers = arena.explore(arena.jump, [arena.step[arena.root]])[0]
                 assert reduced_value == value
@@ -1126,20 +1130,22 @@ class TestStateCap:
     def test_arena_cap_boundary(self, mirror, restart, seed):
         g = mirror if seed is None else generate_random(10 + seed, 0.4, 1, 3, seed)
         arena = (_restart_arena if restart else _node_arena)(g, g.init, 20)
-        value, states = arena.full_table()[:2]
-        assert arena.full_table(states)[:2] == (value, states)
+        start = (arena.step[arena.root],)
+        layers = arena.explore(arena.step, start)[0]
+        states = sum(map(len, layers.values()))
+        assert arena.explore(arena.step, start, states)[0] == layers
         with pytest.raises(CapacityError, match=rf"^search state space exceeds cap {states - 1}$"):
-            arena.full_table(states - 1)
+            arena.explore(arena.step, start, states - 1)
 
     @pytest.mark.parametrize("restart", [False, True])
     def test_root_state_is_always_admitted(self, restart):
         build = _restart_arena if restart else _node_arena
-        loop = graph_of({"a": (TESTER, 1, ("a",))}, init="a")
-        assert build(loop, "a", 20).full_table(0)[:2] == (1, 1)
+        loop = build(graph_of({"a": (TESTER, 1, ("a",))}, init="a"), "a", 20)
+        assert loop.explore(loop.step, (loop.step[loop.root],), 0)[0] == {1: [0]}
         pair = build(graph_of({"a": (TESTER, 1, ("b",)), "b": (SUT, 1, ("a",))}, init="a"), "a", 20)
         for cap in (0, 1):
             with pytest.raises(CapacityError, match=rf"^search state space exceeds cap {cap}$"):
-                pair.full_table(cap)
+                pair.explore(pair.step, (pair.step[pair.root],), cap)
 
     @pytest.mark.parametrize("seed", [None, 3, 6])
     def test_best_response_cap_boundary(self, mirror, seed):
@@ -1154,6 +1160,26 @@ class TestStateCap:
     def test_best_response_one_state(self):
         loop = graph_of({"a": (TESTER, 1, ("a",))}, init="a")
         assert best_response_gain(loop, "a", PositionalStrategy(2, {}), state_cap=0) == 1
+
+    def test_best_responses_build_no_full_table(self, mirror, monkeypatch):
+        """A best response is a root value: it counts its states for the cap along
+        ``step`` and solves from the root, without the full table.  The optimal SUT
+        reads its moves off its own solve's full table, built before the patch."""
+        res = solve_mcg(mirror, "v0")
+        res.sut_policy()
+        games = [(mirror, extract_optimal_sut(res), 3)]
+        for n, seed, bound in [(16, 0, 16), (18, 1, 17)]:
+            g = generate_random(n, 0.3, 1, 2, seed)
+            w = extract_witness(g, g.init)
+            assert w.entries[g.init].bound == bound
+            games.append((g, witness_guided_sut(g, w), bound))
+
+        def no_full_table(*args):
+            raise AssertionError("full table built")
+
+        monkeypatch.setattr(_Arena, "full_table", no_full_table)
+        for g, sut, value in games:
+            assert best_response_gain(g, g.init, sut) == value
 
 
 class TestLookupEdges:
