@@ -86,12 +86,12 @@ A solve may start at many states.  Started at jump[v], from the empty
 mask, for every position v, it values every position: that state is worth
 value(v, {v}), the value of the game rooted at v, since both rules hold at
 any root and a state's value does not depend on the root.  The full table
-explores every state reachable from the root state along ``step`` (a move
-to u adds ``bits[u]``), keeps those layers, and takes its values from one
-solve started at the ``jump`` state of every reachable state.  A move
-from (p, C) to u lands in the reachable state (u, C | bits[u]) and is
-read at (C | bits[u]) | jump[u], its ``jump`` state, since jump[u]'s mask
-holds bits[u]; so every exit and every lookup finds its state.  Only
+is the only exploration along ``step`` (a move to u adds ``bits[u]``): it
+explores every state reachable from the root state, keeps those layers,
+and takes its values from one solve started at every reachable state's
+``jump`` state.  A move from (p, C) to u lands in the reachable state
+(u, C | bits[u]) and is read at (C | bits[u]) | jump[u], since jump[u]'s
+mask holds bits[u]; so every exit and every lookup finds its state.  Only
 ``SolveResult``'s policies and state count read the full table.
 
 The solve values each layer with ``value_layer``, which needs every
@@ -377,14 +377,14 @@ class _Arena:
                 layers[mask] = sorted(seen)
         return layers, mask_gain
 
-    def solve(self, starts: Collection[int] = ()):
+    def solve(self, starts: Collection[int] = (), state_cap: float = math.inf):
         """Root value, number of explored states and the value table, exploring along
         ``jump`` from the root state (root, {root}) and jump[root], or from the packed
-        ``starts`` when given, which must include jump[root].  Each layer is taken out of
-        explore's layers as it is solved, so it is freed once its row is written.
+        ``starts`` when given, which must include jump[root], and raising CapacityError
+        past ``state_cap`` states.  Layers are popped as they are solved, to free them.
         """
-        root = self.root
-        layers, mask_gain = self.explore(self.jump, starts or (self.step[root], self.jump[root]))
+        starts = starts or (self.step[self.root], self.jump[self.root])
+        layers, mask_gain = self.explore(self.jump, starts, state_cap)
         states = sum(map(len, layers.values()))
         values: dict = {}
         for mask in reversed(list(layers)):

@@ -168,9 +168,10 @@ def best_response_gain(
     The arena's positions are the reachable (node, SUT state) pairs, and
     an SUT position's only successor is the strategy's choice, so the
     tester is left alone in the game.  Its value, from a solve from the
-    root (``_Arena.solve``, ``ncgames.arena``), is the best response, and
-    ``state_cap`` bounds the number of (node, covered set, SUT state)
-    product states, which an exploration along ``step`` counts first.
+    root (``_Arena.solve``, ``ncgames.arena``), is the best response.
+    ``state_cap`` bounds the positions built and the states the solve
+    enters, both at most the reachable (node, covered set, SUT state)
+    triples, as the tester walks each forcing group (an SCC) alone.
     """
     ensure_valid(g, strict=True)
     if r not in g.nodes:
@@ -211,5 +212,4 @@ def best_response_gain(
         gains=[g.gain(v) for v in nodes],
         root=0,
     )
-    arena.explore(arena.step, (arena.step[arena.root],), state_cap)
-    return arena.solve()[0]
+    return arena.solve(state_cap=state_cap)[0]

@@ -138,8 +138,10 @@ def first_consistent(g: GameGraph, w: Witness, v: str) -> tuple[int, frozenset[s
 
 # Reference runners: the test-plan runners as they were before they read the
 # graph's draw table (one attribute lookup, one ``_below`` call and one append
-# per visit).  Kept verbatim, apart from the names they call one another by, as
-# the oracle of the differential property in test_testplan.py.
+# per visit).  Kept verbatim, apart from the names they call one another by and
+# the targets ``oracle_nt_plan`` counts from the cases itself, not from the
+# suite's cache under test, as the oracle of the differential property in
+# test_testplan.py.
 
 
 def oracle_below(getrandbits, n: int) -> int:
@@ -195,8 +197,12 @@ def oracle_nt_plan(
     if strategy not in PGAIN_STRATEGIES:
         raise ValueError(f"unknown strategy `{strategy}`")
 
-    cases, (counts, holders) = suite.cases, suite._targets  # shared by all runs: read only
-    uncovered = list(counts)  # per case: distinct prescribed nodes not yet covered
+    cases = suite.cases
+    holders: dict[str, list[int]] = {}  # node -> indices of the cases prescribing it
+    for i, tc in enumerate(cases):
+        for v in set(tc.path):
+            holders.setdefault(v, []).append(i)
+    uncovered = [len(set(tc.path)) for tc in cases]  # per case: distinct nodes not yet covered
     sut_positions = [oracle_alpha(tc, g) for tc in cases] if strategy == "s4" else []
     target_left = len(holders)  # prescribed nodes not yet covered
     live = [i for i, u in enumerate(uncovered) if u]  # cases that can add coverage

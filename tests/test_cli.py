@@ -752,10 +752,9 @@ def _random(nodes: int, seed: int, stem: str) -> list[str]:
             "--max-out", "2", "--seed", str(seed), "--out", f"{stem}.ncgame"]
 
 
-# The console checks of the workflow's non-editable-install step (.github/workflows/tier1.yml),
-# in its order and with its file names, as (argv, exit code, lines, files).  The lines must
-# be whole lines of stdout on success, and the first lines of stderr otherwise; files maps a
-# written file to its sha256 or to lines it must hold.
+# The console checks, in order, as (argv, exit code, lines, files).  The lines must be whole
+# lines of stdout on success, and the first lines of stderr otherwise; files maps a written
+# file to its sha256 or to lines it must hold.
 CONSOLE_CHECKS = [
     (["validate", "--graph", "mirror.ncgame"], 0, [], {}),
     (["solve", "--graph", "mirror.ncgame"], 0, ["mcg=3"], {}),
@@ -833,8 +832,9 @@ CONSOLE_CHECKS = [
 
 class TestConsoleChecks:
     def test_workflow_console_checks(self, tmp_path, monkeypatch, capsys):
-        """The workflow's console checks in process, so that a change to one of their
-        lines fails here first; the workflow keeps them for the installed script."""
+        """The console checks in process.  The workflow (.github/workflows/tier1.yml)
+        runs this table against a non-editable install of the package, with the
+        installed console script checked only where ``run_cli`` cannot reach it."""
         monkeypatch.chdir(tmp_path)
         Path("mirror.ncgame").write_text(MIRROR_TEXT)
         Path("mirror100.ncgame").write_text(MIRROR_TEXT.replace("gain=1\n", "gain=100\n"))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import FORCED_CYCLES_TEXT, graph_of
 from ncgames.arena import _Arena, _forcing_groups
-from ncgames.errors import CapacityError, StrategyError, ValidationError
+from ncgames.errors import CapacityError, ExtractionError, StrategyError, ValidationError
 from ncgames.graph import (
     SUT,
     TESTER,
@@ -1120,10 +1121,36 @@ def _product_states(g: GameGraph, r: str, sut) -> int:
     return len(seen)
 
 
+def _best_response_work(g: GameGraph, r: str, sut) -> tuple[int, int, int]:
+    """The best response's value, its positions and the states of its one exploration,
+    which must run along ``jump``, read with an ``_Arena.explore`` spy."""
+    calls = []
+    explore = _Arena.explore
+
+    def spy(arena, enter, starts, state_cap=math.inf):
+        layers, mask_gain = explore(arena, enter, starts, state_cap)
+        calls.append((arena, enter, sum(map(len, layers.values()))))
+        return layers, mask_gain
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Arena, "explore", spy)
+        value = best_response_gain(g, r, sut)
+    [(arena, enter, states)] = calls
+    assert enter is arena.jump
+    return value, len(arena.succ), states
+
+
+def _last_successor_sut(g: GameGraph) -> PositionalStrategy:
+    return PositionalStrategy(SUT, {v: g.edges[v][-1] for v in g.nodes if g.owner(v) == SUT})
+
+
 class TestStateCap:
-    """``state_cap`` counts reachable product states, the root included:
-    a cap equal to the count passes, one lower fails, and the root state
-    is always admitted, so only a count above max(state_cap, 1) raises."""
+    """An exploration's ``state_cap`` counts the product states it enters, its starts
+    included: a cap equal to the count passes, one lower fails, and a start state is
+    always admitted, so only a count above max(state_cap, 1) raises.  A best response's
+    cap bounds both its (node, SUT state) positions and the states its root solve
+    enters, never more than the reachable product states, so a cap of the larger passes
+    and one lower fails."""
 
     @pytest.mark.parametrize("restart", [False, True])
     @pytest.mark.parametrize("seed", [None, 3, 6])
@@ -1150,21 +1177,50 @@ class TestStateCap:
     @pytest.mark.parametrize("seed", [None, 3, 6])
     def test_best_response_cap_boundary(self, mirror, seed):
         g = mirror if seed is None else generate_random(10 + seed, 0.4, 1, 3, seed)
-        sut = PositionalStrategy(2, {v: g.edges[v][-1] for v in g.nodes if g.owner(v) == SUT})
-        states = _product_states(g, g.init, sut)
-        value = best_response_gain(g, g.init, sut)
-        assert best_response_gain(g, g.init, sut, state_cap=states) == value
-        with pytest.raises(CapacityError, match=rf"^search state space exceeds cap {states - 1}$"):
-            best_response_gain(g, g.init, sut, state_cap=states - 1)
+        sut = _last_successor_sut(g)
+        value, positions, states = _best_response_work(g, g.init, sut)
+        cap = max(positions, states)
+        assert best_response_gain(g, g.init, sut, state_cap=cap) == value
+        with pytest.raises(CapacityError, match=rf"^search state space exceeds cap {cap - 1}$"):
+            best_response_gain(g, g.init, sut, state_cap=cap - 1)
+
+    def test_best_response_cap_below_the_reachable_states(self):
+        """The cap counts the work the search does, not every reachable product state:
+        947 are reachable here, but 16 positions and 9 solve states pass a cap of 16."""
+        g = generate_random(16, 0.4, 1, 3, 6)
+        sut = _last_successor_sut(g)
+        assert _product_states(g, g.init, sut) == 947
+        assert _best_response_work(g, g.init, sut)[1:] == (16, 9)
+        assert best_response_gain(g, g.init, sut, state_cap=16) == best_response_gain(g, g.init, sut)
+
+    def test_best_response_cap_is_never_stricter(self):
+        """Every state the solve enters is reachable along ``step`` and every position
+        holds one, so neither count exceeds the reachable product states, against the
+        optimal SUT and against the witness SUT wherever extraction succeeds."""
+        checked = 0
+        for seed in range(200):
+            g = generate_random(3 + seed % 10, (0, 0.3, 0.6, 1)[seed % 4], 1, 1 + seed // 4 % 3, seed)
+            res = solve_mcg(g, g.init)
+            res.sut_policy()  # the optimal SUT reads its moves off this full table
+            suts = [extract_optimal_sut(res)]
+            try:
+                suts.append(witness_guided_sut(g, extract_witness(g, g.init, subset_cap=4096)))
+            except ExtractionError:
+                pass
+            for sut in suts:
+                _, positions, states = _best_response_work(g, g.init, sut)
+                assert max(positions, states) <= _product_states(g, g.init, sut), seed
+                checked += 1
+        assert checked > 300
 
     def test_best_response_one_state(self):
         loop = graph_of({"a": (TESTER, 1, ("a",))}, init="a")
         assert best_response_gain(loop, "a", PositionalStrategy(2, {}), state_cap=0) == 1
 
     def test_best_responses_build_no_full_table(self, mirror, monkeypatch):
-        """A best response is a root value: it counts its states for the cap along
-        ``step`` and solves from the root, without the full table.  The optimal SUT
-        reads its moves off its own solve's full table, built before the patch."""
+        """A best response is one root solve: it explores once, along ``jump``, and
+        builds no full table.  The optimal SUT reads its moves off its own solve's full
+        table, built before the patch."""
         res = solve_mcg(mirror, "v0")
         res.sut_policy()
         games = [(mirror, extract_optimal_sut(res), 3)]
@@ -1179,7 +1235,7 @@ class TestStateCap:
 
         monkeypatch.setattr(_Arena, "full_table", no_full_table)
         for g, sut, value in games:
-            assert best_response_gain(g, g.init, sut) == value
+            assert _best_response_work(g, g.init, sut)[0] == value
 
 
 class TestLookupEdges:
