@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
 from .arena import _Arena
@@ -38,6 +39,8 @@ from .play import StateMachineStrategy
 
 def _node_arena(g: GameGraph, r: str, cap: int) -> _Arena:
     """Arena whose positions are the nodes reachable from r, in id order."""
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     ids = sorted(reachable(g, r))
     if len(ids) > cap:
         raise CapacityError(f"{len(ids)} reachable nodes exceed the solver cap {cap}")
@@ -51,6 +54,9 @@ def _node_arena(g: GameGraph, r: str, cap: int) -> _Arena:
         gains=[g.gain(v) for v in ids],
         root=index[r],
     )
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits as the bytes 0 and 1
 
 
 @dataclass
@@ -154,7 +160,8 @@ class SolveResult:
         ids, shift, is_tester = self._arena.ids, self._arena.shift, self._arena.is_tester
         out = {}
         for mask, members in self._layers.items():
-            covered = frozenset(ids[i] for i in range(len(ids)) if mask & (1 << i))
+            # bit i of the mask, read lowest first off its binary digits, selects ids[i]
+            covered = frozenset(compress(ids, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
             for p in members:
                 if is_tester[p] == tester:
                     out[(ids[p], covered)] = ids[self._move(mask << shift | p, tester)]

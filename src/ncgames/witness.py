@@ -24,7 +24,7 @@ Witness files use the ``ncwitness 1`` text format::
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
@@ -201,7 +201,8 @@ def extract_witness(
     case equation for the fixed bounds.
     Gains must all be >= 1.  At most `subset_cap` candidates per node are
     counted, in that order, whether tested or ruled out untested in a
-    block, and ExtractionError (with the instance attached) is raised when
+    block or a whole level of one size (``_first_containment_set`` gives the
+    rules), and ExtractionError (with the instance attached) is raised when
     none of them is consistent.  The cap limits work: exhausting it does
     not by itself mean a defect, as a consistent set may lie beyond it.
     """
@@ -243,7 +244,11 @@ def _first_containment_set(
     exits above its remaining slack than nodes left to add, and only
     adding its target stops an exit from being one (forced exits); or the
     exits to nodes passed over exceed the room that the nodes still to
-    add leave, which rules out the rest of the level.
+    add leave, which rules out the rest of the level.  Before a level is
+    walked, one more rule may rule it out whole: its sets gain between v's
+    gain plus the `size` least and plus the `size` greatest item gains,
+    and their largest exit bound is 0 or another node's bound, so the
+    level is skipped when no such bound meets v's bound within that range.
     """
     order = sorted(reachable(g, v), key=lambda u: (bounds[u], u))
     bit = {u: 1 << i for i, u in enumerate(order)}
@@ -318,13 +323,29 @@ def _first_containment_set(
                 return None
         return None
 
+    # a level's sets gain v's gain plus between its `size` least and `size` greatest item
+    # gains, and their largest exit bound is 0 or a bound in ranks; v's own, never an
+    # exit's, would need a gain of 0 and so lets no level through
+    gains = sorted(item[1] for item in items)
+    least = list(accumulate(gains, initial=g.gain(v)))
+    most = list(accumulate(reversed(gains), initial=g.gain(v)))
+    exit_bounds = sorted({0, *ranks})
     for size in range(1, m + 1):
         if left <= 0:
             return None
+        if not _level_may_hold(exit_bounds, target - most[size], target - least[size]):
+            left -= comb(m, size)  # the whole level, as walking it would charge
+            continue
         found = search(0, size, bit[v], g.gain(v), exits_from, sut_succs)
         if found is not None:
             return frozenset(u for u in order if bit[u] & found)
     return None
+
+
+def _level_may_hold(exit_bounds: list[int], low: int, high: int) -> bool:
+    """Whether some value of the ascending `exit_bounds` lies in [low, high]."""
+    i = bisect_left(exit_bounds, low)
+    return i < len(exit_bounds) and exit_bounds[i] <= high
 
 
 def normalize_gains(g: GameGraph) -> GameGraph:

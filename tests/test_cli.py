@@ -782,6 +782,11 @@ CONSOLE_CHECKS = [
     (["experiment", "--graph", "rg18.ncgame", "--budgets", "54", "--trials", "1",
       "--base-seed", "-1"], 3, [], {}),
     (["gen-random", "--nodes", "5", "--seed", "-1"], 3, ["error: seed must be >= 0"], {}),
+    (["solve", "--cap", "-1", "--graph", "rg18.ncgame"], 3, ["error: cap must be >= 0"], {}),
+    (["solve", "--restart", "--cap", "-1", "--graph", "rg18.ncgame"], 3,
+     ["error: cap must be >= 0"], {}),
+    (["witness-extract", "--cap", "-1", "--graph", "rg18.ncgame", "--out", "rg18-neg.ncwitness"],
+     3, ["error: cap must be >= 0"], {}),
     # free restarts, reachable-node denominator and standard deviation column
     (["gen-random", "--nodes", "40", "--sut-fraction", "0.5", "--min-out", "1", "--max-out", "3",
       "--seed", "5", "--out", "rg40-5.ncgame"], 0, [], {}),

@@ -94,6 +94,12 @@ class TestSolveValue:
         with pytest.raises(CapacityError):
             solve_mcg(mirror, "v0", cap=3)
 
+    def test_negative_cap_is_invalid(self, mirror):
+        # a negative cap is no cap to exceed: ValueError (exit 3), not CapacityError
+        for call in (solve_mcg, solve_mcg_restart, extract_witness):
+            with pytest.raises(ValueError, match="^cap must be >= 0$"):
+                call(mirror, "v0", cap=-1)
+
     def test_cap_governs_above_64_nodes(self):
         # states are packed into Python ints, so no fixed width limits the node count
         ring = _tester_ring(70)

@@ -229,6 +229,20 @@ class TestExtractWitness:
             )
         assert extract_witness(g, g.init, subset_cap=k) == w
 
+    def test_skipped_levels_count_in_full_at_the_default_cap(self):
+        # 17 of the 18 nodes find their set at candidate 65,526 or 65,527, and only
+        # level 15 can hold one: levels 1-14 are skipped whole, charged what a walk would
+        g = generate_random(18, 0.3, 1, 2, 1)
+        with pytest.raises(ExtractionError) as exc:
+            extract_witness(g, g.init, subset_cap=65_526)
+        assert str(exc.value).startswith(
+            "no containment set found for `n01` (bound 16) among the first 65526 candidates"
+        )
+        text = serialize_witness(extract_witness(g, g.init, subset_cap=65_527))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "695fc00b1396aa81aaad08c5acc5b4080ef695721fdd7edade38db4e65746f00"
+        )
+
     def test_forced_exits_leave_out_the_sets_own_nodes(self):
         # for n01, {n00, n01} has the exits n02 (bound 1) and n03 (bound 4) and the edge
         # n00 -> n01 inside: one exit above the slack of 1 is forced, so n03 absorbs it

@@ -8,6 +8,7 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from math import comb
+from unittest.mock import patch
 
 import pytest
 
@@ -59,10 +60,11 @@ class TestSubsetCap:
         """With subset_cap = k - 1 the first node in id order whose first consistent set
         is candidate k or later fails, and with subset_cap = k extraction succeeds, so
         every block of candidates ruled out untested counts in full.  Spies on `comb`
-        and `bisect_right` read the search frame's `i` and `size` to tell the rules
-        apart: the rest of a level charges comb(m - i, size) and a block comb(m - i -
-        1, size - 1), which fell to the forced exits when their bisect at the same i
-        came just before.  Both rules must fire."""
+        and `bisect_right` tell the rules apart: a whole level is charged comb(m, size)
+        from `_first_containment_set` itself, and in the search frame, by its `i` and
+        `size`, the rest of a level comb(m - i, size) and a block comb(m - i - 1, size -
+        1), which fell to the forced exits when their bisect at the same i came just
+        before.  All three rules must fire."""
         fired = Counter()
         last_bisect = None
 
@@ -74,7 +76,9 @@ class TestSubsetCap:
 
         def comb_spy(n, k):
             frame = sys._getframe(1)
-            if k == frame.f_locals["size"]:
+            if frame.f_code.co_name == "_first_containment_set":
+                fired["whole level"] += 1
+            elif k == frame.f_locals["size"]:
                 fired["rest of a level"] += 1
             elif last_bisect == (frame, frame.f_locals["i"]):
                 fired["forced exits"] += 1
@@ -100,7 +104,33 @@ class TestSubsetCap:
             assert extract_witness(g, g.init, subset_cap=k) == w
 
         prop()
-        assert fired["rest of a level"] and fired["forced exits"]
+        assert fired["whole level"] and fired["rest of a level"] and fired["forced exits"]
+
+
+class TestLevelRule:
+    @settings(max_examples=60)
+    @given(g=graphs(5, 10))
+    def test_ruling_out_whole_levels_changes_no_outcome(self, g):
+        """The level check only saves work: with it passing every level, extraction
+        returns the same witness and, at the cap k - 1 and k around each first
+        consistent candidate k, the same witness or the same ExtractionError text."""
+        w = extract_witness(g, g.init)
+        found_at = {first_consistent(g, w, v)[0] for v in w.entries}
+        caps = sorted(found_at | {k - 1 for k in found_at})
+
+        def outcomes():
+            out = []
+            for cap in caps:
+                try:
+                    out.append(extract_witness(g, g.init, subset_cap=cap))
+                except ExtractionError as exc:
+                    out.append(str(exc))
+            return out
+
+        expected = outcomes()
+        with patch("ncgames.witness._level_may_hold", lambda *_: True):
+            assert extract_witness(g, g.init) == w
+            assert outcomes() == expected
 
 
 class TestCheckWitnessMutations:
