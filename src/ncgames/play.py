@@ -201,8 +201,7 @@ def best_response_gain(
             row.append(index[pos])
         succ.append(tuple(row))
 
-    nodes = g.node_ids()
-    bit = {v: i for i, v in enumerate(nodes)}
+    nodes, bit, _ = g._index
     arena = _Arena(
         ids=ids,
         index=index,

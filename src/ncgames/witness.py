@@ -198,7 +198,7 @@ def extract_witness(
     first v, in id order, that exceeds it.  The containment set is the
     first subset of reachable(v) (ascending cardinality, lexicographic
     order) that contains v and satisfies both the structural rule and its
-    case equation for the fixed bounds.
+    case equation for the fixed bounds.  One call numbers reachable(r) once.
     Gains must all be >= 1.  At most `subset_cap` candidates per node are
     counted, in that order, whether tested or ruled out untested in a
     block or a whole level of one size (``_first_containment_set`` gives the
@@ -216,9 +216,17 @@ def extract_witness(
         counts = (len(reachable(g, v)) for v in sorted(reachable(g, r)))
         count = next(k for k in counts if k > cap)
         raise CapacityError(f"{count} reachable nodes exceed the solver cap {cap}") from None
+    # per node: (bit, gain, successor mask as a tester's exits, or as an SUT node's needs)
+    order = sorted(bounds, key=lambda u: (bounds[u], u))
+    bit = {u: 1 << i for i, u in enumerate(order)}
+    table = {}
+    for u in order:
+        succ = sum(bit[x] for x in g.edges[u])
+        table[u] = (bit[u], g.gain(u), 0, succ) if g.owner(u) == SUT else (bit[u], g.gain(u), succ, 0)
+    ranks = [bounds[u] for u in order]  # by bit, ascending
     entries: dict[str, WitnessEntry] = {}
     for v in sorted(bounds):
-        found = _first_containment_set(g, v, bounds, subset_cap)
+        found = _first_containment_set(g, v, bounds, table, ranks, subset_cap)
         if found is None:
             raise ExtractionError(
                 f"no containment set found for `{v}` (bound {bounds[v]}) among the "
@@ -230,14 +238,15 @@ def extract_witness(
 
 
 def _first_containment_set(
-    g: GameGraph, v: str, bounds: dict[str, int], subset_cap: int
+    g: GameGraph, v: str, bounds: dict[str, int], table: dict, ranks: list[int], subset_cap: int
 ) -> frozenset[str] | None:
     """The first consistent containment set for v among `subset_cap` candidates.
 
     Candidates are {v} plus each subset of the other nodes of reachable(v),
     by ascending size and then in lexicographic node-id order.  Sets are
-    bitmasks whose bits follow ascending (bound, id), so the largest bound
-    among a set's exits is the bound of the exit mask's highest bit.  As
+    bitmasks whose bits follow ascending (bound, id) over reachable(r), as
+    ``extract_witness`` numbers it once per call, so the largest bound among
+    a set's exits is the bound of the exit mask's highest bit.  As
     gains are >= 1, three rules rule out blocks of candidates untested,
     though the cap still counts them: the block's gain plus a certain exit
     (to a node passed over) already exceeds v's bound; the block has more
@@ -250,29 +259,20 @@ def _first_containment_set(
     and their largest exit bound is 0 or another node's bound, so the
     level is skipped when no such bound meets v's bound within that range.
     """
-    order = sorted(reachable(g, v), key=lambda u: (bounds[u], u))
-    bit = {u: 1 << i for i, u in enumerate(order)}
-    ranks = [bounds[u] for u in order]  # by bit, ascending
+    reach = sorted(reachable(g, v))
     top_bound = [0] + ranks  # indexed by an exit mask's bit_length()
-    succ = {u: sum(bit[x] for x in g.edges[u]) for u in order}
     target = bounds[v]
     if subset_cap < 1:
         return None
-    # A tester's successors are exits unless inside; an SUT node needs one inside.
-    exits_from, sut_succs = (0, (succ[v],)) if g.owner(v) == SUT else (succ[v], ())
+    bit_v, gain_v, exits_from, needs = table[v]
     if _singleton_case(g, v, frozenset([v])):
-        expected = g.gain(v) + min(bounds[u] for u in g.edges[v])
+        expected = gain_v + min(bounds[u] for u in g.edges[v])
     else:  # an SUT node here has a self-loop, so {v} meets the structural rule
-        expected = g.gain(v) + top_bound[(exits_from & ~bit[v]).bit_length()]
+        expected = gain_v + top_bound[(exits_from & ~bit_v).bit_length()]
     if expected == target:
         return frozenset([v])
 
-    # the other nodes in id order: (bit, gain, successors as exits, successors needed)
-    items = [
-        (bit[u], g.gain(u), 0, succ[u]) if g.owner(u) == SUT else (bit[u], g.gain(u), succ[u], 0)
-        for u in sorted(order)
-        if u != v
-    ]
+    items = [table[u] for u in reach if u != v]  # the other nodes, in id order
     m = len(items)
     decided = list(accumulate((item[0] for item in items), or_))  # bits of items[:i + 1]
     passed = [0] + decided[:-1]  # bits of items[:i]
@@ -324,21 +324,21 @@ def _first_containment_set(
         return None
 
     # a level's sets gain v's gain plus between its `size` least and `size` greatest item
-    # gains, and their largest exit bound is 0 or a bound in ranks; v's own, never an
-    # exit's, would need a gain of 0 and so lets no level through
+    # gains, and their largest exit bound is 0 or a bound in reachable(v); v's own,
+    # never an exit's, would need a gain of 0 and so lets no level through
     gains = sorted(item[1] for item in items)
-    least = list(accumulate(gains, initial=g.gain(v)))
-    most = list(accumulate(reversed(gains), initial=g.gain(v)))
-    exit_bounds = sorted({0, *ranks})
+    least = list(accumulate(gains, initial=gain_v))
+    most = list(accumulate(reversed(gains), initial=gain_v))
+    exit_bounds = sorted({0, *(bounds[u] for u in reach)})
     for size in range(1, m + 1):
         if left <= 0:
             return None
         if not _level_may_hold(exit_bounds, target - most[size], target - least[size]):
             left -= comb(m, size)  # the whole level, as walking it would charge
             continue
-        found = search(0, size, bit[v], g.gain(v), exits_from, sut_succs)
+        found = search(0, size, bit_v, gain_v, exits_from, (needs,) if needs else ())
         if found is not None:
-            return frozenset(u for u in order if bit[u] & found)
+            return frozenset(u for u in reach if table[u][0] & found)
     return None
 
 

@@ -16,9 +16,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import first_consistent  # noqa: E402
+from conftest import first_consistent, graph_of  # noqa: E402
 from ncgames.errors import ExtractionError  # noqa: E402
-from ncgames.graph import generate_random  # noqa: E402
+from ncgames.graph import TESTER, generate_random  # noqa: E402
 from ncgames.witness import (  # noqa: E402
     Witness,
     WitnessEntry,
@@ -44,9 +44,23 @@ def graphs(draw, min_nodes=1, max_nodes=8):
     return normalize_gains(g) if mode == "normalized" else g
 
 
+def gapped_graph():
+    """20 tester nodes: r moves to the cycle c0 -> ... -> c8 -> c0, whose c8 also exits
+    to the loop z, or to the chain t1 -> ... -> t9, a loop.  The cycle reaches 10 of the
+    20 nodes, with bounds 10 and z's 1, and the chain's bounds 2 to 9 fall between
+    them, so a cycle node's bits have gaps; its first consistent set is the cycle, a
+    candidate past the default cap were every node of reachable(r) a candidate."""
+    layout = {"r": (TESTER, 1, ("c0", "t1")), "z": (TESTER, 1, ("z",)), "t9": (TESTER, 1, ("t9",))}
+    layout.update({f"c{i}": (TESTER, 1, (f"c{i + 1}",)) for i in range(8)})
+    layout["c8"] = (TESTER, 1, ("c0", "z"))
+    layout.update({f"t{i}": (TESTER, 1, (f"t{i + 1}",)) for i in range(1, 9)})
+    return graph_of(layout, "r")
+
+
 class TestExtraction:
     @settings(max_examples=120)
     @given(g=graphs())
+    @example(g=gapped_graph())
     def test_each_set_is_the_first_that_check_witness_accepts(self, g):
         w = extract_witness(g, g.init)
         assert check_witness(g, w) == []
