@@ -14,9 +14,9 @@ covered nodes update it) and the list of live cases (u > 0) in suite
 order.  A round picks uniformly among the candidates of one of four
 strategies:
 
-* ``s1.5`` - round-robin passes: the cases whose id has not run in the
-  current pass (passes restart, so leftover budget keeps buying
-  repetition while coverage is incomplete);
+* ``s1.5`` - round-robin passes: the cases not yet run in this pass
+  (passes restart, so leftover budget keeps buying repetition while
+  coverage is incomplete);
 * ``s2``   - the live cases;
 * ``s3``   - the live cases with the greatest score (``pgain``), a
   uniform random draw in [0, u]; if every draw is 0.0, all cases;
@@ -35,9 +35,11 @@ A uniform pick among n options is this package's k-bit rejection draw, not ``ran
 3.10-3.13).  A ``random.Random`` subclass feeds the picks through its ``getrandbits``.
 The runners work on node indices, built on first use: the graph's index (``GameGraph._index``)
 holds each node's successor indices, n, k and owner, and a suite's case plan on a graph holds
-each path as indices and its SUT steps, so an execution draws only at SUT positions.  A run
-keeps coverage in a bytearray and a compact log; its ``RunResult`` decodes node ids only when
-``covered`` or ``log`` is read.
+each path as indices, its count of distinct nodes and its SUT steps, so an execution draws only
+at SUT positions.  A plan is built only for a suite that ``validate_suite`` accepts: the
+runners raise ``ValidationError`` for any other before a draw.  A run keeps coverage in a
+bytearray and a compact log; its ``RunResult`` decodes node ids only when ``covered`` or
+``log`` is read.
 
 Each run owns its responder and RNG; independent runs execute
 concurrently without coordination.
@@ -66,24 +68,7 @@ class TestSuite:
     cases: tuple[TestCase, ...]
 
     def node_union(self) -> frozenset[str]:
-        return frozenset(self._targets[1])
-
-    @cached_property
-    def _targets(self) -> tuple[tuple[int, ...], dict[str, tuple[int, ...]]]:
-        """Distinct prescribed nodes per case; node -> indices of the cases prescribing it."""
-        holders: dict[str, tuple[int, ...]] = {}
-        for i, tc in enumerate(self.cases):
-            for v in set(tc.path):
-                holders[v] = holders.get(v, ()) + (i,)
-        return tuple(len(set(tc.path)) for tc in self.cases), holders
-
-    @cached_property
-    def _same_id(self) -> dict[str, tuple[int, ...]]:
-        """Case id -> indices of the cases with that id: an ``s1.5`` pass drops them together."""
-        same: dict[str, tuple[int, ...]] = {}
-        for i, tc in enumerate(self.cases):
-            same[tc.id] = same.get(tc.id, ()) + (i,)
-        return same
+        return frozenset(v for tc in self.cases for v in tc.path)
 
     @cached_property
     def _plans(self) -> dict[int, _CasePlan]:
@@ -96,22 +81,22 @@ class TestSuite:
 
 
 class _CasePlan:
-    """A suite's cases on one graph's index: per case, the path as node indices and the
-    SUT steps ``(i, successors, n, k, next)`` at its SUT positions i before the last;
-    per node index, the cases prescribing it.  A node the graph lacks gets an index
-    past the graph's, and a step ``(i, None, 0, 0, id)`` that raises its KeyError."""
+    """A suite's cases on one graph's index: per case, the path as node indices, its count
+    of distinct nodes and the SUT steps ``(i, successors, n, k, next)`` at its SUT positions
+    i before the last; per node index, the cases prescribing it.  Raises ``ValidationError``
+    for a suite that ``validate_suite`` rejects."""
 
     def __init__(self, suite: TestSuite, g: GameGraph):
+        if problems := validate_suite(g, suite):
+            raise ValidationError("; ".join(problems))
         ids, pos, rows = g._index
-        at = dict(pos)
         self.g, self.ids, self.cases = g, ids, suite.cases
-        self.paths = tuple(tuple(at.setdefault(v, len(at)) for v in tc.path) for tc in self.cases)
-        self.steps = tuple(
-            tuple((i, None, 0, 0, tc.path[i]) if v >= len(ids) else (i, *rows[v][:3], p[i + 1])
-                  for i, v in enumerate(p[:-1]) if v >= len(ids) or rows[v][3])
-            for tc, p in zip(self.cases, self.paths))
-        self.holders = {at[v]: holders for v, holders in suite._targets[1].items()}
-        self.size = len(at)
+        self.paths = tuple(tuple(pos[v] for v in tc.path) for tc in self.cases)
+        self.steps = tuple(tuple((i, *rows[v][:3], p[i + 1]) for i, v in enumerate(p[:-1])
+                                 if rows[v][3]) for p in self.paths)
+        sets = [set(p) for p in self.paths]
+        self.counts = tuple(map(len, sets))
+        self.holders = {v: tuple(c for c, s in enumerate(sets) if v in s) for v in set().union(*sets)}
 
     @cached_property
     def alphas(self) -> tuple[int, ...]:
@@ -303,16 +288,12 @@ def _execute(steps: tuple, stop: int, bits) -> tuple[int, int]:
     for i, succs, n, k, nxt in steps:
         if i >= stop - 1:
             break
-        if not n:  # an SUT sink, or a node the graph lacks
-            raise KeyError(nxt) if succs is None else ValueError("empty range")
         r = bits(k)  # the responder's pick, as SutResponder.choose draws it
         while r >= n:
             r = bits(k)
         if succs[r] != nxt:
             return i + 1, succs[r]
-    if stop:
-        return stop, -1
-    raise IndexError("empty test case path")
+    return stop, -1
 
 
 def execute_case(
@@ -323,12 +304,14 @@ def execute_case(
     Returns (realized prefix, diverged flag, cost).  Every visited node
     costs one dollar, including a diverging successor chosen by the SUT;
     execution stops on divergence, on path exhaustion, or when the budget
-    cannot pay the next visit.
+    cannot pay the next visit.  Raises ``ValidationError``, whatever the
+    budget, for a case that ``validate_suite`` rejects as a suite of its own.
     """
+    steps = _CasePlan(TestSuite((tc,)), g).steps[0]
     if budget < 1:
         return (), False, 0
     path = tc.path
-    m, div = _execute(_CasePlan(TestSuite((tc,)), g).steps[0], min(len(path), budget), sut._bits)
+    m, div = _execute(steps, min(len(path), budget), sut._bits)
     if div < 0:
         return path[:m], False, m
     return path[:m] + (g._index[0][div],), True, m + 1
@@ -359,7 +342,8 @@ def nt_plan(
     budget cannot fund another start (one visit, plus the reset fee for
     every start after the first).  Each round takes one uniform pick from
     ``rng.getrandbits`` over the strategy's candidates, after the ``pgain``
-    draws for ``s3`` and ``s4``.  A suite builds its case plan on its first run on g.
+    draws for ``s3`` and ``s4``.  A suite builds its case plan on its first run
+    on g; one that ``validate_suite`` rejects raises ``ValidationError`` first.
     """
     _check_run(suite, budget, reset_cost)
     if strategy not in PGAIN_STRATEGIES:
@@ -367,12 +351,12 @@ def nt_plan(
 
     plan = suite._plan(g)  # shared by all runs: read only
     paths, steps, holders = plan.paths, plan.steps, plan.holders
-    uncovered = list(suite._targets[0])  # per case: distinct prescribed nodes not yet covered
+    uncovered = list(plan.counts)  # per case: distinct prescribed nodes not yet covered
     sut_positions = plan.alphas if strategy == "s4" else ()
     target_left = len(holders)  # prescribed nodes not yet covered
     live = [i for i, u in enumerate(uncovered) if u]  # cases that can add coverage
-    pending: list[int] = []  # s1.5: cases whose id has not run in this pass
-    seen = bytearray(plan.size)  # per node index: covered
+    pending: list[int] = []  # s1.5: cases not yet run in this pass
+    seen = bytearray(len(plan.ids))  # per node index: covered
     log: list[tuple[int, int, int]] = []
     bits, sut_bits = rng.getrandbits, sut._bits
     spent = 0
@@ -410,9 +394,8 @@ def nt_plan(
                         emptied = emptied or not uncovered[j]
         if emptied:
             live = [j for j in live if uncovered[j]]
-        if pending:  # c came from it, and with c every case that shares its id
-            for j in suite._same_id[plan.cases[c].id]:
-                pending.remove(j)
+        if pending:  # c came from it
+            pending.remove(c)
         log.append((c, m, div))
     return RunResult._lazy(spent, seen.count(1), len(log), lambda: plan.decode(log))
 
@@ -428,11 +411,11 @@ def static_once(
 
     This is the deterministic-model baseline: no repetition after a
     divergence, and typically the budget is not exhausted.  Starts are
-    charged as in ``nt_plan``.
+    charged, and suites checked, as in ``nt_plan``.
     """
     _check_run(suite, budget, reset_cost)
     plan = suite._plan(g)
-    seen = bytearray(plan.size)
+    seen = bytearray(len(plan.ids))
     log: list[tuple[int, int, int]] = []
     spent = 0
     for c, path in enumerate(plan.paths):

@@ -203,8 +203,10 @@ def extract_witness(
     counted, in that order, whether tested or ruled out untested in a
     block or a whole level of one size (``_first_containment_set`` gives the
     rules), and ExtractionError (with the instance attached) is raised when
-    none of them is consistent.  The cap limits work: exhausting it does
-    not by itself mean a defect, as a consistent set may lie beyond it.
+    none of them is consistent.  The cap bounds a position in that order,
+    not work: a ruled-out block or level is charged every candidate it
+    stands for.  Exhausting it does not by itself mean a defect, as a
+    consistent set may lie beyond it.
     """
     ensure_valid(g, strict=True)
     if any(info.gain < 1 for info in g.nodes.values()):

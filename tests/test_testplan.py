@@ -235,77 +235,46 @@ class TestExecuteCase:
         assert realized == ("v0", "v1")
         assert not diverged and cost == 2
 
-    def test_empty_path_is_an_index_error(self, mirror):
-        with pytest.raises(IndexError):
-            execute_case(mirror, Case("t", ()), 5, SutResponder(0))
-        assert execute_case(mirror, Case("t", ()), 0, SutResponder(0)) == ((), False, 0)
-
-    def test_unknown_node_is_a_key_error_where_it_is_left(self, mirror):
-        """A node unknown to the graph raises only where execution leaves it: not
-        as the last node, not past the budget."""
-        for path in (("zz", "v1"), ("v0", "zz", "v1"), ("v0", "v1", "zz", "v1")):
-            with pytest.raises(KeyError, match="zz"):
-                execute_case(mirror, Case("t", path), 100, SutResponder(0))
-        assert execute_case(mirror, Case("t", ("v0", "v1", "zz")), 100, SutResponder(0)) == (
-            ("v0", "v1", "zz"), False, 3)
-        assert execute_case(mirror, Case("t", ("v0", "zz", "v1")), 2, SutResponder(0)) == (
-            ("v0", "zz"), False, 2)
-
     def test_sut_node_without_successors_is_an_error(self):
-        """An unvalidated path through an SUT sink: a pick among zero options
-        raises instead of drawing getrandbits(0) forever."""
+        """A path through an SUT sink is rejected up front, not left to a pick among
+        zero options, which would draw getrandbits(0) forever."""
         g = graph_of({"a": (TESTER, 1, ("s",)), "s": (SUT, 1, ())}, init="a")
-        with _within(5), pytest.raises(ValueError, match="empty range"):
+        with _within(5), pytest.raises(ValidationError, match="^t: `s a` is not an edge$"):
             execute_case(g, Case("t", ("a", "s", "a")), 10, SutResponder(0))
 
 
-class TestUnvalidatedSuites:
-    """Suites that validate_suite rejects, run through the runners: each fails where
-    execute_case fails, when and only when an execution gets there."""
+class TestRejectedSuites:
+    """A suite that validate_suite rejects fails in every runner with validate_suite's
+    text, before any draw: each kind after a valid case that draws at v3."""
 
-    LAST = Suite((Case("t0", ("v0", "v1", "zz")), Case("t1", ("v0", "v2"))))
-    MIDDLE = Suite((Case("t0", ("v0", "zz", "v1")),))
+    OK = Case("t0", ("v0", "v1", "v3", "v1"))
+    # kind -> (the case after OK, or no suite at all, and the error's text)
+    KINDS = {
+        "unknown node": (Case("t1", ("v0", "v1", "v3", "zz")), "t1: unknown node `zz`"),
+        "empty path": (Case("t1", ()), "t1: empty path"),
+        "duplicate id": (Case("t0", ("v0", "v2", "v3", "v2")), "duplicate case id `t0`"),
+        "wrong start": (Case("t1", ("v1", "v3", "v1")), "t1: path starts at `v1`, not init"),
+        "non-edge": (Case("t1", ("v0", "v1", "v3", "v0")), "t1: `v3 v0` is not an edge"),
+        "empty suite": (None, "empty test suite"),  # from _check_run, as the runners check it first
+    }
 
-    @pytest.mark.parametrize("strategy", ["GMU-static", *PGAIN_STRATEGIES])
-    def test_runs_raise_an_unknown_nodes_key_error_where_it_is_left(self, mirror, strategy):
-        """``s4`` counts every case's SUT positions first, so it fails at the start of a run."""
-        runs = [(self.LAST, 100), (self.MIDDLE, 2), (self.MIDDLE, 3)]
-        if strategy == "s4":
-            for suite, budget in runs:
-                with pytest.raises(KeyError, match="zz"):
-                    run_one(mirror, suite, strategy, budget, 0, 1, 2)
-            return
-        res = run_one(mirror, self.LAST, strategy, 100, 0, 1, 2)
-        assert res.covered == {"v0", "v1", "v2", "zz"} and res.spent == 5
-        assert res.log[0].realized == ("v0", "v1", "zz")
-        res = run_one(mirror, self.MIDDLE, strategy, 2, 0, 1, 2)
-        assert res.covered == {"v0", "zz"} and res.spent == 2 and res.executions == 1
-        with pytest.raises(KeyError, match="zz"):
-            run_one(mirror, self.MIDDLE, strategy, 3, 0, 1, 2)
-
-    @pytest.mark.parametrize("strategy", ["GMU-static", *PGAIN_STRATEGIES])
-    def test_runs_raise_at_an_sut_sink_inside_a_path(self, strategy):
-        g = graph_of({"a": (TESTER, 1, ("s",)), "s": (SUT, 1, ())}, init="a")
-        suite = Suite((Case("t", ("a", "s", "a")),))
-        res = run_one(g, suite, strategy, 2, 0, 1, 2)
-        assert res.covered == {"a", "s"} and res.spent == 2
-        with _within(5), pytest.raises(ValueError, match="empty range"):
-            run_one(g, suite, strategy, 10, 0, 1, 2)
-
-    @pytest.mark.parametrize("strategy", ["GMU-static", *PGAIN_STRATEGIES])
-    def test_an_empty_path_fails_when_it_runs(self, mirror, strategy):
-        """A case with an empty path prescribes nothing, so no live case is one:
-        ``static_once`` runs it, an ``s1.5`` pass may pick it (these seeds do), and a
-        suite of it alone leaves ``nt_plan`` nothing to cover."""
-        alone, mixed = Suite((Case("e", ()),)), Suite((Case("e", ()), Case("t", ("v0", "v2"))))
-        for suite in (alone, mixed):
-            if strategy == "GMU-static" or (strategy == "s1.5" and suite is mixed):
-                with pytest.raises(IndexError, match="empty test case path"):
-                    run_one(mirror, suite, strategy, 100, 0, 1, 2)
-            else:
-                res = run_one(mirror, suite, strategy, 100, 0, 1, 2)
-                assert (res.covered, res.spent, res.executions) == (
-                    ({"v0", "v2"}, 2, 1) if suite is mixed else (set(), 0, 0))
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_runners_raise_before_any_draw(self, mirror, kind):
+        bad, text = self.KINDS[kind]
+        suite = Suite(() if bad is None else (self.OK, bad))
+        assert "; ".join(validate_suite(mirror, suite)) == text
+        runs = [lambda sut, rng: static_once(mirror, suite, 100, 1, sut)]
+        runs += [lambda sut, rng, s=s: nt_plan(mirror, suite, 100, s, 1, sut, rng)
+                 for s in PGAIN_STRATEGIES]
+        if bad is not None and validate_suite(mirror, Suite((bad,))):  # not a duplicate id
+            runs += [lambda sut, rng, b=b: execute_case(mirror, bad, b, sut) for b in (0, 100)]
+        for run in runs:
+            sut, rng = SutResponder(3), random.Random(4)
+            states = sut._bits.__self__.getstate(), rng.getstate()
+            with pytest.raises(ValidationError) as info:
+                run(sut, rng)
+            assert str(info.value) == text
+            assert (sut._bits.__self__.getstate(), rng.getstate()) == states
 
 
 class TestNtPlan:
@@ -380,25 +349,16 @@ class TestNtPlan:
         assert res.covered == {"v0", "v1", "v2", "v3"}
 
     def test_s1_5_runs_each_id_once_per_pass(self):
-        # a pass is keyed by case id: a repeated id runs once per pass,
-        # through whichever of its cases the draw picks
+        # a pass runs every case once, in the order the draws pick
         for i in range(20):
             g = generate_random(10, 0.5, 1, 2, seed=4100 + i)
-            cases = generate_static_suite(g).cases
-            suite = Suite(cases + (Case(cases[0].id, cases[-1].path),))
-            pass_size = len({tc.id for tc in cases})
+            suite = generate_static_suite(g)
+            pass_size = len(suite.cases)
             res = nt_plan(g, suite, 150, "s1.5", 1, SutResponder(i), random.Random(i))
             ids = [rec.case_id for rec in res.log]
             for start in range(0, len(ids), pass_size):
                 chunk = ids[start:start + pass_size]
                 assert len(set(chunk)) == len(chunk)
-
-    @pytest.mark.parametrize("strategy", ["s2", "s3", "s4"])
-    def test_case_without_nodes_is_never_a_candidate(self, mirror, strategy):
-        suite = Suite((Case("e", ()),) + generate_static_suite(mirror).cases)
-        for seed in range(20):
-            res = nt_plan(mirror, suite, 60, strategy, 1, SutResponder(seed), random.Random(seed))
-            assert "e" not in {rec.case_id for rec in res.log}
 
     def test_empty_suite_rejected(self, mirror):
         with pytest.raises(ValidationError, match="empty"):
@@ -497,28 +457,9 @@ class ZeroDraws(random.Random):
 
 class TestSelectionGoldens:
     """Exact nt_plan logs for selection cases the trend goldens do not reach:
-    a repeated case id under s1.5, all-zero s3/s4 draws, and a tight budget
-    that the reset fees use up.  Same graph as TestGoldenStreams, reset
-    cost 3."""
+    all-zero s3/s4 draws, and a tight budget that the reset fees use up.
+    Same graph as TestGoldenStreams, reset cost 3."""
 
-    # budget 80, SutResponder(11), random.Random(11); t2 and t0 repeated
-    # with the paths of t4 and t5: spent 79, resets 13
-    REPEATED_ID_S1_5 = (
-        ("t0", "n00 n02", True),
-        ("t5", "n00 n02", True),
-        ("t4", "n00 n02 n07", True),
-        ("t2", "n00 n01", True),
-        ("t1", "n00 n02 n07 n09 n13", False),
-        ("t3", "n00 n02", True),
-        ("t0", "n00 n02", True),
-        ("t2", "n00 n01", True),
-        ("t3", "n00 n01 n03 n08", False),
-        ("t1", "n00 n01", True),
-        ("t5", "n00 n02", True),
-        ("t4", "n00 n02 n07", True),
-        ("t2", "n00 n01 n06 n11", False),
-        ("t0", "n00 n01 n03 n04 n05", False),
-    )
     # budget 80, SutResponder(11), ZeroDraws(11): spent 80, resets 13
     ZERO_DRAWS = (
         ("t3", "n00 n02", True),
@@ -568,23 +509,11 @@ class TestSelectionGoldens:
     CHARGED["s2"] = CHARGED["s1.5"]
 
     @staticmethod
-    def run(suite=None, **kwargs):
+    def run(**kwargs):
         g = generate_random(14, 0.5, 1, 2, seed=3)
-        suite = suite or generate_static_suite(g)
-        res = nt_plan(g, suite, reset_cost=3, **kwargs)
+        res = nt_plan(g, generate_static_suite(g), reset_cost=3, **kwargs)
         log = tuple((rec.case_id, " ".join(rec.realized), rec.diverged) for rec in res.log)
         return res, log
-
-    def test_repeated_id_keys_the_s1_5_pass(self):
-        g = generate_random(14, 0.5, 1, 2, seed=3)
-        cases = generate_static_suite(g).cases
-        by_id = {tc.id: tc for tc in cases}
-        suite = Suite(cases + (Case("t2", by_id["t4"].path), Case("t0", by_id["t5"].path)))
-        res, log = self.run(
-            suite, budget=80, strategy="s1.5", sut=SutResponder(11), rng=random.Random(11)
-        )
-        assert log == self.REPEATED_ID_S1_5
-        assert (res.spent, res.resets) == (79, 13)
 
     @pytest.mark.parametrize("strategy", ["s3", "s4"])
     def test_all_zero_draws_tie_every_case(self, strategy):
@@ -797,7 +726,8 @@ class TestDifferential:
     def _plans(st):
         """Games of 1-10 nodes rooted at v0, any share of SUT nodes, 1-5 successors
         per node (self-loops included), with the generated static suite or random
-        walks from v0 whose case ids repeat."""
+        walks from v0 under distinct case ids, some of them a repeat or a prefix of
+        an earlier case's path."""
 
         @st.composite
         def plans(draw):
@@ -810,13 +740,18 @@ class TestDifferential:
             g = GameGraph(nodes, edges, "v0")
             if draw(st.booleans()):
                 return g, generate_static_suite(g)
-            cases = []
+            paths: list[tuple[str, ...]] = []
             for _ in range(draw(st.integers(1, 6))):
+                if paths and draw(st.booleans()):
+                    path = draw(st.sampled_from(paths))
+                    paths.append(path[:draw(st.integers(1, len(path)))])
+                    continue
                 path = ["v0"]
                 for _ in range(draw(st.integers(0, 12))):
                     path.append(draw(st.sampled_from(g.edges[path[-1]])))
-                cases.append(Case(draw(st.sampled_from(["a", "b", "c"])), tuple(path)))
-            return g, Suite(tuple(cases))
+                paths.append(tuple(path))
+            case_ids = draw(st.permutations(["a", "b", "c", "d", "e", "f"]))
+            return g, Suite(tuple(map(Case, case_ids, paths)))
 
         return plans()
 
