@@ -12,10 +12,12 @@ Covered sets only grow, so the states reachable from the exploration's
 start states, the root state (root, {root}) unless others are given, split
 into layers, one per mask, and a move either stays in its layer or enters a
 strictly larger mask, of higher popcount.  Exploration keeps the masks
-entered so far in buckets by popcount and takes them in nondecreasing
-popcount order; it finds each layer by a search inside its mask, started
-from the positions entered from smaller masks, and the solve walks the
-layers in the reverse order.  Within a layer, moves that leave it have
+entered so far in buckets by gain and popcount and takes them in
+nondecreasing (ν(mask), popcount) order, which puts every mask after its
+subsets even where gains are 0, and is the popcount order when every gain
+is 1; it finds each layer by a search inside its mask, started from the
+positions entered from smaller masks, and the solve walks the layers in
+the reverse order.  Within a layer, moves that leave it have
 settled values and every state is worth at least its floor ν(C), so the
 layer's max-min value is the least fixed point of the one-step operator
 started at ν(C) everywhere.  Any iteration that applies the operator to
@@ -82,6 +84,23 @@ states: the root state, in whose layer the tester's first move is read,
 and jump[root], where the root value is read, since the moves from the
 root state may not reach that state.
 
+The root value needs only the states whose gain lies below it, since every
+other state is worth at least its floor.  ``root_value`` solves from the
+same two starts in rounds.  Each explores with a budget, ``_FIRST_BUDGET``
+states at first, and starts no further gain level once the budget is
+entered, so every mask it leaves unexplored has gain at least ``bound``,
+the least gain among them.  Every exit into such a mask reads one shared
+row of ``bound``; bound ≤ ν(all nodes), so the row fits a byte whenever
+rows are bytes.  An unexplored state is worth at least its floor, so at
+least ``bound``, and min(·, bound) commutes with max and min: the round's
+table holds min(value, bound) at every state it solves.  So once the root
+reads below ``bound`` its value is exact, and so are the tester's choices
+in the root's layer, since each exit of that layer is worth at most the
+root value and reads exactly.  Otherwise the budget is multiplied by 4 and
+the next round explores afresh; a round that leaves nothing unexplored is
+the full solve.  This is iterative deepening (Korf 1985) on the threshold
+the tester can guarantee.
+
 A solve may start at many states.  Started at jump[v], from the empty
 mask, for every position v, it values every position: that state is worth
 value(v, {v}), the value of the game rooted at v, since both rules hold at
@@ -138,12 +157,14 @@ it by one, and every in-layer successor of an SUT member of rank r has a
 lower rank, so the play leaves the layer.  In an arena with one position
 per cover bit, the root's layer is the root alone in the solve from the
 root and in the full table, with the same exits, so its choices may be
-read off either table.
+read off either table, or off the last table of ``root_value``, whose
+exits from that layer are exact.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Collection, Hashable, Iterable, Sequence
 
 from .errors import CapacityError
@@ -263,6 +284,9 @@ def _forcing_groups(succ: Sequence[Sequence[int]], is_tester: Sequence[bool]) ->
     return sorted(groups)
 
 
+_FIRST_BUDGET = 64  # the states the first round of ``_Arena.root_value`` explores
+
+
 def _gain(gains: Sequence[int], mask: int) -> int:
     """ν(mask): the summed gains of its cover bits."""
     total = 0
@@ -330,13 +354,19 @@ class _Arena:
         """The value that the table ``values`` holds at a packed state."""
         return values[packed >> self.shift][packed & ((1 << self.shift) - 1)]
 
-    def explore(self, enter: Sequence[int], starts: Iterable[int], state_cap: float = math.inf):
+    def explore(self, enter: Sequence[int], starts: Iterable[int], state_cap: float = math.inf,
+                budget: float = math.inf):
         """Product states reachable from the packed states ``starts`` when a move to u
         from mask C enters the packed state ``enter[u]`` or'ed with C, layered by mask.
 
-        Returns (layers, mask_gain): layers maps each mask, in nondecreasing
-        popcount order, to the sorted positions present with it; mask_gain
-        maps it to ν(mask).  Only a count above max(state_cap, 1) raises,
+        Masks are taken in nondecreasing (ν(mask), popcount) order, which puts every
+        mask after its subsets.  Once ``budget`` states are in explored layers, no
+        further gain level is started: the masks entered but left unexplored all have
+        a gain above every explored one.
+
+        Returns (layers, mask_gain): layers maps each explored mask, in that order, to
+        the sorted positions present with it; mask_gain maps every entered mask,
+        explored or not, to ν(mask).  Only a count above max(state_cap, 1) raises,
         since a start state is always admitted.
         """
         gains, shift = self.gains, self.shift
@@ -345,17 +375,25 @@ class _Arena:
         mask_gain: dict[int, int] = {}
         layers: dict[int, list[int]] = {}
         entered: dict[int, set[int]] = {}  # mask -> positions entered with it, not yet searched
-        buckets: dict[int, list[int]] = {}  # popcount -> the masks entered with it
+        width = len(gains) + 1  # a key gain * width + popcount orders by (gain, popcount)
+        buckets: dict[int, list[int]] = {}  # key -> the masks entered with it
+        keys: list[int] = []  # a heap of the buckets' keys
         for start in starts:
             mask = start >> shift
             if mask not in entered:
                 entered[mask] = set()
-                buckets.setdefault(mask.bit_count(), []).append(mask)
-                mask_gain[mask] = _gain(gains, mask)
+                mask_gain[mask] = gain = _gain(gains, mask)
+                key = gain * width + mask.bit_count()
+                if key not in buckets:
+                    heappush(keys, key)
+                    buckets[key] = []
+                buckets[key].append(mask)
             entered[mask].add(start & position)
-        count = 0
-        while buckets:
-            for mask in buckets.pop(min(buckets)):
+        count = level = 0
+        while keys and (count < budget or keys[0] // width == level):
+            key = heappop(keys)
+            level = key // width
+            for mask in buckets.pop(key):
                 seen = entered.pop(mask)
                 stack = list(seen)
                 while stack:
@@ -369,8 +407,12 @@ class _Arena:
                             entered[m2].add(t)
                         else:
                             entered[m2] = {t}
-                            buckets.setdefault(m2.bit_count(), []).append(m2)
-                            mask_gain[m2] = mask_gain[mask] + _gain(gains, m2 ^ mask)
+                            mask_gain[m2] = gain = mask_gain[mask] + _gain(gains, m2 ^ mask)
+                            key = gain * width + m2.bit_count()
+                            if key not in buckets:
+                                heappush(keys, key)
+                                buckets[key] = []
+                            buckets[key].append(m2)
                 count += len(seen)
                 if count > state_cap and count > 1:
                     raise CapacityError(f"search state space exceeds cap {state_cap}")
@@ -390,6 +432,34 @@ class _Arena:
         for mask in reversed(list(layers)):
             self.value_layer(mask, layers.pop(mask), mask_gain[mask], values)
         return self.read(values, self.jump[self.root]), states, values
+
+    def root_value(self):
+        """Root value and the table of the round that found it, which holds
+        min(value, bound) at every state it solves.  Each round explores along ``jump``
+        from the root state and jump[root] under a budget, ``_FIRST_BUDGET`` states at
+        first, and solves the explored layers while every exit into an unexplored mask
+        reads one shared row of ``bound``, the least gain among those masks.  It returns
+        once the root reads below ``bound``, which is infinite when nothing is left
+        unexplored; otherwise the budget is multiplied by 4 and the next round explores
+        afresh.
+        """
+        starts = (self.step[self.root], self.jump[self.root])
+        budget = _FIRST_BUDGET
+        while True:
+            layers, mask_gain = self.explore(self.jump, starts, budget=budget)
+            rest = mask_gain.keys() - layers.keys()
+            bound = min(map(mask_gain.__getitem__, rest), default=math.inf)
+            values: dict = {}
+            if rest:
+                wall = self.blank.copy()
+                wall[:] = [bound] * len(wall)  # bound <= ν(all nodes), so it fits the row
+                values = dict.fromkeys(rest, wall)
+            for mask in reversed(list(layers)):
+                self.value_layer(mask, layers.pop(mask), mask_gain[mask], values)
+            value = self.read(values, self.jump[self.root])
+            if value < bound:
+                return value, values
+            budget *= 4
 
     def full_table(self):
         """The value table of a solve from every reachable state's ``jump`` state and the

@@ -14,10 +14,14 @@ whatever the SUT answers, and value(s, C) = value(s, C ∪ S) at s in S.
 The kernel's solve follows both rules, so it enters no state of a forced
 node and none that covers a group in part; the state it reads a move at
 may lie on no play from the root.  ``solve_mcg`` reads the value and the
-first move off the solve from the root and keeps no table of it; policies
-and state counts, which answer at every reachable state, build the full
-table, one solve from the state each one is worth, on first use.  The
-restart game is a plain arena too, the restart one more tester move.
+first move off the bounded root solve (``_Arena.root_value``), which explores
+only the states whose covered gain lies below a bound that deepens until the
+value falls below it, and keeps no table of it; policies and state counts,
+which answer at every reachable state, build the full table, one solve from
+the state each one is worth, on first use, and node values and best
+responses explore every reduced state too.  The restart game is a plain
+arena too, the restart one more tester move, and its value comes from the
+bounded root solve as well.
 ``oracle_mcg`` shares only the indexing and searches the game tree
 independently.
 
@@ -64,9 +68,10 @@ class SolveResult:
     """Game value plus optimal policies on the product arena.
 
     The value and the tester's choices in the root's layer are read off the
-    solve from the root (``_Arena.solve``) when it runs, and no table of it is
-    kept: the root's layer is the root alone there and in the full table, so
-    its choices read the same exits.  Every other answer reads the full table
+    bounded root solve (``_Arena.root_value``) when it runs, and no table of it
+    is kept: the root's layer is the root alone there and in the full table, and
+    each of its exits is worth at most the value, below the bound, so its choices
+    read the same exits.  Every other answer reads the full table
     (``_Arena.full_table``): the layers of every reachable state, and the values of
     one solve started at each one's ``jump`` state, the state it is worth.  It is
     built once, on first use of ``states_explored``, ``_values``, ``_layers``, an
@@ -179,11 +184,14 @@ def solve_mcg(g: GameGraph, r: str, cap: int = 20) -> SolveResult:
 
     The value is the largest coverage gain the tester can force from r no
     matter how the SUT resolves its choices.  Requires a strict graph (no
-    sinks) and at most `cap` nodes reachable from r.
+    sinks) and at most `cap` nodes reachable from r.  The value and the first
+    move come from ``_Arena.root_value``, which explores only the states whose
+    covered gain lies below a deepening bound; the policies, ``states_explored``
+    and ``node_values`` explore every reduced state, on first use.
     """
     ensure_valid(g, strict=True)
     arena = _node_arena(g, r, cap)
-    value, _states, values = arena.solve()
+    value, values = arena.root_value()
     mask = arena.bits[arena.root]  # the root's layer is the root alone: no other position covers its bit
     return SolveResult(value, r, arena, {mask: arena.choices(mask, [arena.root], values)})
 
@@ -221,10 +229,11 @@ def solve_mcg_restart(g: GameGraph, r: str, cap: int = 20) -> int:
     Before the owner of the current node moves, the tester may instead
     send the pebble back to r (keeping the covered set).  Sinks are
     allowed: a play stuck in a sink pays the covered set's gain unless
-    restarted.  The value is that of ``_restart_arena``, a plain arena.
+    restarted.  The value is that of ``_restart_arena``, a plain arena, from
+    its bounded root solve (``_Arena.root_value``).
     """
     ensure_valid(g, strict=False)
-    return _restart_arena(g, r, cap).solve()[0]
+    return _restart_arena(g, r, cap).root_value()[0]
 
 
 class OptimalSutStrategy(StateMachineStrategy):

@@ -814,6 +814,10 @@ CONSOLE_CHECKS = [
     (_random(32, 3, "rg32"), 0, [], {}),
     (["solve", "--cap", "64", "--graph", "rg32.ncgame"], 0, ["mcg=18", "first_move=none"], {}),
     (["solve", "--restart", "--cap", "64", "--graph", "rg32.ncgame"], 0, ["mcg_restart=18"], {}),
+    # the plain root solve explores 130,636 of the 3,665,525 reduced states, over 6 rounds
+    (_random(44, 1, "rg44"), 0, [], {}),
+    (["solve", "--cap", "64", "--graph", "rg44.ncgame"], 0, ["mcg=23", "first_move=none"], {}),
+    (["solve", "--restart", "--cap", "64", "--graph", "rg44.ncgame"], 0, ["mcg_restart=23"], {}),
     # the root is in a forcing group with two SUT nodes that choose (n03, n10)
     (_random(12, 10, "rg12"), 0, [], {}),
     (["solve", "--cap", "64", "--graph", "rg12.ncgame"], 0, ["mcg=11", "first_move=n01"], {}),

@@ -740,9 +740,10 @@ class TestKernelProperties:
     def test_value_layers_equal_the_kleene_ones(self, monkeypatch):
         """The value solve's worklist against plain Kleene iteration: on the plain and
         restart arenas of games with forced chains and cycles, some of them with wide
-        gains (list rows), each layer that ``solve()``, ``solve(starts=jump)`` and
-        ``full_table()`` solve must get the same row from ``_kleene_row`` on the same
-        members and exits."""
+        gains (list rows), each layer that ``solve()``, ``solve(starts=jump)``,
+        ``full_table()`` and ``root_value()``, cut from a first budget of one state,
+        solve must get the same row from ``_kleene_row`` on the same members and exits,
+        the bound row among them."""
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings
         from hypothesis import strategies as st
@@ -756,6 +757,7 @@ class TestKernelProperties:
             rows.add(type(values[mask]))
 
         monkeypatch.setattr(_Arena, "value_layer", checked)
+        monkeypatch.setattr("ncgames.arena._FIRST_BUDGET", 1)
 
         @settings(max_examples=200)
         @given(g=st.one_of(_games(st, sinks=False, forced=True), _wide_games(st)))
@@ -764,6 +766,7 @@ class TestKernelProperties:
                 arena.solve()
                 arena.solve(starts=arena.jump)
                 arena.full_table()
+                arena.root_value()
 
         prop()
         assert rows == {bytearray, list}
@@ -1108,6 +1111,101 @@ class TestReducedSolve:
         assert res == solve_mcg(mirror, "v0")
         res.sut_policy()
         assert res == solve_mcg(mirror, "v0") == res
+
+
+class TestBoundedRootSolve:
+    """``solve_mcg`` and ``solve_mcg_restart`` take the root value from
+    ``_Arena.root_value``, which explores only the masks of gain below a bound that
+    deepens by rounds.  With a first budget of one state, games of 1-9 nodes are cut at
+    every gain level, and each answer must still equal the full solve's and the
+    oracle's."""
+
+    @staticmethod
+    def _rounds(monkeypatch) -> list[tuple[int, bool]]:
+        """Record each exploration's states and whether it left masks unexplored."""
+        rounds = []
+        explore = _Arena.explore
+
+        def spy(arena, *args, **kwargs):
+            layers, mask_gain = explore(arena, *args, **kwargs)
+            rounds.append((sum(map(len, layers.values())), mask_gain.keys() != layers.keys()))
+            return layers, mask_gain
+
+        monkeypatch.setattr(_Arena, "explore", spy)
+        return rounds
+
+    @staticmethod
+    def _check_cut_solves(g: GameGraph, rounds: list, cuts: set):
+        """Value, root tester choices and restart value of the cut root solves against
+        ``_Arena.solve()`` and the oracle; ``cuts`` collects the rounds each took."""
+        rounds.clear()
+        res = solve_mcg(g, g.init)
+        cuts.add(len(rounds))
+        arena, mask = res._arena, res._arena.bits[res._arena.root]
+        value, _states, values = arena.solve()
+        assert res.value == value == oracle_mcg(g, g.init)
+        assert res._choices == {mask: arena.choices(mask, [arena.root], values)}
+        restart = solve_mcg_restart(g, g.init)
+        doubled = restart_double(g)
+        assert restart == _restart_arena(g, g.init, 20).solve()[0]
+        assert 2 * restart == oracle_mcg(doubled, doubled.init)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["gains_0_5", "wide_rows"])
+    def test_cut_at_every_gain_level_keeps_the_answers(self, monkeypatch, wide):
+        """Gains 0-5 give masks of equal gain and different popcounts, and wide gains
+        list rows; both must be cut, some more than once."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        monkeypatch.setattr("ncgames.arena._FIRST_BUDGET", 1)
+        rounds, cuts = self._rounds(monkeypatch), set()
+
+        @settings(max_examples=200)
+        @given(g=_wide_games(st) if wide else _games(st, sinks=False, forced=True))
+        def prop(g):
+            self._check_cut_solves(g, rounds, cuts)
+
+        prop()
+        assert {2, 3} <= cuts
+
+    def test_bound_of_every_gain_fits_a_byte_row(self, monkeypatch):
+        # gains 5, 100 and 150 sum to 255: the second round stops below the gain level
+        # 255 and reads its exits from a byte row of 255
+        monkeypatch.setattr("ncgames.arena._FIRST_BUDGET", 1)
+        g = graph_of({"r": (TESTER, 5, ("a", "b")), "a": (TESTER, 100, ("a",)),
+                      "b": (SUT, 150, ("b", "r"))}, init="r")
+        arena = _node_arena(g, "r", 20)
+        rounds = self._rounds(monkeypatch)
+        value, values = arena.root_value()
+        assert (value, rounds) == (155, [(1, True), (4, True)])
+        assert values[0b111] == bytearray([255] * 3)
+        self._check_cut_solves(g, rounds, set())
+        assert solve_mcg(g, "r").tester_move("r", {"r"}) == "b"
+
+    @pytest.mark.parametrize("restart, n, seed, value, explored, states", [
+        (False, 24, 1, 5, [86], 4_023),
+        (False, 26, 1, 11, [76, 427], 24_832),
+        (False, 26, 2, 20, [136], 312),
+        (False, 26, 3, 20, [67], 537),
+        (False, 28, 1, 13, [80, 330], 18_165),
+        (False, 28, 3, 7, [66], 9_752),
+        (True, 18, 1, 17, [79], 79),
+        (True, 20, 0, 19, [73], 73),
+    ])
+    def test_benchmark_graphs_explore_a_few_states(self, monkeypatch, restart, n, seed, value,
+                                                   explored, states):
+        """The states each round of the root solve explores on the benchmark's solve
+        and restart graphs, against those of ``_Arena.solve()``."""
+        g = generate_random(n, 0.3, 1, 2, seed)
+        arena = (_restart_arena if restart else _node_arena)(g, g.init, 64)
+        assert arena.solve()[:2] == (value, states)
+        rounds = self._rounds(monkeypatch)
+        if restart:
+            assert solve_mcg_restart(g, g.init, cap=64) == value
+        else:
+            assert solve_mcg(g, g.init, cap=64).value == value
+        assert [count for count, _cut in rounds] == explored
 
 
 def _product_states(g: GameGraph, r: str, sut) -> int:
